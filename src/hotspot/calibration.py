@@ -245,24 +245,28 @@ def error_bounds(gamma: float, q: float, alpha: float, f: float, k: int,
     return ErrorBounds(e1_bound=e1, e2_bound=e2, p_big=p_big, p_in_big=p_in_big)
 
 
-def solve_k(gamma_profile: GammaProfile, f: float, log_base: float | None = None) -> int:
-    """Smallest profiled K satisfying K >= log(gamma(K)^-1 * (f+1)).
+def smallest_k(gamma_of_k, f: float, k_values, log_base: float | None = None) -> int:
+    """The dense-regime K rule: the first K in ascending ``k_values`` with
+    K >= log(gamma(K)^-1 (f+1)), natural log unless ``log_base`` is given.
 
-    Falls back to the largest profiled K (with a warning) when no entry
-    qualifies.
+    A K with gamma(K) <= 0 never qualifies. Falls back to the last K (with a
+    warning) when none does.
     """
-    if not gamma_profile.entries:
-        raise ValueError("gamma profile is empty")
     base = math.e if log_base is None else float(log_base)
     if base <= 1.0:
         raise ValueError("log base must exceed 1")
-    for entry in gamma_profile.entries:
-        if entry.gamma <= 0.0:
-            continue
-        needed = math.log((f + 1.0) / entry.gamma) / math.log(base)
-        if entry.k >= needed:
-            return entry.k
-    largest = gamma_profile.entries[-1].k
-    logger.warning("no profiled K satisfies K >= log(gamma^-1 (f+1)); "
-                   "returning largest profiled K=%d", largest)
-    return largest
+    k = None
+    for k in k_values:
+        gamma = gamma_of_k(k)
+        if gamma > 0.0 and k >= math.log((f + 1.0) / gamma) / math.log(base):
+            return k
+    if k is None:
+        raise ValueError("no K values to choose from")
+    logger.warning("no K satisfies K >= log(gamma^-1 (f+1)); "
+                   "returning largest profiled K=%d", k)
+    return k
+
+
+def solve_k(gamma_profile: GammaProfile, f: float, log_base: float | None = None) -> int:
+    """Smallest profiled K satisfying K >= log(gamma(K)^-1 * (f+1)); see smallest_k."""
+    return smallest_k(gamma_profile.gamma, f, gamma_profile.k_values(), log_base)

@@ -10,12 +10,13 @@ on any error, so shell pipelines can branch on the outcome.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 
 from . import calibration, detector, harness
-from .detector import VERDICT_CSV_HEADER, DetectorConfig, SmallRegimeParams
+from .detector import VERDICT_CSV_HEADER, DetectorConfig
 from .graph import load_edge_list, save_edge_list
 from .scenario import (EPIDEMIC, UNIFORM, ReportSnapshot, ScenarioParams,
                        generate_uniform_null, make_epidemic_snapshot)
@@ -102,43 +103,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _auto_detect_config(args, g, reporting) -> DetectorConfig:
-    """Pick K and T from calibration inputs, echoing the choices to stderr."""
-    n_rep = len(reporting)
-    regime = args.regime
-    if regime == "auto":
-        density = n_rep / g.n
-        regime = "dense" if density > args.density_cutoff else "small"
-        print(f"auto regime: density {density:.6g} vs cutoff "
-              f"{args.density_cutoff:g} -> {regime}", file=sys.stderr)
-    if regime == "small":
-        if args.beta is None:
-            raise ValueError("small regime needs --beta")
-        params = SmallRegimeParams(beta=args.beta, rho=args.rho, mu=args.mu)
-        cfg = detector.select_params_small(params)
-        print(f"small regime: K={cfg.k_or_l} t={cfg.t} "
-              f"feasible={params.feasible}", file=sys.stderr)
-        return cfg
-    probs = calibration.reporting_probabilities(args.q, args.alpha, args.f)
+    """Pick K and T with the shared prescription, echoing the choice to stderr."""
+    gamma = None
     if args.gamma_profile:
-        profile = calibration.GammaProfile.from_csv(args.gamma_profile)
-        k = calibration.solve_k(profile, args.f, log_base=args.log_base)
-        gamma = profile.gamma(k)
-        t = (n_rep / 2.0) * (gamma * probs.p_in ** k / (args.f + 1.0) + probs.p ** k)
-        cfg = DetectorConfig.nn(k=k, t=t, note="dense, gamma profile")
-    else:
-        if args.gamma is not None:
-            gamma = args.gamma
-        elif args.gamma_fallback:
-            gamma = calibration.gamma_lower_bound(math.ceil(args.alpha * g.n))
-        else:
-            raise ValueError("dense regime needs --gamma-profile, --gamma "
-                             "or --gamma-fallback")
-        cfg = detector.select_params_dense(
-            gamma, args.f, probs.p_in, probs.p, n_rep,
-            topology=args.family, log_base=args.log_base)
-        k = cfg.k_or_l
-    print(f"dense regime: K={cfg.k_or_l} T={cfg.t:.6g} gamma={gamma:.6g} "
-          f"p={probs.p:.6g} p_in={probs.p_in:.6g}", file=sys.stderr)
+        gamma = calibration.GammaProfile.from_csv(args.gamma_profile)
+    elif args.gamma is not None:
+        gamma = args.gamma
+    elif args.gamma_fallback:
+        if args.alpha is None:
+            raise ValueError("--gamma-fallback needs --alpha")
+        gamma = calibration.gamma_lower_bound(math.ceil(args.alpha * g.n))
+    cfg = detector.prescribe(
+        g.n, len(reporting), args.regime, q=args.q, alpha=args.alpha, f=args.f,
+        gamma=gamma, topology=args.family, log_base=args.log_base,
+        beta=args.beta, rho=args.rho, mu=args.mu)
+    print(cfg.note, file=sys.stderr)
     return cfg
 
 
@@ -147,6 +126,9 @@ def _cmd_detect(args) -> int:
     snap = ReportSnapshot.load(args.snapshot)
     if snap.n != g.n:
         print(f"warning: snapshot n={snap.n} vs graph n={g.n}", file=sys.stderr)
+    if snap.reporting and max(snap.reporting) >= g.n:
+        raise ValueError(f"reporting node {max(snap.reporting)} out of range "
+                         f"for a graph of {g.n} nodes")
     if args.regime or args.gamma_profile or args.gamma is not None or args.gamma_fallback:
         args.regime = args.regime or "auto"
         cfg = _auto_detect_config(args, g, snap.reporting)
@@ -198,12 +180,7 @@ def _spec_from_args(args) -> "harness.ExperimentSpec":
     if args.config:
         spec = harness.read_config(args.config)
         if args.seed_given:
-            spec = harness.ExperimentSpec(
-                topology=spec.topology, scenario=spec.scenario,
-                detector=spec.detector, sweep_name=spec.sweep_name,
-                sweep_values=spec.sweep_values,
-                trials_per_point=spec.trials_per_point,
-                master_seed=args.seed, noise=spec.noise)
+            spec = dataclasses.replace(spec, master_seed=args.seed)
         return spec
     raw: dict[str, str] = {}
     for key in ("topology", "n", "p", "dim", "side", "degree", "depth", "exponent",
@@ -280,7 +257,8 @@ def build_parser() -> _Parser:
     p_det.add_argument("--q", type=float)
     p_det.add_argument("--alpha", type=float)
     p_det.add_argument("--f", type=float, default=0.0)
-    p_det.add_argument("--beta", type=float)
+    p_det.add_argument("--beta", type=float,
+                       help="small-regime exponent (default: 1 - log max(|R|,2)/log N)")
     p_det.add_argument("--rho", type=float)
     p_det.add_argument("--mu", type=float)
     p_det.add_argument("--gamma", type=float, help="explicit interior fraction")
@@ -289,7 +267,6 @@ def build_parser() -> _Parser:
                        help="use the 1/|S| lower bound for gamma")
     p_det.add_argument("--family", choices=["general", "grid", "tree"], default="general")
     p_det.add_argument("--log-base", type=float, default=None)
-    p_det.add_argument("--density-cutoff", type=float, default=harness.AUTO_DENSITY_CUTOFF)
 
     p_gam = sub.add_parser("gamma", help="estimate the interior fraction by simulation")
     _add_topology_flags(p_gam)

@@ -10,10 +10,12 @@ size; non-reporting nodes are touched only as BFS frontier.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
 
+from .calibration import GammaProfile, reporting_probabilities, smallest_k
 from .scenario import EPIDEMIC, UNIFORM
 
 logger = logging.getLogger(__name__)
@@ -183,49 +185,92 @@ def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
 
 # -- parameter selection -------------------------------------------------------
 
+# auto regime selection: dense prescription above this observed density |R|/N
+AUTO_DENSITY_CUTOFF = 0.01
 
-def select_params_dense(gamma: float, f: float, p_in: float, p: float,
-                        n_reporting: int, topology: str = "general",
-                        log_base: float | None = None) -> DetectorConfig:
-    """Dense-regime K and T prescription.
 
-    K = ceil(log(gamma^-1 (f+1))) with the log base configurable (natural
-    by default), clamped to K >= 1, and T = (n_reporting/2) *
-    (gamma p_in^K/(f+1) + p^K). ``topology`` picks the specialized forms:
-    "grid" uses K = ceil(log(f+1)) with gamma dropped from T; "tree" solves
-    K >= log(K(f+1)) and folds gamma = 1/K into T.
-    """
+def _check_gamma(gamma: float) -> None:
     if gamma <= 0.0:
         raise ValueError("gamma = 0: boundary covers the infection; "
                          "dense-regime prescription inapplicable")
     if gamma > 1.0:
         raise ValueError("gamma must be in (0, 1]")
+
+
+def select_params_dense(gamma: float | GammaProfile, f: float, p_in: float, p: float,
+                        n_reporting: int, topology: str = "general",
+                        log_base: float | None = None) -> DetectorConfig:
+    """Dense-regime K and T prescription.
+
+    K is the smallest K >= 1 with K >= log(gamma(K)^-1 (f+1)), natural log
+    unless ``log_base`` is given (see calibration.smallest_k), and
+    T = (n_reporting/2) * (gamma(K) p_in^K/(f+1) + p^K). ``topology`` fixes
+    gamma(K): "general" takes ``gamma``, a constant or a GammaProfile (K then
+    ranges over the profiled values); "grid" uses gamma = 1; "tree" uses
+    gamma(K) = 1/K with K <= 64.
+    """
+    profiled = isinstance(gamma, GammaProfile)
+    if not profiled:
+        _check_gamma(gamma)
     if not p_in > p > 0.0:
         raise ValueError("need p_in > p > 0 for the dense-regime prescription")
-    base = math.e if log_base is None else float(log_base)
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
-
-    def logb(x: float) -> float:
-        return math.log(x) / math.log(base)
-
     if topology == "grid":
-        k = max(1, math.ceil(logb(f + 1.0)))
-        t = (n_reporting / 2.0) * (p_in ** k / (f + 1.0) + p ** k)
-        note = f"dense grid rule, log base {base:.6g}"
+        gamma_of_k, k_values = (lambda k: 1.0), itertools.count(1)
     elif topology == "tree":
-        k = 1
-        while k < 64 and k < logb(k * (f + 1.0)):
-            k += 1
-        t = (n_reporting / 2.0) * (p_in ** k / (k * (f + 1.0)) + p ** k)
-        note = f"dense tree rule, log base {base:.6g}"
-    elif topology == "general":
-        k = max(1, math.ceil(logb((f + 1.0) / gamma)))
-        t = (n_reporting / 2.0) * (gamma * p_in ** k / (f + 1.0) + p ** k)
-        note = f"dense rule, log base {base:.6g}"
-    else:
+        gamma_of_k, k_values = (lambda k: 1.0 / k), range(1, 65)
+    elif topology != "general":
         raise ValueError(f"unknown topology {topology!r}")
-    return DetectorConfig.nn(k=k, t=t, note=note)
+    elif profiled:
+        gamma_of_k, k_values = gamma.gamma, gamma.k_values()
+    else:
+        gamma_of_k, k_values = (lambda k: gamma), itertools.count(1)
+    k = smallest_k(gamma_of_k, f, k_values, log_base)
+    gamma_k = gamma_of_k(k)
+    _check_gamma(gamma_k)
+    t = (n_reporting / 2.0) * (gamma_k * p_in ** k / (f + 1.0) + p ** k)
+    return DetectorConfig.nn(k=k, t=t, note=(
+        f"dense regime: K={k} T={t:.6g} gamma={gamma_k:.6g} p={p:.6g} p_in={p_in:.6g}"))
+
+
+def prescribe(graph_n: int, n_reporting: int, regime: str = "auto", *,
+              q: float | None = None, alpha: float | None = None, f: float = 0.0,
+              gamma: float | GammaProfile | None = None, topology: str = "general",
+              log_base: float | None = None, beta: float | None = None,
+              rho: float | None = None, mu: float | None = None) -> DetectorConfig:
+    """K and T for a snapshot of n_reporting reporters on a graph_n-node graph.
+
+    ``regime`` "auto" picks "dense" when the observed density
+    n_reporting/graph_n exceeds AUTO_DENSITY_CUTOFF, else "small". The small
+    regime applies select_params_small; beta defaults to
+    1 - log max(n_reporting, 2)/log graph_n, clamped into (0, 1). The dense
+    regime applies select_params_dense to the matched reporting
+    probabilities of (q, alpha, f) and ``gamma``. The note of the returned
+    config says what was chosen and why.
+    """
+    note = ""
+    if regime == "auto":
+        density = n_reporting / graph_n
+        regime = "dense" if density > AUTO_DENSITY_CUTOFF else "small"
+        note = (f"auto regime: density {density:.6g} vs cutoff "
+                f"{AUTO_DENSITY_CUTOFF:g} -> {regime}; ")
+    if regime == "small":
+        if beta is None:
+            if graph_n < 2:
+                raise ValueError("deriving beta needs a graph of at least 2 nodes")
+            beta = 1.0 - math.log(max(n_reporting, 2)) / math.log(graph_n)
+            beta = min(max(beta, 1e-6), 1.0 - 1e-6)
+        cfg = select_params_small(SmallRegimeParams(beta=beta, rho=rho, mu=mu))
+    elif regime == "dense":
+        if q is None or alpha is None:
+            raise ValueError("dense regime needs q and alpha")
+        if gamma is None:
+            raise ValueError("dense regime needs gamma or a gamma profile")
+        probs = reporting_probabilities(q, alpha, f)
+        cfg = select_params_dense(gamma, f, probs.p_in, probs.p, n_reporting,
+                                  topology=topology, log_base=log_base)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    return replace(cfg, note=note + cfg.note)
 
 
 @dataclass(frozen=True)
@@ -261,8 +306,8 @@ def select_params_small(params: SmallRegimeParams) -> DetectorConfig:
     """
     feas = params.feasible
     feas_txt = "unknown" if feas is None else str(feas).lower()
-    note = (f"small-regime rule: fires on any hotspot (count >= 1); "
-            f"feasible(K*mu<=rho)={feas_txt}")
+    note = (f"small regime: K={params.k} t=0.5 beta={params.beta:.6g}, fires on "
+            f"any hotspot (count >= 1); feasible(K*mu<=rho)={feas_txt}")
     if feas is False:
         logger.warning("small-regime sufficient condition K*mu <= rho violated "
                        "(K=%d, mu=%s, rho=%s)", params.k, params.mu, params.rho)

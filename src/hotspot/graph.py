@@ -14,7 +14,6 @@ outward until some event (a reporter, an uninfected node) occurs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,26 +21,6 @@ logger = logging.getLogger(__name__)
 
 # refuse to build graphs that clearly will not fit in memory
 MAX_NODES = 100_000_000
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """Nodes around ``center`` (center excluded), in canonical order.
-
-    ``mode`` is "nn" for k-nearest-neighbor sets and "ball" for radius-l
-    balls; ``param`` is the k or l the query was made with.
-    """
-
-    center: int
-    members: tuple[int, ...]
-    mode: str
-    param: int
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.members
 
 
 class Graph:
@@ -164,12 +143,6 @@ class Graph:
             frontier = shell
         return members
 
-    def nearest_neighbors(self, i: int, k: int) -> Neighborhood:
-        return Neighborhood(i, tuple(self.nn_members(i, k)), "nn", int(k))
-
-    def ball(self, i: int, l: int) -> Neighborhood:
-        return Neighborhood(i, tuple(self.ball_members(i, l)), "ball", int(l))
-
     # -- components ---------------------------------------------------------
 
     def component_of(self, i: int) -> list[int]:
@@ -227,19 +200,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
-
-
-# -- module-level query wrappers -------------------------------------------
-
-
-def nearest_neighbors(g: Graph, i: int, k: int) -> Neighborhood:
-    """The set of the k nearest neighbors of node i (see Graph.nn_members)."""
-    return g.nearest_neighbors(i, k)
-
-
-def ball(g: Graph, i: int, l: int) -> Neighborhood:
-    """The radius-l ball about node i, center excluded."""
-    return g.ball(i, l)
 
 
 # -- edge hygiene ------------------------------------------------------------

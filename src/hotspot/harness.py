@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import calibration
-from .detector import DetectorConfig, classify
+from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
 from .graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
                     load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
@@ -27,8 +27,6 @@ logger = logging.getLogger(__name__)
 SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
                     "mean_hotspots_epi,sd_epi,mean_hotspots_null,sd_null")
 
-# auto regime selection: dense prescription above this reporting density
-AUTO_DENSITY_CUTOFF = 0.01
 # trial-count conventions: figure reproduction vs CI-grade acceptance runs
 FIGURE_TRIALS = 2000
 CI_TRIALS = 200
@@ -267,41 +265,28 @@ def _resolve_point(spec: ExperimentSpec, value) -> _Point:
     return _Point(topology=topology, scenario=scenario, detector=det, noise=noise)
 
 
-_AUTO_CACHE: dict[tuple, tuple[int, float]] = {}
+def _auto_profile(spec: ExperimentSpec, sweep_value) -> calibration.GammaProfile:
+    """gamma(K) for K = 1..ceil(ln N), estimated once per sweep point on the
+    graph built from the sweep-point seed, so every trial of the point sees
+    the same calibration whatever ran before it."""
+    point = _resolve_point(spec, sweep_value)
+    graph = point.topology.build(
+        derive_seed(spec.master_seed, spec.sweep_name, sweep_value, "graph"))
+    k_cap = max(1, math.ceil(math.log(max(graph.n, 2))))
+    return calibration.estimate_gamma(
+        graph, point.scenario.for_n(graph.n), range(1, k_cap + 1),
+        GAMMA_CALIBRATION_TRIALS,
+        derive_seed(spec.master_seed, spec.sweep_name, sweep_value, "calibration"))
 
 
-def _auto_k_gamma(point: _Point, graph: Graph, params: ScenarioParams,
-                  cal_seed: int) -> tuple[int, float]:
-    """Pick (K, gamma(K)) for auto mode: gamma profile by simulation, then
-    the smallest self-consistent K. Cached per sweep point."""
-    key = (point.topology, params, cal_seed)
-    if key not in _AUTO_CACHE:
-        k_cap = max(1, math.ceil(math.log(max(graph.n, 2))))
-        profile = calibration.estimate_gamma(
-            graph, params, range(1, k_cap + 1), GAMMA_CALIBRATION_TRIALS, cal_seed)
-        k = calibration.solve_k(profile, params.f)
-        _AUTO_CACHE[key] = (k, max(profile.gamma(k), 1.0 / params.target_size(graph.n)))
-    return _AUTO_CACHE[key]
-
-
-def _auto_config(point: _Point, graph: Graph, params: ScenarioParams,
-                 n_reporting: int, cal_seed: int) -> DetectorConfig:
-    probs = calibration.reporting_probabilities(params.q, params.alpha, params.f)
-    density = probs.p
-    if density > AUTO_DENSITY_CUTOFF:
-        k, gamma = _auto_k_gamma(point, graph, params, cal_seed)
-        t = (n_reporting / 2.0) * (gamma * probs.p_in ** k / (params.f + 1.0)
-                                   + probs.p ** k)
-        return DetectorConfig.nn(k=k, t=t, note=f"auto dense, gamma={gamma:.4g}")
-    beta = 1.0 - math.log(max(density * graph.n, 2.0)) / math.log(graph.n)
-    beta = min(max(beta, 1e-6), 1.0 - 1e-6)
-    k = max(1, math.ceil(1.0 / beta) - 1)
-    return DetectorConfig.nn(k=k, t=0.5, note=f"auto small, beta={beta:.4g}")
-
-
-def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int):
+def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
+              gamma_profile: calibration.GammaProfile | None = None):
     """Run one labeled trial; returns (Verdict, truth). Deterministic in
-    (master_seed, sweep name+value, label, trial_index)."""
+    (master_seed, sweep name+value, label, trial_index).
+
+    With detector="auto" the trial is prescribed from ``gamma_profile``,
+    which run_sweep computes once per point; a standalone call computes it.
+    """
     point = _resolve_point(spec, sweep_value)
     root = derive_seed(spec.master_seed, spec.sweep_name, sweep_value, label, trial_index)
     graph_seed = (derive_seed(spec.master_seed, spec.sweep_name, sweep_value, "graph")
@@ -321,8 +306,10 @@ def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int):
     if point.noise is not None and point.noise.flip_prob > 0.0:
         view = NoisyView(graph, point.noise, derive_seed(root, "noise"))
     if isinstance(point.detector, str):
-        cal_seed = derive_seed(spec.master_seed, spec.sweep_name, sweep_value, "calibration")
-        cfg = _auto_config(point, graph, params, len(snapshot.reporting), cal_seed)
+        if gamma_profile is None:
+            gamma_profile = _auto_profile(spec, sweep_value)
+        cfg = prescribe(graph.n, len(snapshot.reporting), q=params.q,
+                        alpha=params.alpha, f=params.f, gamma=gamma_profile)
     else:
         cfg = point.detector
     verdict = classify(view, snapshot.reporting, cfg, keep_indicators=False)
@@ -367,8 +354,6 @@ class SweepResult:
 
 
 def _mean_sd(values: list[int]) -> tuple[float, float]:
-    if not values:
-        return 0.0, 0.0
     mean = sum(values) / len(values)
     if len(values) < 2:
         return mean, 0.0
@@ -377,19 +362,27 @@ def _mean_sd(values: list[int]) -> tuple[float, float]:
 
 
 def _point_outcomes(spec: ExperimentSpec, value):
-    """All trial verdicts for one sweep point, keyed by scenario label."""
+    """All trial verdicts for one sweep point, keyed by scenario label.
+
+    Raises ValueError when every trial of a label failed: rates over zero
+    trials would read as a perfect detector.
+    """
+    profile = _auto_profile(spec, value) if isinstance(spec.detector, str) else None
     per_label: dict[str, list] = {EPIDEMIC: [], UNIFORM: []}
     failures = 0
     for label in (EPIDEMIC, UNIFORM):
         for trial in range(spec.trials_per_point):
             try:
-                verdict, _ = run_trial(spec, value, label, trial)
+                verdict, _ = run_trial(spec, value, label, trial, profile)
             except Exception:
                 failures += 1
                 logger.exception("trial %d (%s) at %s=%r failed",
                                  trial, label, spec.sweep_name, value)
                 continue
             per_label[label].append(verdict)
+        if not per_label[label]:
+            raise ValueError(f"all {spec.trials_per_point} {label} trials failed "
+                             f"at {spec.sweep_name}={value!r}")
     return per_label, failures
 
 
@@ -403,8 +396,8 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     for value in spec.sweep_values:
         per_label, failures = _point_outcomes(spec, value)
         epi, null = per_label[EPIDEMIC], per_label[UNIFORM]
-        type1 = (sum(1 for v in null if v.label == EPIDEMIC) / len(null)) if null else 0.0
-        type2 = (sum(1 for v in epi if v.label == UNIFORM) / len(epi)) if epi else 0.0
+        type1 = sum(1 for v in null if v.label == EPIDEMIC) / len(null)
+        type2 = sum(1 for v in epi if v.label == UNIFORM) / len(epi)
         mean_epi, sd_epi = _mean_sd([v.hotspot_count for v in epi])
         mean_null, sd_null = _mean_sd([v.hotspot_count for v in null])
         result.rows.append(SweepRow(
@@ -439,8 +432,8 @@ def threshold_sweep(spec: ExperimentSpec, t_values) -> SweepResult:
     mean_null, sd_null = _mean_sd(null)
     result = SweepResult()
     for t in t_values:
-        type1 = (sum(1 for c in null if c > t) / len(null)) if null else 0.0
-        type2 = (sum(1 for c in epi if not c > t) / len(epi)) if epi else 0.0
+        type1 = sum(1 for c in null if c > t) / len(null)
+        type2 = sum(1 for c in epi if not c > t) / len(epi)
         result.rows.append(SweepRow(
             sweep_value=t, trials=spec.trials_per_point,
             type1=type1, type2=type2, mean_error=(type1 + type2) / 2.0,
@@ -532,8 +525,9 @@ def describe_defaults() -> str:
         "nearest-neighbor tie-break: ascending node id within the final distance shell",
         "neighborhoods exclude their center; a node's own report is never counted",
         "small-regime threshold: t = 0.5, i.e. any hotspot declares an epidemic",
-        "auto regime selection: dense prescription when (f+1)*q*alpha > "
-        f"{AUTO_DENSITY_CUTOFF} (reporting density cutoff), else small",
+        "auto regime selection: dense prescription when the observed density "
+        f"|R|/N > {AUTO_DENSITY_CUTOFF}, else small with beta = 1 - log max(|R|,2)/log N "
+        "unless given",
         "matched null probability: p = (f+1)*q*alpha",
         "SI stopping rule: grow until ceil(alpha*N) nodes are infected",
         "SI edge clocks: unit-rate exponential",

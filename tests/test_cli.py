@@ -218,3 +218,49 @@ def test_simulate_null_uses_matched_probability(tmp_path, capsys):
     assert snap.truth == "uniform"
     # p = (f+1) q alpha = 0.2 -> about 400 of 2000 report
     assert abs(len(snap.reporting) - 400) < 4 * (2000 * 0.2 * 0.8) ** 0.5
+
+def test_dense_regime_without_q_alpha_exits_one(tmp_path, capsys):
+    graph_path = write_path_graph(tmp_path, 10)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=10\n2\n3\n4\n")
+    code, _, err = run(capsys, "detect", "--graph", graph_path,
+                       "--snapshot", str(snap), "--regime", "dense", "--gamma", "0.5")
+    assert code == 1 and "error" in err and "q and alpha" in err
+
+
+def test_detect_reporter_beyond_graph_exits_one(tmp_path, capsys):
+    graph_path = write_path_graph(tmp_path, 5)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=20\n1\n9\n")  # header n disagrees with the graph
+    code, _, err = run(capsys, "detect", "--graph", graph_path,
+                       "--snapshot", str(snap), "--k", "1")
+    assert code == 1 and "reporting node 9 out of range" in err
+
+
+def test_auto_regime_detect_follows_observed_density(tmp_path, capsys):
+    graph_path = write_path_graph(tmp_path, 1000)
+    sparse = tmp_path / "sparse.txt"
+    sparse.write_text("truth=epidemic n=1000\n500\n501\n")  # 0.002 < cutoff
+    code, _, err = run(capsys, "detect", "--graph", graph_path,
+                       "--snapshot", str(sparse), "--regime", "auto")
+    assert code == 2  # beta derived from |R| gives K=1; the adjacent pair fires
+    assert "-> small" in err and "K=1" in err
+    dense = tmp_path / "dense.txt"
+    dense.write_text("truth=epidemic n=1000\n" +
+                     "\n".join(str(i) for i in range(100, 150)) + "\n")
+    code, _, err = run(capsys, "detect", "--graph", graph_path,
+                       "--snapshot", str(dense), "--regime", "auto",
+                       "--q", "0.5", "--alpha", "0.05", "--f", "1", "--gamma", "0.9")
+    assert code in (0, 2)
+    assert "-> dense" in err and "dense regime: K=" in err
+
+
+def test_sweep_with_every_trial_failing_exits_one(capsys):
+    # (f+1)*q*alpha = 1.25 > 1: no trial can run at this point
+    code, out, err = run(capsys, "sweep", "--topology", "grid", "--side", "10",
+                         "--alpha", "0.5", "--q", "1", "--f", "1.5",
+                         "--detector", "nn", "--k", "1", "--t", "0",
+                         "--sweep", "q", "--values", "1", "--trials", "3")
+    assert code == 1
+    assert out == ""
+    assert "trials failed at q=1" in err

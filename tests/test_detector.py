@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotspot.calibration import gamma_for_set
+from hotspot.calibration import (GammaEntry, GammaProfile, gamma_for_set,
+                                 reporting_probabilities)
 from hotspot.detector import (DetectorConfig, SmallRegimeParams, classify,
-                              hotspot_indicator, multi_k_test,
+                              hotspot_indicator, multi_k_test, prescribe,
                               reporting_prefix_length, select_params_dense,
                               select_params_small)
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
@@ -205,6 +206,29 @@ def test_select_dense_errors():
     with pytest.raises(ValueError):
         select_params_dense(gamma=0.5, f=1.0, p_in=0.5, p=0.1, n_reporting=10,
                             topology="torus")
+
+
+def test_prescribe_one_rule_for_every_caller():
+    probs = reporting_probabilities(0.5, 0.1, 1.0)
+    dense = prescribe(1000, 100, "dense", q=0.5, alpha=0.1, f=1.0, gamma=0.6)
+    want = select_params_dense(0.6, 1.0, probs.p_in, probs.p, 100)
+    assert (dense.k_or_l, dense.t) == (want.k_or_l, want.t)
+    profile = GammaProfile(entries=[GammaEntry(k, g, 0.0, 1)
+                                    for k, g in ((1, 0.5), (2, 0.45), (3, 0.4))])
+    cfg = prescribe(1000, 100, "dense", q=0.5, alpha=0.1, f=1.0, gamma=profile)
+    assert cfg.k_or_l == 2  # ln(2/0.5) = 1.39 > 1; ln(2/0.45) = 1.49 <= 2
+    assert cfg.t == pytest.approx(50 * (0.45 * probs.p_in ** 2 / 2 + probs.p ** 2))
+    # auto: dense above the observed-density cutoff, small (beta from |R|) below
+    assert "-> dense" in prescribe(1000, 11, q=0.5, alpha=0.1, f=1.0, gamma=0.6).note
+    small = prescribe(10_000, 100)  # beta = 1 - ln 100 / ln 10^4 = 0.5
+    assert "-> small" in small.note and small.k_or_l == 1 and small.t == 0.5
+    assert prescribe(10_000, 100, beta=0.25).k_or_l == 3
+    with pytest.raises(ValueError, match="q and alpha"):
+        prescribe(1000, 100, "dense", gamma=0.6)
+    with pytest.raises(ValueError, match="gamma"):
+        prescribe(1000, 100, "dense", q=0.5, alpha=0.1)
+    with pytest.raises(ValueError, match="regime"):
+        prescribe(1000, 100, "medium")
 
 
 def test_select_small_examples():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotspot.graph import (Graph, ball, clean_edges, gen_erdos_renyi, gen_grid,
+from hotspot.graph import (Graph, clean_edges, gen_erdos_renyi, gen_grid,
                            gen_power_law, gen_tree, load_edge_list,
-                           nearest_neighbors, save_edge_list, tree_level_offsets)
+                           save_edge_list, tree_level_offsets)
 
 from oracles import ball_oracle, hop_distances, nn_oracle
 
@@ -205,9 +205,8 @@ def test_power_law_degree_slope():
 
 def test_nearest_neighbors_cycle():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    hood = nearest_neighbors(g, 0, 2)
-    assert set(hood.members) == {1, 4}
-    assert hood.mode == "nn" and hood.param == 2 and hood.center == 0
+    assert g.nn_members(0, 2) == [1, 4]
+    assert g.nn_members(2, 4) == [1, 3, 0, 4]
 
 
 def test_nearest_neighbors_tie_break_by_id():
@@ -231,7 +230,6 @@ def test_ball_queries():
     grid = gen_grid(2, 5)
     center = 12
     assert grid.ball_members(center, 1) == [7, 11, 13, 17]
-    assert ball(grid, center, 1).mode == "ball"
 
 
 def test_query_validation():

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import hotspot
 from hotspot.detector import DetectorConfig
 from hotspot.graph import Graph, gen_erdos_renyi
 from hotspot.harness import (SWEEP_CSV_HEADER, DistanceNoise, ExperimentSpec,
@@ -124,6 +128,44 @@ def test_auto_detector_runs():
                       scenario=ScenarioRule(alpha=0.2, q=0.6, f=0.5))
     result = run_sweep(spec)
     assert result.rows[0].trials == 2
+
+
+_AUTO_TRIALS = """
+from hotspot.harness import ExperimentSpec, ScenarioRule, TopologySpec, run_trial
+spec = ExperimentSpec(topology=TopologySpec(kind="er", n=400, giant=True),
+                      scenario=ScenarioRule(alpha=0.2, q=0.6, f=0.5), detector="auto",
+                      sweep_name="q", sweep_values=(0.6,), master_seed=7)
+for label, trial in {runs!r}:
+    verdict, _ = run_trial(spec, 0.6, label, trial)
+print(verdict.hotspot_count, repr(verdict.threshold), verdict.k_or_l, verdict.note)
+"""
+
+
+def test_auto_trial_does_not_depend_on_earlier_trials():
+    # each run starts a fresh interpreter, so "alone" really is alone
+    src = os.path.dirname(os.path.dirname(hotspot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def last_verdict(runs):
+        done = subprocess.run([sys.executable, "-c", _AUTO_TRIALS.format(runs=runs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    alone = last_verdict([(UNIFORM, 3)])
+    assert "dense" in alone  # the calibrated branch ran
+    assert last_verdict([(EPIDEMIC, 0), (UNIFORM, 1), (UNIFORM, 3)]) == alone
+
+
+def test_sweep_point_with_no_completed_trials_raises():
+    # (f+1)*q*alpha = 1.25 > 1: every trial fails; the row must not read as
+    # a perfect detector
+    spec = small_spec(scenario=ScenarioRule(alpha=0.5, q=1.0, f=1.5),
+                      sweep_values=(1.0,), trials_per_point=2)
+    with pytest.raises(ValueError, match="all 2 epidemic trials failed at q=1.0"):
+        run_sweep(spec)
+    with pytest.raises(ValueError, match="trials failed"):
+        threshold_sweep(spec, [0.0])
 
 
 # -- threshold sweep ---------------------------------------------------------------------

@@ -45,8 +45,8 @@ class DetectorConfig:
             raise ValueError(f"mode must be '{NN}' or '{BALL}'")
         if self.s < 1:
             raise ValueError("s must be >= 1")
-        if self.k_or_l < 0:
-            raise ValueError("k_or_l must be >= 0")
+        if self.k_or_l < (1 if self.mode == NN else 0):
+            raise ValueError("k_or_l must be >= 1 in nn mode and >= 0 in ball mode")
 
     @classmethod
     def nn(cls, k: int, t: float, s: int | None = None, note: str = "") -> "DetectorConfig":
@@ -77,26 +77,6 @@ class Verdict:
                 f"{self.threshold:.10g},{self.k_or_l},{self.mode}")
 
 
-def _members(view, i: int, cfg: DetectorConfig) -> list[int]:
-    if cfg.mode == NN:
-        return view.nn_members(i, cfg.k_or_l)
-    return view.ball_members(i, cfg.k_or_l)
-
-
-def reporter_count(view, i: int, cfg: DetectorConfig, reporting) -> int:
-    """Number of reporting nodes in i's neighborhood (i itself not counted)."""
-    return sum(1 for v in _members(view, i, cfg) if v in reporting)
-
-
-def hotspot_indicator(view, i: int, cfg: DetectorConfig, reporting) -> bool:
-    """True iff at least cfg.s neighborhood members of i are reporting.
-
-    Meant to be evaluated at reporting nodes i; the center's own report is
-    never counted.
-    """
-    return reporter_count(view, i, cfg, reporting) >= cfg.s
-
-
 def classify(view, reporting, cfg: DetectorConfig,
              keep_indicators: bool | None = None) -> Verdict:
     """Run the hotspot count test over a reporting snapshot.
@@ -109,9 +89,12 @@ def classify(view, reporting, cfg: DetectorConfig,
     if keep_indicators is None:
         keep_indicators = view.n <= _INDICATOR_RETENTION_LIMIT
     per_node: dict[int, bool] | None = {} if keep_indicators else None
+    members = view.nn_members if cfg.mode == NN else view.ball_members
+    size, s = cfg.k_or_l, cfg.s
     count = 0
     for i in sorted(reporting):
-        fired = hotspot_indicator(view, i, cfg, reporting)
+        # i is a hotspot iff >= s members of its neighborhood (i excluded) report
+        fired = len(reporting.intersection(members(i, size))) >= s
         count += fired
         if per_node is not None:
             per_node[i] = fired

@@ -88,6 +88,23 @@ class Graph:
 
     # -- neighborhood queries ----------------------------------------------
 
+    def next_shell(self, frontier: list[int], visited: set[int]) -> list[int]:
+        """Neighbors of ``frontier`` not yet in ``visited``, sorted by id.
+
+        The returned ids are added to ``visited``. Called repeatedly from
+        ``[i]`` with ``visited = {i}``, it returns i's hop shells 1, 2, ... in
+        canonical order, then an empty list once the component is exhausted.
+        """
+        indptr, indices = self._indptr, self._indices
+        shell: list[int] = []
+        for v in frontier:
+            for w in indices[indptr[v]:indptr[v + 1]].tolist():
+                if w not in visited:
+                    visited.add(w)
+                    shell.append(w)
+        shell.sort()
+        return shell
+
     def nn_members(self, i: int, k: int) -> list[int]:
         """The k nearest neighbors of i in canonical order.
 
@@ -97,94 +114,75 @@ class Graph:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        indptr, indices = self._indptr, self._indices
-        visited = {i}
-        frontier = [i]
+        visited, shell = {i}, [i]
         members: list[int] = []
-        budget = int(k)
-        while frontier and budget > 0:
-            shell: list[int] = []
-            for v in frontier:
-                for w in indices[indptr[v]:indptr[v + 1]].tolist():
-                    if w not in visited:
-                        visited.add(w)
-                        shell.append(w)
-            if not shell:
-                break
-            shell.sort()
-            if len(shell) <= budget:
-                members.extend(shell)
-                budget -= len(shell)
-            else:
-                members.extend(shell[:budget])
-                budget = 0
-            frontier = shell
+        while shell and len(members) < k:
+            shell = self.next_shell(shell, visited)
+            members += shell
+        del members[k:]
         return members
 
     def ball_members(self, i: int, l: int) -> list[int]:
         """All nodes at hop distance 1..l from i, in canonical order."""
         if l < 0:
             raise ValueError("radius must be >= 0")
-        indptr, indices = self._indptr, self._indices
-        visited = {i}
-        frontier = [i]
+        visited, shell = {i}, [i]
         members: list[int] = []
         for _ in range(int(l)):
-            shell: list[int] = []
-            for v in frontier:
-                for w in indices[indptr[v]:indptr[v + 1]].tolist():
-                    if w not in visited:
-                        visited.add(w)
-                        shell.append(w)
+            shell = self.next_shell(shell, visited)
             if not shell:
                 break
-            shell.sort()
             members.extend(shell)
-            frontier = shell
         return members
 
     # -- components ---------------------------------------------------------
 
-    def component_of(self, i: int) -> list[int]:
-        """Sorted node ids of the connected component containing i."""
-        indptr, indices = self._indptr, self._indices
-        seen = {i}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w in indices[indptr[v]:indptr[v + 1]].tolist():
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return sorted(seen)
+    def component_labels(self) -> np.ndarray:
+        """Label of every node: the smallest node id in its component.
+
+        Min-label propagation with pointer jumping. Each round hooks, for
+        every edge (v, w), the node labels[v] onto labels[w] if that is
+        smaller, then replaces every label by its label's label until that
+        changes nothing. A label is always the id of a node in the same
+        component and never increases, so the fixed point, where labels agree
+        across every edge, is the component minimum.
+        """
+        labels = np.arange(self.n, dtype=np.int64)
+        src = np.repeat(labels, np.diff(self._indptr))
+        dst = self._indices
+        while True:
+            before = labels.copy()
+            np.minimum.at(labels, labels[src], labels[dst])
+            while not np.array_equal(jumped := labels[labels], labels):
+                labels = jumped
+            if np.array_equal(labels, before):
+                return labels
 
     def largest_component(self) -> tuple["Graph", np.ndarray]:
         """Subgraph of the largest connected component.
 
         Returns (subgraph, old_ids) where old_ids[new] is the original id.
+        Of equally large components, the one with the smallest node id wins.
         """
-        remaining = np.ones(self.n, dtype=bool)
-        best: list[int] = []
-        for start in range(self.n):
-            if not remaining[start]:
-                continue
-            comp = self.component_of(start)
-            remaining[comp] = False
-            if len(comp) > len(best):
-                best = comp
-        return self.subgraph(best)
+        labels = self.component_labels()
+        biggest = np.argmax(np.bincount(labels, minlength=1))
+        return self.subgraph(np.flatnonzero(labels == biggest))
 
     def subgraph(self, nodes) -> tuple["Graph", np.ndarray]:
-        """Induced subgraph on ``nodes``, relabeled to 0..len(nodes)-1."""
-        old_ids = np.asarray(sorted(nodes), dtype=np.int64)
-        remap = {int(v): idx for idx, v in enumerate(old_ids)}
-        edges = []
-        for new_u, old_u in enumerate(old_ids.tolist()):
-            for old_v in self.neighbors(old_u).tolist():
-                if old_v > old_u and old_v in remap:
-                    edges.append((new_u, remap[old_v]))
-        sub = Graph.from_edges(len(old_ids), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-        return sub, old_ids
+        """Induced subgraph on ``nodes``, relabeled to 0..len(nodes)-1 in
+        ascending id order."""
+        keep_node = np.zeros(self.n, dtype=bool)
+        keep_node[np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes),
+                             dtype=np.int64)] = True
+        old_ids = np.flatnonzero(keep_node)
+        remap = np.full(self.n, -1, dtype=np.int64)
+        remap[old_ids] = np.arange(old_ids.size)
+        src = np.repeat(remap, np.diff(self._indptr))
+        dst = remap[self._indices]
+        keep = (src >= 0) & (dst >= 0)
+        indptr = np.zeros(old_ids.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[keep], minlength=old_ids.size), out=indptr[1:])
+        return Graph(old_ids.size, indptr, dst[keep]), old_ids
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -259,10 +257,9 @@ def load_edge_list(path, compact: bool = False) -> Graph:
         raise ValueError(f"{path}: no edges found")
     arr = np.asarray(edges, dtype=np.int64)
     if compact:
-        ids = np.unique(arr)
-        remap = {int(v): idx for idx, v in enumerate(ids.tolist())}
-        arr = np.vectorize(remap.__getitem__)(arr)
-        n = len(ids)
+        ids, inverse = np.unique(arr, return_inverse=True)
+        arr = inverse.reshape(arr.shape)
+        n = ids.size
     else:
         n = max(int(arr.max()) + 1, hint_n)
     uniq, n_dup, n_self = clean_edges(n, arr)

@@ -156,32 +156,19 @@ class NoisyView:
             return true_d
         return true_d + (mag if h & 1 else -mag)
 
-    def _shells(self, i: int, max_depth: int):
-        indptr, indices = self._g._indptr, self._g._indices
-        visited = {i}
-        frontier = [i]
-        for depth in range(1, max_depth + 1):
-            shell: list[int] = []
-            for v in frontier:
-                for w in indices[indptr[v]:indptr[v + 1]].tolist():
-                    if w not in visited:
-                        visited.add(w)
-                        shell.append(w)
-            if not shell:
-                return
-            shell.sort()
-            yield depth, shell
-            frontier = shell
-
     def ball_members(self, i: int, l: int) -> list[int]:
         if l < 0:
             raise ValueError("radius must be >= 0")
-        mag = self._noise.magnitude
+        visited, shell = {i}, [i]
         inside: list[tuple[int, int]] = []
-        for depth, shell in self._shells(i, l + mag):
+        for depth in range(1, l + self._noise.magnitude + 1):
+            shell = self._g.next_shell(shell, visited)
+            if not shell:
+                break
             for v in shell:
-                if self._perceived(i, v, depth) <= l:
-                    inside.append((self._perceived(i, v, depth), v))
+                d = self._perceived(i, v, depth)
+                if d <= l:
+                    inside.append((d, v))
         inside.sort()
         return [v for _, v in inside]
 
@@ -189,16 +176,16 @@ class NoisyView:
         if k < 1:
             raise ValueError("k must be >= 1")
         mag = self._noise.magnitude
+        visited, shell = {i}, [i]
         candidates: list[tuple[int, int]] = []
-        explored_depth = 0
-        for depth, shell in self._shells(i, self._g.n):
+        depth = 0
+        # every node beyond the explored depth is perceived at >= depth+1-mag
+        while len(candidates) < k or sorted(candidates)[k - 1][0] >= depth + 1 - mag:
+            shell = self._g.next_shell(shell, visited)
+            if not shell:
+                break
+            depth += 1
             candidates.extend((self._perceived(i, v, depth), v) for v in shell)
-            explored_depth = depth
-            if len(candidates) >= k:
-                kth = sorted(candidates)[k - 1][0]
-                # every unexplored node is perceived at >= depth+1-mag
-                if kth < depth + 1 - mag:
-                    break
         candidates.sort()
         return [v for _, v in candidates[:k]]
 

@@ -11,6 +11,8 @@ does not depend on Python's per-process hash randomization.
 from __future__ import annotations
 
 import hashlib
+import numbers
+import operator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -27,8 +29,8 @@ def splitmix64(state: int) -> int:
 def _token_to_int(token) -> int:
     if isinstance(token, bool):
         return int(token)
-    if isinstance(token, int):
-        return token & _MASK
+    if isinstance(token, numbers.Integral):  # numpy integers hash as their value
+        return int(token) & _MASK
     # floats go through repr so 0.1 and 0.10 collide but 0.1 and 0.2 never do
     digest = hashlib.blake2b(repr(token).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
@@ -36,7 +38,7 @@ def _token_to_int(token) -> int:
 
 def derive_seed(master: int, *tokens) -> int:
     """Derive a 64-bit child seed from a master seed and a token tuple."""
-    state = splitmix64(master & _MASK)
+    state = splitmix64(operator.index(master) & _MASK)
     for token in tokens:
         state = splitmix64(state ^ _token_to_int(token))
     return state

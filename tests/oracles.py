@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 
 from hotspot.graph import Graph
+from hotspot.seeds import splitmix64
 
 
 def hop_distances(g: Graph, src: int) -> dict[int, int]:
@@ -37,6 +38,54 @@ def nn_oracle(g: Graph, i: int, k: int) -> list[int]:
 def ball_oracle(g: Graph, i: int, l: int) -> list[int]:
     dist = hop_distances(g, i)
     return sorted(v for v, d in dist.items() if 0 < d <= l)
+
+
+def components_oracle(g: Graph) -> list[list[int]]:
+    """Connected components by a stack DFS from every unvisited node, each
+    sorted, listed in the order of their smallest id."""
+    seen: set[int] = set()
+    comps = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [start], [start]
+        while stack:
+            for w in g.neighbors(stack.pop()).tolist():
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def largest_component_oracle(g: Graph) -> list[int]:
+    """Node ids of the first strictly largest component in DFS start order."""
+    best: list[int] = []
+    for comp in components_oracle(g):
+        if len(comp) > len(best):
+            best = comp
+    return best
+
+
+def perceived_oracle(seed: int, flip_prob: float, magnitude: int,
+                     observer: int, target: int, true_d: int) -> int:
+    """Observer's perceived hop distance: beyond ``magnitude`` hops it is
+    shifted by +-magnitude with probability flip_prob, keyed by the pair."""
+    if true_d <= magnitude:
+        return true_d
+    h = splitmix64(splitmix64(seed ^ observer) ^ target)
+    if (h >> 11) / 2.0 ** 53 >= flip_prob:
+        return true_d
+    return true_d + (magnitude if h & 1 else -magnitude)
+
+
+def noisy_ranking_oracle(g: Graph, i: int, seed: int, flip_prob: float,
+                         magnitude: int) -> list[tuple[int, int]]:
+    """(perceived distance, id) of every node reachable from i, fully sorted."""
+    return sorted((perceived_oracle(seed, flip_prob, magnitude, i, v, d), v)
+                  for v, d in hop_distances(g, i).items() if v != i)
 
 
 def hotspot_count_oracle(g: Graph, reporting: set[int], k: int, s: int) -> int:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from hotspot.calibration import (GammaEntry, GammaProfile, gamma_for_set,
                                  reporting_probabilities)
 from hotspot.detector import (DetectorConfig, SmallRegimeParams, classify,
-                              hotspot_indicator, multi_k_test, prescribe,
-                              reporting_prefix_length, select_params_dense,
-                              select_params_small)
+                              multi_k_test, prescribe, reporting_prefix_length,
+                              select_params_dense, select_params_small)
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
 from hotspot.scenario import EPIDEMIC, UNIFORM, generate_uniform_null, simulate_si
 
@@ -34,25 +33,38 @@ def test_config_validation():
     assert ball.mode == "ball" and ball.k_or_l == 2
 
 
+def test_config_rejects_empty_nn_neighborhood():
+    # an nn scan needs K >= 1; this used to fail only inside classify
+    with pytest.raises(ValueError, match="nn mode"):
+        DetectorConfig.nn(k=0, t=0, s=1)
+    with pytest.raises(ValueError):
+        DetectorConfig.ball_mode(l=-1, s=1, t=0)
+    assert DetectorConfig.ball_mode(l=0, s=1, t=0).k_or_l == 0
+
+
 # -- indicator ----------------------------------------------------------------------
+
+def indicator(g, i, cfg, reporting):
+    return classify(g, reporting, cfg, keep_indicators=True).per_node[i]
+
 
 def test_indicator_path_example():
     g = path_graph(3)
     cfg = DetectorConfig.nn(k=2, t=0)
-    assert hotspot_indicator(g, 1, cfg, {0, 1, 2}) is True
-    assert hotspot_indicator(g, 1, cfg, {1, 2}) is False
+    assert indicator(g, 1, cfg, {0, 1, 2}) is True
+    assert indicator(g, 1, cfg, {1, 2}) is False
 
 
 def test_indicator_never_counts_center():
     g = path_graph(3)
     cfg = DetectorConfig.nn(k=2, t=0, s=1)
-    assert hotspot_indicator(g, 1, cfg, {1}) is False
+    assert indicator(g, 1, cfg, {1}) is False
 
 
 def test_indicator_oversized_s():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     cfg = DetectorConfig(mode="nn", k_or_l=5, s=5, t=0)
-    assert hotspot_indicator(star, 0, cfg, {0, 1, 2, 3}) is False
+    assert indicator(star, 0, cfg, {0, 1, 2, 3}) is False
 
 
 # -- classify -----------------------------------------------------------------------

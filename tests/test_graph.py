@@ -10,7 +10,8 @@ from hotspot.graph import (Graph, clean_edges, gen_erdos_renyi, gen_grid,
                            gen_power_law, gen_tree, load_edge_list,
                            save_edge_list, tree_level_offsets)
 
-from oracles import ball_oracle, hop_distances, nn_oracle
+from oracles import (ball_oracle, components_oracle, hop_distances,
+                     largest_component_oracle, nn_oracle)
 
 
 def path_graph(n):
@@ -23,6 +24,23 @@ def small_graphs(draw, max_n=12):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = draw(st.lists(pairs, max_size=3 * n))
     return Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+
+
+@st.composite
+def clustered_graphs(draw):
+    """Disjoint connected pieces whose sizes often repeat (ties for the
+    largest), plus isolated nodes, under a random relabeling; n may be 0."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=6))
+    n = sum(sizes) + draw(st.integers(0, 4))
+    perm = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for size in sizes:
+        end = start + size
+        edges += [(draw(st.integers(start, v - 1)), v) for v in range(start + 1, end)]
+        edges += draw(st.lists(st.tuples(st.integers(start, end - 1),
+                                         st.integers(start, end - 1)), max_size=size))
+        start = end
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges if u != v])
 
 
 # -- construction -------------------------------------------------------------
@@ -81,6 +99,16 @@ def test_load_edge_list_comments_and_gaps(tmp_path):
     assert g.degree(3) == 0
     compacted = load_edge_list(path, compact=True)
     assert compacted.n == 3 and compacted.num_edges == 2
+    assert [compacted.neighbors(i).tolist() for i in range(3)] == [[1], [0, 2], [1]]
+
+
+def test_load_edge_list_compact_keeps_ascending_id_order(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("90 12\n12 7\n7 1000\n90 1000\n44 90\n")
+    g = load_edge_list(path, compact=True)
+    # ids 7, 12, 44, 90, 1000 become 0..4 in ascending order
+    assert g.n == 5 and g.num_edges == 5
+    assert [g.neighbors(i).tolist() for i in range(5)] == [[1, 4], [0, 3], [3], [1, 2, 4], [0, 3]]
 
 
 def test_load_edge_list_reports_malformed_line_number(tmp_path):
@@ -278,11 +306,57 @@ def test_ball_size_nondecreasing(g, i):
     assert sizes == sorted(sizes)
 
 
+@given(small_graphs(), st.integers(0, 11))
+def test_next_shell_steps_match_hop_distances(g, i):
+    i = i % g.n
+    dist = hop_distances(g, i)
+    visited, shell = {i}, [i]
+    for depth in range(1, g.n + 1):
+        shell = g.next_shell(shell, visited)
+        assert shell == sorted(v for v, d in dist.items() if d == depth)
+    assert visited == set(dist)
+
+
 # -- components ----------------------------------------------------------------
+
+@given(st.one_of(small_graphs(), clustered_graphs()))
+def test_component_labels_match_dfs_oracle(g):
+    labels = g.component_labels()
+    assert labels.dtype == np.int64 and labels.shape == (g.n,)
+    for comp in components_oracle(g):
+        assert labels[comp].tolist() == [comp[0]] * len(comp)
+
+
+@given(st.one_of(small_graphs(), clustered_graphs()))
+def test_largest_component_matches_dfs_oracle(g):
+    sub, old_ids = g.largest_component()
+    expected = largest_component_oracle(g)
+    assert old_ids.dtype == np.int64 and old_ids.tolist() == expected
+    assert sub.n == len(expected)
+    sub.check_invariants()
+    for new, old in enumerate(expected):
+        assert old_ids[sub.neighbors(new)].tolist() == g.neighbors(old).tolist()
+
+
+@given(small_graphs(), st.data())
+def test_subgraph_keeps_exactly_the_induced_edges(g, data):
+    nodes = data.draw(st.sets(st.integers(0, g.n - 1)))
+    sub, old_ids = g.subgraph(nodes)
+    assert old_ids.tolist() == sorted(nodes)
+    for new, old in enumerate(old_ids.tolist()):
+        assert old_ids[sub.neighbors(new)].tolist() == [
+            w for w in g.neighbors(old).tolist() if w in nodes]
+
+
+def test_largest_component_of_empty_graph():
+    sub, old_ids = Graph.from_edges(0, []).largest_component()
+    assert sub.n == 0 and sub.num_edges == 0
+    assert old_ids.dtype == np.int64 and old_ids.size == 0
+
 
 def test_components_and_subgraph():
     g = Graph.from_edges(8, [(0, 1), (3, 4), (4, 5), (5, 3), (5, 7)])
-    assert g.component_of(0) == [0, 1]
+    assert g.component_labels().tolist() == [0, 0, 2, 3, 3, 3, 6, 3]
     sub, old_ids = g.largest_component()
     assert old_ids.tolist() == [3, 4, 5, 7]
     assert sub.n == 4 and sub.num_edges == 4

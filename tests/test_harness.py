@@ -3,7 +3,10 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hotspot
 from hotspot.detector import DetectorConfig
@@ -13,6 +16,8 @@ from hotspot.harness import (SWEEP_CSV_HEADER, DistanceNoise, ExperimentSpec,
                              describe_defaults, read_config, run_sweep,
                              run_trial, spec_from_mapping, threshold_sweep)
 from hotspot.scenario import EPIDEMIC, UNIFORM
+
+from oracles import noisy_ranking_oracle, random_graph
 
 
 def path_graph(n):
@@ -265,6 +270,31 @@ def test_noisy_view_saturated_noise_changes_neighborhoods():
     for i in range(0, 40, 7):
         members = view.ball_members(i, 3)
         assert all(abs(i - v) <= 5 for v in members)
+
+
+@pytest.mark.parametrize("flip_prob", [0.2, 1.0])
+@pytest.mark.parametrize("magnitude", [1, 2])
+def test_noisy_view_matches_full_sort_oracle(flip_prob, magnitude):
+    # ER graph with isolated nodes and small pieces besides the giant
+    g = gen_erdos_renyi(150, 2.5 / 150, 5)
+    view = NoisyView(g, DistanceNoise(flip_prob=flip_prob, magnitude=magnitude), seed=11)
+    for i in range(0, g.n, 3):
+        ranking = noisy_ranking_oracle(g, i, 11, flip_prob, magnitude)
+        for k in (1, 2, 5, 9, 40):
+            assert view.nn_members(i, k) == [v for _, v in ranking[:k]]
+        for l in (0, 1, 2, 4):
+            assert view.ball_members(i, l) == [v for d, v in ranking if d <= l]
+
+
+@given(st.integers(4, 30), st.floats(0.05, 0.5), st.integers(0, 2**32),
+       st.sampled_from([0.2, 1.0]), st.sampled_from([1, 2]), st.integers(1, 12))
+def test_noisy_view_property_matches_oracle(n, edge_prob, seed, flip_prob, magnitude, size):
+    g = random_graph(n, edge_prob, np.random.default_rng(seed))
+    view = NoisyView(g, DistanceNoise(flip_prob=flip_prob, magnitude=magnitude), seed=seed)
+    for i in range(n):
+        ranking = noisy_ranking_oracle(g, i, seed, flip_prob, magnitude)
+        assert view.nn_members(i, size) == [v for _, v in ranking[:size]]
+        assert view.ball_members(i, size % 5) == [v for d, v in ranking if d <= size % 5]
 
 
 def test_noise_validation():

@@ -66,7 +66,8 @@ def test_si_path_growth_is_contiguous():
 
 def test_si_every_nonseed_has_earlier_infected_neighbor():
     g = gen_erdos_renyi(300, 5 / 300, 3)
-    comp = g.component_of(0)
+    labels = g.component_labels()
+    comp = np.flatnonzero(labels == labels[0]).tolist()
     out = simulate_si(g, [comp[0]], min(80, len(comp)), rng_seed=9)
     order = out.infection_order
     for node in out.infected[len(out.seeds):]:

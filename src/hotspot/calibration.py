@@ -14,7 +14,9 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .graph import Graph
+import numpy as np
+
+from .graph import NN, Graph, isin_sorted, leading_runs, node_array
 from .scenario import ScenarioParams, pick_seeds, simulate_si
 from .seeds import derive_seed
 
@@ -57,29 +59,28 @@ def reporting_probabilities(q: float, alpha: float, f: float) -> ReportingProbab
     return ReportingProbabilities(p_in=p_in, p=p)
 
 
-def _uninfected_rank(g, i: int, infected, k_max: int) -> int:
-    """1-based position of the first uninfected node in i's canonical
-    nearest-neighbor order, scanning at most k_max members.
+def _uninfected_ranks(g: Graph, infected: np.ndarray, k_max: int) -> np.ndarray:
+    """Per node of the ascending array ``infected``: the 1-based position of
+    the first uninfected node in its canonical nearest-neighbor order,
+    scanning at most k_max members.
 
-    Returns k_max + 1 when the first k_max members (or all reachable
-    nodes, if fewer) are infected: i is then interior for every k <= k_max.
+    A node whose first k_max members (or all reachable nodes, if fewer) are
+    infected gets k_max + 1: it is interior for every k <= k_max.
     """
-    rank = 0
-    for v in g.nn_members(i, k_max):
-        rank += 1
-        if v not in infected:
-            return rank
-    return k_max + 1
+    owner, member, rank = g.neighborhoods(infected, k_max, NN)
+    runs = leading_runs(owner, rank, isin_sorted(member, infected), infected.size)
+    reached = np.bincount(owner, minlength=infected.size)
+    return np.where(runs < reached, runs + 1, k_max + 1)
 
 
 def boundary_set(g: Graph, infected, k: int) -> set[int]:
     """Infected nodes whose k-nearest-neighbor set contains an uninfected node."""
-    if not infected:
+    infected = node_array(infected)
+    if not infected.size:
         raise ValueError("infected set must be nonempty")
-    infected = infected if isinstance(infected, (set, frozenset)) else set(infected)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return {i for i in infected if _uninfected_rank(g, i, infected, k) <= k}
+    return set(infected[_uninfected_ranks(g, infected, k) <= k].tolist())
 
 
 def gamma_for_set(g: Graph, infected, k_values) -> list[float]:
@@ -87,16 +88,14 @@ def gamma_for_set(g: Graph, infected, k_values) -> list[float]:
 
     One outward scan per infected node serves every requested k.
     """
-    infected = infected if isinstance(infected, (set, frozenset)) else set(infected)
-    if not infected:
+    infected = node_array(infected)
+    if not infected.size:
         raise ValueError("infected set must be nonempty")
     k_values = [int(k) for k in k_values]
     if any(k < 1 for k in k_values):
         raise ValueError("k values must be >= 1")
-    k_max = max(k_values)
-    ranks = [_uninfected_rank(g, i, infected, k_max) for i in infected]
-    size = len(infected)
-    return [1.0 - sum(1 for r in ranks if r <= k) / size for k in k_values]
+    ranks = _uninfected_ranks(g, infected, max(k_values))
+    return [1.0 - int(np.count_nonzero(ranks <= k)) / infected.size for k in k_values]
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .calibration import GammaProfile, reporting_probabilities, smallest_k
+from .graph import BALL, NN, isin_sorted, leading_runs, node_array
 from .scenario import EPIDEMIC, UNIFORM
 
 logger = logging.getLogger(__name__)
-
-NN = "nn"
-BALL = "ball"
 
 VERDICT_CSV_HEADER = "truth,label,hotspot_count,threshold,k,mode"
 
@@ -81,27 +81,31 @@ def classify(view, reporting, cfg: DetectorConfig,
              keep_indicators: bool | None = None) -> Verdict:
     """Run the hotspot count test over a reporting snapshot.
 
-    ``view`` is a Graph or any object exposing n / nn_members / ball_members
-    (e.g. the harness's noisy-distance view). ``keep_indicators=None`` keeps
-    the per-node map only for graphs up to a million nodes.
+    ``view`` is a Graph or any object exposing n and neighborhoods (e.g. the
+    harness's noisy-distance view). ``keep_indicators=None`` keeps the
+    per-node map only for graphs up to a million nodes. A reporter id
+    outside the graph raises ValueError.
     """
-    reporting = reporting if isinstance(reporting, (set, frozenset)) else set(reporting)
+    centers = node_array(reporting)
     if keep_indicators is None:
         keep_indicators = view.n <= _INDICATOR_RETENTION_LIMIT
-    per_node: dict[int, bool] | None = {} if keep_indicators else None
-    members = view.nn_members if cfg.mode == NN else view.ball_members
-    size, s = cfg.k_or_l, cfg.s
-    count = 0
-    for i in sorted(reporting):
-        # i is a hotspot iff >= s members of its neighborhood (i excluded) report
-        fired = len(reporting.intersection(members(i, size))) >= s
-        count += fired
-        if per_node is not None:
-            per_node[i] = fired
+    owner, member, _ = view.neighborhoods(centers, cfg.k_or_l, cfg.mode)
+    # i is a hotspot iff >= s members of its neighborhood (i excluded) report
+    hits = np.bincount(owner[isin_sorted(member, centers)], minlength=centers.size)
+    fired = hits >= cfg.s
+    count = int(np.count_nonzero(fired))
+    per_node = dict(zip(centers.tolist(), fired.tolist())) if keep_indicators else None
     label = EPIDEMIC if count > cfg.t else UNIFORM
     return Verdict(label=label, hotspot_count=count, threshold=cfg.t,
                    mode=cfg.mode, k_or_l=cfg.k_or_l, per_node=per_node,
                    note=cfg.note)
+
+
+def _prefix_lengths(view, centers, k_max: int, reporting) -> np.ndarray:
+    """Per center, the length of the all-reporting prefix of its k_max
+    nearest neighbors; ``reporting`` is an ascending id array."""
+    owner, member, rank = view.neighborhoods(centers, k_max, NN)
+    return leading_runs(owner, rank, isin_sorted(member, reporting), centers.size)
 
 
 def reporting_prefix_length(view, i: int, k_max: int, reporting) -> int:
@@ -111,13 +115,7 @@ def reporting_prefix_length(view, i: int, k_max: int, reporting) -> int:
     report (0 if the closest one does not). Lets one BFS serve every K in
     a multi-K test.
     """
-    length = 0
-    for v in view.nn_members(i, k_max):
-        if v in reporting:
-            length += 1
-        else:
-            break
-    return length
+    return int(_prefix_lengths(view, node_array([i]), k_max, node_array(reporting))[0])
 
 
 def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
@@ -139,14 +137,9 @@ def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
     missing = [k for k in k_range if k not in null_expectations]
     if missing:
         raise ValueError(f"null_expectations missing K values {missing}")
-    reporting = reporting if isinstance(reporting, (set, frozenset)) else set(reporting)
-    k_max = k_range[-1]
-    counts = {k: 0 for k in k_range}
-    for i in sorted(reporting):
-        length = reporting_prefix_length(view, i, k_max, reporting)
-        for k in k_range:
-            if length >= k:
-                counts[k] += 1
+    centers = node_array(reporting)
+    lengths = _prefix_lengths(view, centers, k_range[-1], centers)
+    counts = {k: int(np.count_nonzero(lengths >= k)) for k in k_range}
     worst_k, worst_excess = k_range[0], float("-inf")
     fired = False
     details = []

@@ -8,7 +8,9 @@ Neighborhood order is canonical throughout the package: nondecreasing hop
 distance, ascending node id inside each distance shell. The k-nearest-
 neighbor set of any size is then a prefix of that order, which is what the
 detector and calibration code rely on when they scan a node's surroundings
-outward until some event (a reporter, an uninfected node) occurs.
+outward until some event (a reporter, an uninfected node) occurs. They
+scan all their nodes at once through :meth:`Graph.neighborhoods`; the
+single-node queries are the plain reference it is tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,56 @@ logger = logging.getLogger(__name__)
 
 # refuse to build graphs that clearly will not fit in memory
 MAX_NODES = 100_000_000
+
+# neighborhood modes: the K nearest neighbors, or the ball of radius l
+NN = "nn"
+BALL = "ball"
+
+# centers per batch of Graph.neighborhoods: keeps one level's pairs small
+_BLOCK = 256
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, ascending (np.unique's result,
+    from one sort and a neighbor-inequality mask)."""
+    values = np.sort(values)
+    if values.size:
+        keep = np.empty(values.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
+def isin_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """Boolean mask: which of ``values`` occur in the ascending array
+    ``sorted_values``."""
+    if sorted_values.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    pos = sorted_values.searchsorted(values)
+    np.minimum(pos, sorted_values.size - 1, out=pos)
+    return sorted_values[pos] == values
+
+
+def node_array(nodes) -> np.ndarray:
+    """Distinct node ids from any iterable, as an ascending int64 array."""
+    if not isinstance(nodes, np.ndarray):
+        nodes = np.fromiter(nodes, dtype=np.int64)
+    return sorted_unique(nodes.astype(np.int64, copy=False))
+
+
+def leading_runs(owner: np.ndarray, rank: np.ndarray, ok: np.ndarray,
+                 count: int) -> np.ndarray:
+    """For each of ``count`` owners, how many of its first members have
+    ``ok`` set; (owner, rank) is a Graph.neighborhoods listing."""
+    runs = np.bincount(owner, minlength=count)
+    miss_owner, miss_rank = owner[~ok], rank[~ok]
+    first = np.ones(miss_owner.size, dtype=bool)
+    first[1:] = miss_owner[1:] != miss_owner[:-1]
+    runs[miss_owner[first]] = miss_rank[first]
+    return runs
 
 
 class Graph:
@@ -135,6 +187,98 @@ class Graph:
             members.extend(shell)
         return members
 
+    def neighborhoods(self, centers: np.ndarray, size: int, mode: str,
+                      perceive=None, slack: int = 0):
+        """Canonical neighborhoods of many centers in one batched BFS.
+
+        ``centers`` is a sorted array of distinct node ids. Returns int64
+        arrays (owner, member, rank), sorted by owner then rank: member is
+        the rank-th (0-based) member of centers[owner]'s neighborhood. A
+        center's members come in (perceived distance, id) order; mode "nn"
+        keeps the first ``size`` of them, mode "ball" every one perceived
+        within ``size`` hops. The center is never a member.
+
+        Without ``perceive`` the perceived distance is the hop distance.
+        ``perceive(observers, targets, d)`` maps pairs at hop distance d to
+        perceived distances no smaller than d - ``slack``. A ball then
+        explores ``size + slack`` hops, and an nn center stops once ``size``
+        of its members are perceived within depth - slack, as nothing deeper
+        can be perceived closer than those.
+
+        Centers go in fixed blocks; each block runs one level-synchronous
+        BFS over (center, node) pairs. A level expands the current shell
+        through the CSR arrays and keeps the pairs in neither the previous
+        nor the current shell: in an undirected graph those are exactly the
+        unvisited ones.
+        """
+        if mode not in (NN, BALL):
+            raise ValueError(f"unknown neighborhood mode {mode!r}")
+        nearest = mode == NN
+        if size < (1 if nearest else 0):
+            raise ValueError("k must be >= 1" if nearest else "radius must be >= 0")
+        centers = np.asarray(centers, dtype=np.int64)
+        if centers.size and (centers[0] < 0 or centers[-1] >= self.n):
+            bad = centers[0] if centers[0] < 0 else centers[-1]
+            raise ValueError(f"node id {bad} out of range for a graph of {self.n} nodes")
+        owners, members, ranks = [_EMPTY], [_EMPTY], [_EMPTY]
+        for lo in range(0, centers.size, _BLOCK):
+            owner, member, rank = self._neighborhood_block(
+                centers[lo:lo + _BLOCK], size, nearest, perceive, slack)
+            owners.append(owner + lo)
+            members.append(member)
+            ranks.append(rank)
+        return np.concatenate(owners), np.concatenate(members), np.concatenate(ranks)
+
+    def _neighborhood_block(self, centers, size, nearest, perceive, slack):
+        n, indptr, indices = self.n, self._indptr, self._indices
+        shell = np.arange(centers.size, dtype=np.int64) * n + centers  # keys owner*n + node
+        prev = _EMPTY
+        found = np.zeros(centers.size, dtype=np.int64)  # nn: settled members per center
+        pending_owner, pending_dist = _EMPTY, _EMPTY
+        keys, dists = [_EMPTY], [_EMPTY]
+        depth = 0
+        while shell.size and (nearest or depth < size + slack):
+            depth += 1
+            nodes = shell % n
+            start, deg = indptr[nodes], indptr[nodes + 1] - indptr[nodes]
+            ends = deg.cumsum()
+            gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
+            new = sorted_unique((shell - nodes).repeat(deg) + indices[gather])
+            new = new[~(isin_sorted(new, prev) | isin_sorted(new, shell))]
+            owner = new // n
+            dist = (np.full(new.size, depth, dtype=np.int64) if perceive is None
+                    else perceive(centers[owner], new - owner * n, depth))
+            keys.append(new)
+            dists.append(dist)
+            prev, shell = shell, new
+            if nearest:
+                # a member perceived within depth - slack is settled: no node
+                # still unexplored can be perceived closer
+                pending_owner = np.concatenate([pending_owner, owner])
+                pending_dist = np.concatenate([pending_dist, dist])
+                settled = pending_dist <= depth - slack
+                found += np.bincount(pending_owner[settled], minlength=centers.size)
+                pending_owner, pending_dist = pending_owner[~settled], pending_dist[~settled]
+                shell = new[found[owner] < size]
+        key, dist = np.concatenate(keys), np.concatenate(dists)
+        if not nearest:
+            key, dist = key[dist <= size], dist[dist <= size]
+        # one sort of (owner, perceived distance, node) codes; with at most
+        # _BLOCK owners, n <= MAX_NODES and distances below n + slack they
+        # fit in int64
+        owner = key // n
+        dist -= dist.min(initial=0)
+        span = dist.max(initial=0) + 1
+        code = (owner * span + dist) * n + (key - owner * n)
+        code.sort()
+        owner, member = code // n // span, code % n
+        count = np.bincount(owner, minlength=centers.size)
+        rank = np.arange(owner.size) - (count.cumsum() - count).repeat(count)
+        if nearest:
+            keep = rank < size
+            owner, member, rank = owner[keep], member[keep], rank[keep]
+        return owner, member, rank
+
     # -- components ---------------------------------------------------------
 
     def component_labels(self) -> np.ndarray:
@@ -218,7 +362,7 @@ def clean_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, int, int]:
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keys = lo * n + hi
-    uniq = np.unique(keys)
+    uniq = sorted_unique(keys)
     n_dup = int(keys.size - uniq.size)
     out = np.stack([uniq // n, uniq % n], axis=1)
     return out, n_dup, n_self
@@ -318,7 +462,7 @@ def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
         ok = u != v
         lo = np.minimum(u[ok], v[ok])
         hi = np.maximum(u[ok], v[ok])
-        keys = np.union1d(keys, lo * n + hi)
+        keys = sorted_unique(np.concatenate([keys, lo * n + hi]))
     if keys.size > m:
         keys = rng.choice(keys, size=m, replace=False)
     edges = np.stack([keys // n, keys % n], axis=1)

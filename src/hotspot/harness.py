@@ -14,13 +14,15 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
-from .graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
-                    load_edge_list)
+from .graph import (BALL, NN, Graph, gen_erdos_renyi, gen_grid, gen_power_law,
+                    gen_tree, load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
-from .seeds import derive_seed, splitmix64
+from .seeds import derive_seed, splitmix64, splitmix64_array
 
 logger = logging.getLogger(__name__)
 
@@ -156,38 +158,28 @@ class NoisyView:
             return true_d
         return true_d + (mag if h & 1 else -mag)
 
+    def _perceive(self, observers: np.ndarray, targets: np.ndarray, true_d: int) -> np.ndarray:
+        """_perceived for arrays of pairs at one true distance."""
+        mag = self._noise.magnitude
+        if true_d <= mag:
+            return np.full(targets.size, true_d, dtype=np.int64)
+        seed = np.uint64(self._seed & 0xFFFFFFFFFFFFFFFF)
+        h = splitmix64_array(splitmix64_array(seed ^ observers.astype(np.uint64))
+                             ^ targets.astype(np.uint64))
+        flip = (h >> np.uint64(11)) / 9007199254740992.0 < self._noise.flip_prob
+        shift = np.where(h & np.uint64(1), mag, -mag)
+        return np.where(flip, true_d + shift, true_d)
+
+    def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
+        """Graph.neighborhoods ranked by perceived distance."""
+        return self._g.neighborhoods(centers, size, mode, perceive=self._perceive,
+                                     slack=self._noise.magnitude)
+
     def ball_members(self, i: int, l: int) -> list[int]:
-        if l < 0:
-            raise ValueError("radius must be >= 0")
-        visited, shell = {i}, [i]
-        inside: list[tuple[int, int]] = []
-        for depth in range(1, l + self._noise.magnitude + 1):
-            shell = self._g.next_shell(shell, visited)
-            if not shell:
-                break
-            for v in shell:
-                d = self._perceived(i, v, depth)
-                if d <= l:
-                    inside.append((d, v))
-        inside.sort()
-        return [v for _, v in inside]
+        return self.neighborhoods(np.array([i]), l, BALL)[1].tolist()
 
     def nn_members(self, i: int, k: int) -> list[int]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        mag = self._noise.magnitude
-        visited, shell = {i}, [i]
-        candidates: list[tuple[int, int]] = []
-        depth = 0
-        # every node beyond the explored depth is perceived at >= depth+1-mag
-        while len(candidates) < k or sorted(candidates)[k - 1][0] >= depth + 1 - mag:
-            shell = self._g.next_shell(shell, visited)
-            if not shell:
-                break
-            depth += 1
-            candidates.extend((self._perceived(i, v, depth), v) for v in shell)
-        candidates.sort()
-        return [v for _, v in candidates[:k]]
+        return self.neighborhoods(np.array([i]), k, NN)[1].tolist()
 
 
 @dataclass(frozen=True)

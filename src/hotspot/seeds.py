@@ -14,6 +14,8 @@ import hashlib
 import numbers
 import operator
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -24,6 +26,18 @@ def splitmix64(state: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def splitmix64_array(state) -> np.ndarray:
+    """splitmix64 applied elementwise in wrapping uint64 arithmetic.
+
+    Bit-identical to :func:`splitmix64` on every 64-bit word. The result is
+    at least one-dimensional: numpy scalars would warn on the wrap-around.
+    """
+    z = np.array(state, dtype=np.uint64, ndmin=1) + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _token_to_int(token) -> int:

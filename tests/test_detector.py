@@ -69,6 +69,18 @@ def test_indicator_oversized_s():
 
 # -- classify -----------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_reporters_outside_the_graph_are_rejected(bad):
+    # -1 used to wrap to the last node's offsets, 5 to raise a bare IndexError
+    g = path_graph(5)
+    with pytest.raises(ValueError, match=f"node id {bad} "):
+        classify(g, {0, bad}, DetectorConfig.nn(k=1, t=0))
+    with pytest.raises(ValueError, match=f"node id {bad} "):
+        classify(g, {0, bad}, DetectorConfig.ball_mode(l=1, s=1, t=0))
+    with pytest.raises(ValueError, match=f"node id {bad} "):
+        multi_k_test(g, {0, bad}, [1, 2], {1: 0.0, 2: 0.0}, 4.0)
+
+
 def test_classify_empty_reporting():
     g = path_graph(4)
     verdict = classify(g, set(), DetectorConfig.nn(k=1, t=0))

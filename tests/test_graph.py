@@ -229,6 +229,20 @@ def test_power_law_degree_slope():
     assert abs(slope - (-2.5)) < 0.3
 
 
+@given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                                   max_size=60), st.integers(0, 20))
+def test_clean_edges_matches_unique_reference(n, pairs, n_reversed):
+    edges = np.asarray([(u % n, v % n) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
+    edges = np.concatenate([edges, edges[:n_reversed, ::-1]])  # both directions
+    out, n_dup, n_self = clean_edges(n, edges)
+    loops = edges[:, 0] == edges[:, 1]
+    rest = edges[~loops]
+    keys = np.unique(rest.min(axis=1) * n + rest.max(axis=1))
+    assert out.dtype == np.int64 and out.shape == (keys.size, 2)
+    assert out.tolist() == np.stack([keys // n, keys % n], axis=1).tolist()
+    assert n_dup == len(rest) - keys.size and n_self == int(loops.sum())
+
+
 # -- neighborhood queries --------------------------------------------------------
 
 def test_nearest_neighbors_cycle():

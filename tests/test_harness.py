@@ -260,6 +260,16 @@ def test_noisy_view_asymmetric_misperception():
     assert asymmetric > 0
 
 
+@pytest.mark.parametrize("seed", [0, 9, -5, -(2**63), 2**64 + 3, 2**70 + 12345])
+def test_noisy_view_pair_rule_is_the_same_for_arrays(seed):
+    # negative and wider-than-64-bit seeds act through their low 64 bits
+    view = NoisyView(path_graph(2), DistanceNoise(flip_prob=0.5, magnitude=2), seed=seed)
+    observers, targets = (a.ravel() for a in np.meshgrid(np.arange(60), np.arange(60)))
+    for d in (1, 2, 3, 4, 9):
+        assert view._perceive(observers, targets, d).tolist() == [
+            view._perceived(o, t, d) for o, t in zip(observers.tolist(), targets.tolist())]
+
+
 def test_noisy_view_saturated_noise_changes_neighborhoods():
     g = path_graph(40)
     view = NoisyView(g, DistanceNoise(flip_prob=1.0, magnitude=2), seed=0)

@@ -1,16 +1,15 @@
 """Command-line front end.
 
 Subcommands: generate, simulate, detect, gamma, bounds, sweep,
-threshold-sweep, describe. Every run honors --seed (fallback: the
-HOTSPOT_SEED environment variable) for bitwise reproducibility. detect
-exits 0 for a uniform-reporting verdict, 2 for an epidemic verdict and 1
-on any error, so shell pipelines can branch on the outcome.
+threshold-sweep, describe. Every run honors --seed (fallbacks: a sweep
+config's seed=, then $HOTSPOT_SEED, then 0) for bitwise reproducibility;
+sweep flags override the keys of a --config file. detect exits 0 for a
+uniform-reporting verdict, 2 for an epidemic verdict and 1 on any error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -34,8 +33,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("HOTSPOT_SEED", "0"))
+def _seed(args) -> int:
+    """--seed, else $HOTSPOT_SEED, else 0; a sweep config's seed= ranks after --seed."""
+    return args.seed if args.seed is not None else int(os.environ.get("HOTSPOT_SEED", "0"))
 
 
 def _add_topology_flags(p: argparse.ArgumentParser) -> None:
@@ -43,32 +43,26 @@ def _add_topology_flags(p: argparse.ArgumentParser) -> None:
                    help="graph family")
     p.add_argument("--n", type=int, help="node count (er, powerlaw)")
     p.add_argument("--p", type=float, help="edge probability (er; default 2/n)")
-    p.add_argument("--dim", type=int, default=2, help="grid dimension")
+    p.add_argument("--dim", type=int, help="grid dimension (default 2)")
     p.add_argument("--side", type=int, help="grid side length")
     p.add_argument("--degree", type=int, help="tree branching factor")
     p.add_argument("--depth", type=int, help="tree depth")
-    p.add_argument("--exponent", type=float, default=2.5, help="power-law exponent")
+    p.add_argument("--exponent", type=float, help="power-law exponent (default 2.5)")
     p.add_argument("--compact", action="store_true",
                    help="remap file node ids to dense indices")
     p.add_argument("--giant", action="store_true",
                    help="restrict to the largest connected component")
 
 
-def _build_topology(args) -> "harness.TopologySpec":
-    return harness.TopologySpec(
-        kind=args.topology, n=args.n, p=args.p, dim=args.dim, side=args.side,
-        degree=args.degree, depth=args.depth, exponent=args.exponent,
-        path=getattr(args, "graph", None), compact=args.compact, giant=args.giant)
-
-
 def _load_graph(args):
-    if getattr(args, "graph", None) and not args.topology:
-        return load_edge_list(args.graph, compact=args.compact)
-    if not args.topology:
+    """The graph of --topology FAMILY, or of --graph FILE (topology 'file')."""
+    path = getattr(args, "graph", None)
+    if not (path or args.topology):
         raise ValueError("need --graph FILE or --topology FAMILY")
-    if args.topology == "file":
-        return load_edge_list(args.graph, compact=args.compact)
-    return _build_topology(args).build(args.seed)
+    return harness.TopologySpec(
+        kind="file" if path else args.topology, n=args.n, p=args.p, dim=args.dim,
+        side=args.side, degree=args.degree, depth=args.depth, exponent=args.exponent,
+        path=path, compact=args.compact, giant=args.giant).build(_seed(args))
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -82,7 +76,7 @@ def _write_text(text: str, out: str | None) -> None:
 def _cmd_generate(args) -> int:
     if args.topology in (None, "file"):
         raise ValueError("generate needs --topology er|grid|tree|powerlaw")
-    g = _build_topology(args).build(args.seed)
+    g = _load_graph(args)
     save_edge_list(g, args.out)
     print(f"wrote {g.n} nodes, {g.num_edges} edges to {args.out}", file=sys.stderr)
     return 0
@@ -93,11 +87,11 @@ def _cmd_simulate(args) -> int:
     if args.scenario == "epidemic":
         params = ScenarioParams(alpha=args.alpha, q=args.q, f=args.f,
                                 num_seeds=args.seeds)
-        snap, _ = make_epidemic_snapshot(g, params, args.seed)
+        snap, _ = make_epidemic_snapshot(g, params, _seed(args))
     else:
         p = (args.null_p if args.null_p is not None else
              calibration.reporting_probabilities(args.q, args.alpha, args.f).p)
-        snap = generate_uniform_null(g, p, args.seed)
+        snap = generate_uniform_null(g, p, _seed(args))
     _write_text(snap.to_text(), args.out)
     return 0
 
@@ -155,7 +149,7 @@ def _cmd_gamma(args) -> int:
     else:
         k_values = list(range(1, max(1, math.ceil(math.log(max(g.n, 2)))) + 1))
     profile = calibration.estimate_gamma(g, params, k_values, args.trials,
-                                         args.seed, topology_tag=args.tag)
+                                         _seed(args), topology_tag=args.tag)
     if args.out:
         profile.to_csv(args.out)
     else:
@@ -176,29 +170,17 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+_NOT_CONFIG_KEYS = ("command", "config", "graph", "out", "t_values")
+
+
 def _spec_from_args(args) -> "harness.ExperimentSpec":
-    if args.config:
-        spec = harness.read_config(args.config)
-        if args.seed_given:
-            spec = dataclasses.replace(spec, master_seed=args.seed)
-        return spec
-    raw: dict[str, str] = {}
-    for key in ("topology", "n", "p", "dim", "side", "degree", "depth", "exponent",
-                "alpha", "q", "f", "alpha_exp", "q_exp", "f_exp",
-                "detector", "k", "l", "s", "t", "sweep", "values", "trials"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            raw[key] = str(val)
-    if args.giant:
-        raw["giant"] = "true"
+    """The --config mapping, overlaid by every flag given, then by --graph."""
+    raw = harness.read_mapping(args.config) if args.config else {}
+    raw.update((key, str(val)) for key, val in vars(args).items()
+               if key not in _NOT_CONFIG_KEYS and val is not None and val is not False)
     if args.graph:
-        raw["topology"], raw["path"] = "file", args.graph
-    if args.num_seeds is not None:
-        raw["num_seeds"] = str(args.num_seeds)
-    if args.noise_prob is not None:
-        raw["noise_prob"] = str(args.noise_prob)
-        raw["noise_d"] = str(args.noise_d)
-    raw["seed"] = str(args.seed)
+        raw.update(topology="file", path=args.graph)
+    raw.setdefault("seed", str(_seed(args)))
     return harness.spec_from_mapping(raw)
 
 
@@ -291,7 +273,8 @@ def build_parser() -> _Parser:
     for name, helptext in (("sweep", "run a Monte-Carlo error-rate sweep"),
                            ("threshold-sweep", "error rates across decision thresholds")):
         p_sw = sub.add_parser(name, help=helptext)
-        p_sw.add_argument("--config", help="flat key=value experiment file")
+        p_sw.add_argument("--config", help="flat key=value experiment file; "
+                          "flags given with it override its keys")
         _add_topology_flags(p_sw)
         p_sw.add_argument("--graph", help="edge-list file topology")
         p_sw.add_argument("--alpha", type=float)
@@ -310,7 +293,7 @@ def build_parser() -> _Parser:
         p_sw.add_argument("--values", help="comma-separated sweep values")
         p_sw.add_argument("--trials", type=int)
         p_sw.add_argument("--noise-prob", type=float)
-        p_sw.add_argument("--noise-d", type=int, default=1)
+        p_sw.add_argument("--noise-d", type=int, help="noise magnitude (default 1)")
         p_sw.add_argument("--out")
         if name == "threshold-sweep":
             p_sw.add_argument("--t-values", required=True,
@@ -342,9 +325,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    args.seed_given = args.seed is not None
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:

@@ -34,6 +34,9 @@ FIGURE_TRIALS = 2000
 CI_TRIALS = 200
 GAMMA_CALIBRATION_TRIALS = 50
 
+_REQUIRED_FIELDS = {"er": ("n",), "powerlaw": ("n",), "grid": ("side",),
+                    "tree": ("degree", "depth"), "file": ("path",)}
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -56,6 +59,13 @@ class TopologySpec:
     compact: bool = False
     giant: bool = False
 
+    def __post_init__(self):
+        if self.kind not in _REQUIRED_FIELDS:
+            raise ValueError(f"unknown topology kind {self.kind!r}")
+        missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
+        if missing:
+            raise ValueError(f"topology {self.kind} needs {' and '.join(missing)}")
+
     def build(self, seed: int) -> Graph:
         if self.kind == "er":
             p = self.p if self.p is not None else 2.0 / self.n
@@ -66,10 +76,8 @@ class TopologySpec:
             g = gen_tree(self.degree, self.depth)
         elif self.kind == "powerlaw":
             g = gen_power_law(self.n, self.exponent or 2.5, seed)
-        elif self.kind == "file":
-            g = _load_cached(self.path, self.compact)
         else:
-            raise ValueError(f"unknown topology kind {self.kind!r}")
+            g = _load_cached(self.path, self.compact)
         if self.giant:
             g, _ = g.largest_component()
         return g
@@ -437,8 +445,8 @@ def _parse_scalar(text: str):
         return text
 
 
-def read_config(path) -> ExperimentSpec:
-    """Build an ExperimentSpec from a flat key=value file ('#' comments)."""
+def read_mapping(path) -> dict[str, str]:
+    """The key=value pairs of a flat experiment file ('#' comments)."""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -449,50 +457,67 @@ def read_config(path) -> ExperimentSpec:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, val = stripped.partition("=")
             raw[key.strip()] = val.strip()
-    return spec_from_mapping(raw)
+    return raw
+
+
+def read_config(path) -> ExperimentSpec:
+    """Build an ExperimentSpec from a flat key=value file ('#' comments)."""
+    return spec_from_mapping(read_mapping(path))
+
+
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
-    def get(key, cast, default=None):
-        if key in raw:
-            return cast(raw[key])
-        return default
+    """Build an ExperimentSpec from key=value strings. An unknown key or a
+    boolean outside 1/0/true/false/yes/no raises ValueError naming the key."""
+    raw = dict(raw)
 
-    topology = TopologySpec(
-        kind=raw.get("topology", "er"),
+    def get(key, cast, default=None):
+        return cast(raw.pop(key)) if key in raw else default
+
+    def flag(key):
+        val = raw.pop(key, "false").lower()
+        if val not in _TRUE + _FALSE:
+            raise ValueError(f"{key}={val!r}: expected one of {', '.join(_TRUE + _FALSE)}")
+        return val in _TRUE
+
+    sweep_name = raw.pop("sweep", "t")
+    sweep_values = tuple(_parse_scalar(v) for v in raw.pop("values", "0").split(",")
+                         if v.strip())
+    if sweep_name in _TOPOLOGY_SWEEPS and sweep_values:
+        # a swept graph field needs no fixed value: every point sets its own
+        raw.setdefault(sweep_name, str(sweep_values[0]))
+    topology = dict(
+        kind=raw.pop("topology", "er"),
         n=get("n", int), p=get("p", float), dim=get("dim", int),
         side=get("side", int), degree=get("degree", int), depth=get("depth", int),
-        exponent=get("exponent", float), path=raw.get("path"),
-        compact=raw.get("compact", "false").lower() in ("1", "true", "yes"),
-        giant=raw.get("giant", "false").lower() in ("1", "true", "yes"))
+        exponent=get("exponent", float), path=raw.pop("path", None),
+        compact=flag("compact"), giant=flag("giant"))
     scenario = ScenarioRule(
         alpha=get("alpha", float, 0.1), q=get("q", float, 1.0),
         f=get("f", float, 0.0), num_seeds=get("num_seeds", int, 1),
         alpha_exp=get("alpha_exp", float, 0.0), q_exp=get("q_exp", float, 0.0),
         f_exp=get("f_exp", float, 0.0))
-    det_kind = raw.get("detector", "nn")
+    det_kind = raw.pop("detector", "nn")
+    k, l, s, t = get("k", int, 1), get("l", int, 2), get("s", int), get("t", float, 0.0)
+    magnitude, flip_prob = get("noise_d", int, 1), get("noise_prob", float)
+    trials, seed = get("trials", int, CI_TRIALS), get("seed", int, 0)
+    if raw:
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(raw))}")
     if det_kind == "auto":
         detector: DetectorConfig | str = "auto"
     elif det_kind == "nn":
-        k = get("k", int, 1)
-        detector = DetectorConfig.nn(k=k, t=get("t", float, 0.0), s=get("s", int, k))
+        detector = DetectorConfig.nn(k=k, t=t, s=k if s is None else s)
     elif det_kind == "ball":
-        detector = DetectorConfig.ball_mode(
-            l=get("l", int, 2), s=get("s", int, 1), t=get("t", float, 0.0))
+        detector = DetectorConfig.ball_mode(l=l, s=1 if s is None else s, t=t)
     else:
         raise ValueError(f"unknown detector kind {det_kind!r}")
-    noise = None
-    if "noise_prob" in raw:
-        noise = DistanceNoise(flip_prob=float(raw["noise_prob"]),
-                              magnitude=get("noise_d", int, 1))
-    sweep_name = raw.get("sweep", "t")
-    values_txt = raw.get("values", "0")
-    sweep_values = tuple(_parse_scalar(v) for v in values_txt.split(",") if v.strip())
     return ExperimentSpec(
-        topology=topology, scenario=scenario, detector=detector,
-        sweep_name=sweep_name, sweep_values=sweep_values,
-        trials_per_point=get("trials", int, CI_TRIALS),
-        master_seed=get("seed", int, 0), noise=noise)
+        topology=TopologySpec(**topology), scenario=scenario, detector=detector,
+        sweep_name=sweep_name, sweep_values=sweep_values, trials_per_point=trials,
+        master_seed=seed, noise=(None if flip_prob is None else
+                                 DistanceNoise(flip_prob=flip_prob, magnitude=magnitude)))
 
 
 def describe_defaults() -> str:
@@ -521,4 +546,6 @@ def describe_defaults() -> str:
         "gamma estimator: mean of per-realization interior fractions",
         "seed derivation: splitmix64 chain over (master, sweep, value, label, trial)",
         "CLI exit codes: 0 = uniform reporting, 2 = epidemic, 1 = error",
+        "CLI precedence: flags override --config keys; seed: --seed > config seed= "
+        "> HOTSPOT_SEED > 0",
     ])

@@ -1,7 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hotspot
+from hotspot import harness
 from hotspot.calibration import GammaProfile
 from hotspot.cli import main
 from hotspot.graph import Graph, save_edge_list
+from hotspot.harness import SWEEP_CSV_HEADER, read_config
 from hotspot.scenario import ReportSnapshot
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def run(capsys, *argv):
@@ -264,3 +276,102 @@ def test_sweep_with_every_trial_failing_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "trials failed at q=1" in err
+
+
+SMALL_CONFIG = ("topology=er\nn=150\ngiant=true\nalpha=0.2\nq=0.6\nf=0.5\n"
+                "detector=ball\nl=2\ns=1\nt=10\nsweep=q\nvalues=0.6\ntrials=3\n")
+
+
+def test_sweep_flags_override_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG + "seed=4\n")
+    flags = ["--trials", "2", "--detector", "nn", "--k", "2", "--t", "3",
+             "--values", "0.5,0.7", "--seed", "9"]
+    code, overlaid, _ = run(capsys, "sweep", "--config", str(cfg), *flags)
+    assert code == 0
+    assert [line.split(",")[:2] for line in overlaid.splitlines()[1:]] == [
+        ["0.5", "2"], ["0.7", "2"]]
+    code, direct, _ = run(capsys, "sweep", "--topology", "er", "--n", "150", "--giant",
+                          "--alpha", "0.2", "--q", "0.6", "--f", "0.5", "--l", "2",
+                          "--s", "1", "--sweep", "q", *flags)
+    assert code == 0 and overlaid == direct
+
+
+def test_sweep_seed_order_flag_then_config_then_env(tmp_path, capsys, monkeypatch):
+    with_seed, without_seed = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    with_seed.write_text(SMALL_CONFIG + "seed=4\n")
+    without_seed.write_text(SMALL_CONFIG)
+
+    def sweep(cfg, *flags):
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg), *flags)
+        assert code == 0
+        return out
+
+    monkeypatch.setenv("HOTSPOT_SEED", "77")
+    assert sweep(with_seed) == sweep(without_seed, "--seed", "4")
+    assert sweep(with_seed, "--seed", "77") == sweep(without_seed)
+    assert sweep(without_seed) != sweep(with_seed)
+    monkeypatch.delenv("HOTSPOT_SEED")
+    assert sweep(without_seed) == sweep(with_seed, "--seed", "0")
+
+
+def test_sweep_compact_remaps_file_ids(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "sparse.txt"
+    graph.write_text("0 10\n10 20\n20 30\n")
+    sizes = []
+    classify = harness.classify
+
+    def spy(view, reporting, cfg, **kw):
+        sizes.append(view.n)
+        return classify(view, reporting, cfg, **kw)
+
+    monkeypatch.setattr(harness, "classify", spy)
+    code, out, err = run(capsys, "sweep", "--graph", str(graph), "--compact",
+                         "--alpha", "0.5", "--detector", "nn", "--k", "1",
+                         "--values", "0", "--trials", "1")
+    assert code == 0, err
+    assert sizes == [4, 4]
+
+
+def test_simulate_and_gamma_honour_giant_with_graph(tmp_path, capsys):
+    graph = tmp_path / "two_parts.txt"
+    graph.write_text("0 1\n1 2\n2 3\n4 5\n")
+    snap = tmp_path / "snap.txt"
+    code, _, _ = run(capsys, "simulate", "--graph", str(graph), "--giant",
+                     "--alpha", "0.5", "--seed", "1", "--out", str(snap))
+    assert code == 0 and ReportSnapshot.load(snap).n == 4
+    code, out, _ = run(capsys, "gamma", "--graph", str(graph), "--giant",
+                       "--alpha", "0.5", "--trials", "2", "--k-list", "1")
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_sweep_config_with_a_typo_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("trials=", "trails="))
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == "" and "error:" in err and "trails" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--topology", "er", "--out", "x.txt"],
+    ["gamma", "--topology", "file", "--alpha", "0.1"],
+    ["sweep", "--topology", "er", "--values", "0.5", "--trials", "2"],
+])
+def test_missing_topology_fields_exit_one_without_traceback(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hotspot.__file__))}
+    done = subprocess.run([sys.executable, "-m", "hotspot.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: topology ") and "needs" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in EXPERIMENTS.glob("*.cfg")))
+def test_shipped_experiment_configs_run(capsys, name):
+    path = EXPERIMENTS / name
+    smallest = min(read_config(path).sweep_values)
+    code, out, err = run(capsys, "sweep", "--config", str(path), "--trials", "1",
+                         "--values", str(smallest))
+    assert code == 0, err
+    header, row = out.splitlines()
+    assert header == SWEEP_CSV_HEADER and row.startswith(f"{smallest},1,")

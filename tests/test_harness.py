@@ -369,8 +369,47 @@ noise_d=2
         read_config(bad)
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"n": "100", "trails": "50"}, "trails"),
+    ({"n": "100", "giant": "ture"}, "giant"),
+    ({"topology": "file", "path": "g.txt", "compact": "2"}, "compact"),
+])
+def test_spec_from_mapping_rejects_unknown_keys_and_bad_booleans(tmp_path, raw, key):
+    with pytest.raises(ValueError, match=key):
+        spec_from_mapping(raw)
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in raw.items()))
+    with pytest.raises(ValueError, match=key):
+        read_config(path)
+
+
+def test_spec_from_mapping_reads_every_boolean_spelling():
+    for text, value in (("1", True), ("YES", True), ("true", True),
+                        ("0", False), ("no", False), ("False", False)):
+        assert spec_from_mapping({"n": "10", "giant": text}).topology.giant is value
+
+
+@pytest.mark.parametrize("fields, missing", [
+    ({"kind": "er"}, "n"), ({"kind": "powerlaw", "exponent": 3.0}, "n"),
+    ({"kind": "grid", "dim": 3}, "side"), ({"kind": "tree"}, "degree and depth"),
+    ({"kind": "tree", "degree": 2}, "depth"), ({"kind": "file", "compact": True}, "path"),
+])
+def test_topology_spec_requires_its_kinds_fields(fields, missing):
+    with pytest.raises(ValueError, match=f"topology {fields['kind']} needs {missing}$"):
+        TopologySpec(**fields)
+
+
+def test_topology_spec_rejects_unknown_kind_and_accepts_a_swept_field():
+    with pytest.raises(ValueError, match="unknown topology kind 'ring'"):
+        TopologySpec(kind="ring", n=10)
+    spec = spec_from_mapping({"topology": "grid", "sweep": "side", "values": "4,6"})
+    assert spec.sweep_values == (4, 6)
+    row = run_sweep(replace(spec, trials_per_point=1)).rows[1]
+    assert row.sweep_value == 6
+
+
 def test_describe_defaults_lists_decisions():
     text = describe_defaults()
     for token in ("natural", "ascending node id", "round-half-even",
-                  "0.5", "strict", "exit codes"):
+                  "0.5", "strict", "exit codes", "HOTSPOT_SEED"):
         assert token in text

@@ -149,6 +149,12 @@ class GammaProfile:
         return cls(entries=entries, topology=topology)
 
 
+def k_cap(n: int) -> int:
+    """Largest K the multi-K test and a default gamma(K) profile use on an
+    N-node graph: ceil(ln N), at least 1."""
+    return max(1, math.ceil(math.log(max(n, 2))))
+
+
 def estimate_gamma(g: Graph, params: ScenarioParams, k_values, trials: int,
                    rng_seed: int, topology_tag: str = "") -> GammaProfile:
     """Monte-Carlo gamma(k): simulate contagions at the scenario parameters

@@ -129,10 +129,10 @@ def _cmd_detect(args) -> int:
     else:
         if args.mode == "nn":
             k = args.k if args.k is not None else 1
-            cfg = DetectorConfig.nn(k=k, t=args.t, s=args.s if args.s else k)
+            cfg = DetectorConfig.nn(k=k, t=args.t, s=k if args.s is None else args.s)
         else:
             cfg = DetectorConfig.ball_mode(l=args.l if args.l is not None else 2,
-                                           s=args.s if args.s else 1, t=args.t)
+                                           s=1 if args.s is None else args.s, t=args.t)
     verdict = detector.classify(g, snap.reporting, cfg, keep_indicators=False)
     truth = snap.truth if snap.truth in (EPIDEMIC, UNIFORM) else None
     if args.header:
@@ -147,7 +147,7 @@ def _cmd_gamma(args) -> int:
     if args.k_list:
         k_values = [int(v) for v in args.k_list.split(",")]
     else:
-        k_values = list(range(1, max(1, math.ceil(math.log(max(g.n, 2)))) + 1))
+        k_values = list(range(1, calibration.k_cap(g.n) + 1))
     profile = calibration.estimate_gamma(g, params, k_values, args.trials,
                                          _seed(args), topology_tag=args.tag)
     if args.out:

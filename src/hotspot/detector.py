@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import GammaProfile, reporting_probabilities, smallest_k
+from .calibration import GammaProfile, k_cap, reporting_probabilities, smallest_k
 from .graph import BALL, NN, isin_sorted, leading_runs, node_array
 from .scenario import EPIDEMIC, UNIFORM
 
@@ -131,9 +131,9 @@ def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
     k_range = sorted(set(int(k) for k in k_range))
     if not k_range:
         raise ValueError("k_range must be nonempty")
-    k_cap = max(1, math.ceil(math.log(max(view.n, 2))))
-    if k_range[0] < 1 or k_range[-1] > k_cap:
-        raise ValueError(f"k_range must lie within [1, {k_cap}] for n={view.n}")
+    cap = k_cap(view.n)
+    if k_range[0] < 1 or k_range[-1] > cap:
+        raise ValueError(f"k_range must lie within [1, {cap}] for n={view.n}")
     missing = [k for k in k_range if k not in null_expectations]
     if missing:
         raise ValueError(f"null_expectations missing K values {missing}")

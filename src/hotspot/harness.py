@@ -36,6 +36,7 @@ GAMMA_CALIBRATION_TRIALS = 50
 
 _REQUIRED_FIELDS = {"er": ("n",), "powerlaw": ("n",), "grid": ("side",),
                     "tree": ("degree", "depth"), "file": ("path",)}
+_FIXED_KINDS = ("grid", "tree", "file")
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,10 @@ class TopologySpec:
     With ``giant=True`` the experiment runs on the largest connected
     component, so contagions always have room to reach their target size
     (sparse random graphs leave a fifth of the nodes in dust components).
+
+    A fixed kind (grid, tree, file) is built on the first ``build`` and
+    kept by the spec, so every trial that shares the spec shares one graph;
+    a new spec (``dataclasses.replace`` included) builds, or reads, afresh.
     """
 
     kind: str  # er | grid | tree | powerlaw | file
@@ -58,6 +63,7 @@ class TopologySpec:
     path: str | None = None
     compact: bool = False
     giant: bool = False
+    _graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _REQUIRED_FIELDS:
@@ -67,6 +73,9 @@ class TopologySpec:
             raise ValueError(f"topology {self.kind} needs {' and '.join(missing)}")
 
     def build(self, seed: int) -> Graph:
+        """The graph; the seed matters only to the random kinds (er, powerlaw)."""
+        if self._graph is not None:
+            return self._graph
         if self.kind == "er":
             p = self.p if self.p is not None else 2.0 / self.n
             g = gen_erdos_renyi(self.n, p, seed)
@@ -77,25 +86,12 @@ class TopologySpec:
         elif self.kind == "powerlaw":
             g = gen_power_law(self.n, self.exponent or 2.5, seed)
         else:
-            g = _load_cached(self.path, self.compact)
+            g = load_edge_list(self.path, compact=self.compact)
         if self.giant:
             g, _ = g.largest_component()
+        if self.kind in _FIXED_KINDS:
+            object.__setattr__(self, "_graph", g)
         return g
-
-    @property
-    def deterministic(self) -> bool:
-        """True when build() ignores the seed (fixed graphs need no regeneration)."""
-        return self.kind in ("grid", "tree", "file")
-
-
-_FILE_CACHE: dict[tuple[str, bool], Graph] = {}
-
-
-def _load_cached(path: str, compact: bool) -> Graph:
-    key = (str(path), bool(compact))
-    if key not in _FILE_CACHE:
-        _FILE_CACHE[key] = load_edge_list(path, compact=compact)
-    return _FILE_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -211,75 +207,71 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be nonempty")
         if isinstance(self.detector, str) and self.detector != "auto":
             raise ValueError("detector must be a DetectorConfig or 'auto'")
+        if self.sweep_name not in _SWEEPS:
+            raise ValueError(f"unknown sweep variable {self.sweep_name!r}")
+        if isinstance(self.detector, str) and _SWEEPS[self.sweep_name][0] == "detector":
+            raise ValueError("cannot sweep a detector field with detector='auto'")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
 
 
-_TOPOLOGY_SWEEPS = {"n": "n", "p": "p", "side": "side", "exponent": "exponent"}
-_SCENARIO_SWEEPS = {"alpha": "alpha", "q": "q", "f": "f", "num_seeds": "num_seeds"}
-_NOISE_SWEEPS = {"flip_prob": "flip_prob", "noise_d": "magnitude"}
-_DETECTOR_SWEEPS = {"k": "k_or_l", "l": "k_or_l", "s": "s", "t": "t"}
+# sweep name -> (part of the experiment, field of that part, cast of the value)
+_SWEEPS = {
+    "n": ("topology", "n", int), "p": ("topology", "p", float),
+    "side": ("topology", "side", int), "exponent": ("topology", "exponent", float),
+    "alpha": ("scenario", "alpha", float), "q": ("scenario", "q", float),
+    "f": ("scenario", "f", float), "num_seeds": ("scenario", "num_seeds", int),
+    "flip_prob": ("noise", "flip_prob", float), "noise_d": ("noise", "magnitude", int),
+    "k": ("detector", "k_or_l", int), "l": ("detector", "k_or_l", int),
+    "s": ("detector", "s", int), "t": ("detector", "t", float),
+}
 
 
 @dataclass(frozen=True)
 class _Point:
+    """One sweep value's experiment, prepared once for all of its trials."""
+
     topology: TopologySpec
     scenario: ScenarioRule
     detector: DetectorConfig | str
     noise: DistanceNoise | None
+    gamma: calibration.GammaProfile | None = None
 
 
-def _resolve_point(spec: ExperimentSpec, value) -> _Point:
-    name = spec.sweep_name
-    topology, scenario, det, noise = spec.topology, spec.scenario, spec.detector, spec.noise
-    if name in _TOPOLOGY_SWEEPS:
-        cast = int if name in ("n", "side") else float
-        topology = replace(topology, **{_TOPOLOGY_SWEEPS[name]: cast(value)})
-    elif name in _SCENARIO_SWEEPS:
-        cast = int if name == "num_seeds" else float
-        scenario = replace(scenario, **{_SCENARIO_SWEEPS[name]: cast(value)})
-    elif name in _NOISE_SWEEPS:
-        if noise is None:
-            noise = DistanceNoise(flip_prob=0.0)
-        cast = int if name == "noise_d" else float
-        noise = replace(noise, **{_NOISE_SWEEPS[name]: cast(value)})
-    elif name in _DETECTOR_SWEEPS:
-        if isinstance(det, str):
-            raise ValueError("cannot sweep a detector field with detector='auto'")
-        cast = float if name == "t" else int
-        det = replace(det, **{_DETECTOR_SWEEPS[name]: cast(value)})
-    else:
-        raise ValueError(f"unknown sweep variable {name!r}")
-    return _Point(topology=topology, scenario=scenario, detector=det, noise=noise)
-
-
-def _auto_profile(spec: ExperimentSpec, sweep_value) -> calibration.GammaProfile:
-    """gamma(K) for K = 1..ceil(ln N), estimated once per sweep point on the
-    graph built from the sweep-point seed, so every trial of the point sees
-    the same calibration whatever ran before it."""
-    point = _resolve_point(spec, sweep_value)
+def _prepare_point(spec: ExperimentSpec, value) -> _Point:
+    """Set the swept field to ``value``. With detector="auto", also estimate
+    gamma(K) for K = 1..ceil(ln N) on the graph built from the sweep-point
+    seed, so every trial of the point sees the same calibration whatever
+    ran before it."""
+    part, name, cast = _SWEEPS[spec.sweep_name]
+    parts = dict(topology=spec.topology, scenario=spec.scenario,
+                 detector=spec.detector, noise=spec.noise)
+    if parts[part] is None:  # a noise field swept without a base noise
+        parts[part] = DistanceNoise(flip_prob=0.0)
+    parts[part] = replace(parts[part], **{name: cast(value)})
+    point = _Point(**parts)
+    if not isinstance(point.detector, str):
+        return point
     graph = point.topology.build(
-        derive_seed(spec.master_seed, spec.sweep_name, sweep_value, "graph"))
-    k_cap = max(1, math.ceil(math.log(max(graph.n, 2))))
-    return calibration.estimate_gamma(
-        graph, point.scenario.for_n(graph.n), range(1, k_cap + 1),
+        derive_seed(spec.master_seed, spec.sweep_name, value, "graph"))
+    gamma = calibration.estimate_gamma(
+        graph, point.scenario.for_n(graph.n), range(1, calibration.k_cap(graph.n) + 1),
         GAMMA_CALIBRATION_TRIALS,
-        derive_seed(spec.master_seed, spec.sweep_name, sweep_value, "calibration"))
+        derive_seed(spec.master_seed, spec.sweep_name, value, "calibration"))
+    return replace(point, gamma=gamma)
 
 
 def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
-              gamma_profile: calibration.GammaProfile | None = None):
+              point: _Point | None = None):
     """Run one labeled trial; returns (Verdict, truth). Deterministic in
     (master_seed, sweep name+value, label, trial_index).
 
-    With detector="auto" the trial is prescribed from ``gamma_profile``,
-    which run_sweep computes once per point; a standalone call computes it.
+    ``point`` is the prepared sweep point, which run_sweep makes once per
+    value; a standalone call prepares its own.
     """
-    point = _resolve_point(spec, sweep_value)
+    if point is None:
+        point = _prepare_point(spec, sweep_value)
     root = derive_seed(spec.master_seed, spec.sweep_name, sweep_value, label, trial_index)
-    graph_seed = (derive_seed(spec.master_seed, spec.sweep_name, sweep_value, "graph")
-                  if point.topology.deterministic
-                  else derive_seed(root, "graph"))
-    graph = point.topology.build(graph_seed)
+    graph = point.topology.build(derive_seed(root, "graph"))
     params = point.scenario.for_n(graph.n)
     params.validate_for(graph.n)
     if label == EPIDEMIC:
@@ -293,10 +285,8 @@ def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
     if point.noise is not None and point.noise.flip_prob > 0.0:
         view = NoisyView(graph, point.noise, derive_seed(root, "noise"))
     if isinstance(point.detector, str):
-        if gamma_profile is None:
-            gamma_profile = _auto_profile(spec, sweep_value)
         cfg = prescribe(graph.n, len(snapshot.reporting), q=params.q,
-                        alpha=params.alpha, f=params.f, gamma=gamma_profile)
+                        alpha=params.alpha, f=params.f, gamma=point.gamma)
     else:
         cfg = point.detector
     verdict = classify(view, snapshot.reporting, cfg, keep_indicators=False)
@@ -354,13 +344,13 @@ def _point_outcomes(spec: ExperimentSpec, value):
     Raises ValueError when every trial of a label failed: rates over zero
     trials would read as a perfect detector.
     """
-    profile = _auto_profile(spec, value) if isinstance(spec.detector, str) else None
+    point = _prepare_point(spec, value)
     per_label: dict[str, list] = {EPIDEMIC: [], UNIFORM: []}
     failures = 0
     for label in (EPIDEMIC, UNIFORM):
         for trial in range(spec.trials_per_point):
             try:
-                verdict, _ = run_trial(spec, value, label, trial, profile)
+                verdict, _ = run_trial(spec, value, label, trial, point)
             except Exception:
                 failures += 1
                 logger.exception("trial %d (%s) at %s=%r failed",
@@ -373,6 +363,21 @@ def _point_outcomes(spec: ExperimentSpec, value):
     return per_label, failures
 
 
+def _sweep_row(spec: ExperimentSpec, sweep_value, per_label, failures,
+               declared) -> SweepRow:
+    """One CSV row from a point's verdicts; ``declared(verdict)`` says
+    whether that trial was called an epidemic."""
+    epi, null = per_label[EPIDEMIC], per_label[UNIFORM]
+    type1 = sum(1 for v in null if declared(v)) / len(null)
+    type2 = sum(1 for v in epi if not declared(v)) / len(epi)
+    mean_epi, sd_epi = _mean_sd([v.hotspot_count for v in epi])
+    mean_null, sd_null = _mean_sd([v.hotspot_count for v in null])
+    return SweepRow(sweep_value=sweep_value, trials=spec.trials_per_point,
+                    type1=type1, type2=type2, mean_error=(type1 + type2) / 2.0,
+                    mean_hotspots_epi=mean_epi, sd_epi=sd_epi,
+                    mean_hotspots_null=mean_null, sd_null=sd_null, failures=failures)
+
+
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """trials_per_point epidemic + trials_per_point null trials per value.
 
@@ -382,17 +387,8 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     result = SweepResult()
     for value in spec.sweep_values:
         per_label, failures = _point_outcomes(spec, value)
-        epi, null = per_label[EPIDEMIC], per_label[UNIFORM]
-        type1 = sum(1 for v in null if v.label == EPIDEMIC) / len(null)
-        type2 = sum(1 for v in epi if v.label == UNIFORM) / len(epi)
-        mean_epi, sd_epi = _mean_sd([v.hotspot_count for v in epi])
-        mean_null, sd_null = _mean_sd([v.hotspot_count for v in null])
-        result.rows.append(SweepRow(
-            sweep_value=value, trials=spec.trials_per_point,
-            type1=type1, type2=type2, mean_error=(type1 + type2) / 2.0,
-            mean_hotspots_epi=mean_epi, sd_epi=sd_epi,
-            mean_hotspots_null=mean_null, sd_null=sd_null,
-            failures=failures))
+        result.rows.append(_sweep_row(spec, value, per_label, failures,
+                                      lambda v: v.label == EPIDEMIC))
         if failures:
             logger.warning("%d trial failure(s) at %s=%r", failures,
                            spec.sweep_name, value)
@@ -411,22 +407,11 @@ def threshold_sweep(spec: ExperimentSpec, t_values) -> SweepResult:
     t_values = list(t_values)
     if not t_values:
         raise ValueError("t_values must be nonempty")
-    value = spec.sweep_values[0]
-    per_label, failures = _point_outcomes(spec, value)
-    epi = [v.hotspot_count for v in per_label[EPIDEMIC]]
-    null = [v.hotspot_count for v in per_label[UNIFORM]]
-    mean_epi, sd_epi = _mean_sd(epi)
-    mean_null, sd_null = _mean_sd(null)
+    per_label, failures = _point_outcomes(spec, spec.sweep_values[0])
     result = SweepResult()
     for t in t_values:
-        type1 = sum(1 for c in null if c > t) / len(null)
-        type2 = sum(1 for c in epi if not c > t) / len(epi)
-        result.rows.append(SweepRow(
-            sweep_value=t, trials=spec.trials_per_point,
-            type1=type1, type2=type2, mean_error=(type1 + type2) / 2.0,
-            mean_hotspots_epi=mean_epi, sd_epi=sd_epi,
-            mean_hotspots_null=mean_null, sd_null=sd_null,
-            failures=failures))
+        result.rows.append(_sweep_row(spec, t, per_label, failures,
+                                      lambda v: v.hotspot_count > t))
     return result
 
 
@@ -474,7 +459,14 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
     raw = dict(raw)
 
     def get(key, cast, default=None):
-        return cast(raw.pop(key)) if key in raw else default
+        if key not in raw:
+            return default
+        val = raw.pop(key)
+        try:
+            return cast(val)
+        except ValueError:
+            expected = "an integer" if cast is int else "a number"
+            raise ValueError(f"{key}={val!r}: expected {expected}") from None
 
     def flag(key):
         val = raw.pop(key, "false").lower()
@@ -485,7 +477,7 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
     sweep_name = raw.pop("sweep", "t")
     sweep_values = tuple(_parse_scalar(v) for v in raw.pop("values", "0").split(",")
                          if v.strip())
-    if sweep_name in _TOPOLOGY_SWEEPS and sweep_values:
+    if _SWEEPS.get(sweep_name, ("",))[0] == "topology" and sweep_values:
         # a swept graph field needs no fixed value: every point sets its own
         raw.setdefault(sweep_name, str(sweep_values[0]))
     topology = dict(

@@ -375,3 +375,24 @@ def test_shipped_experiment_configs_run(capsys, name):
     assert code == 0, err
     header, row = out.splitlines()
     assert header == SWEEP_CSV_HEADER and row.startswith(f"{smallest},1,")
+
+
+def test_unknown_sweep_name_exits_one_without_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hotspot.__file__))}
+    argv = ["sweep", "--topology", "grid", "--side", "8", "--sweep", "bogus",
+            "--values", "1", "--trials", "3"]
+    done = subprocess.run([sys.executable, "-m", "hotspot.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == "error: unknown sweep variable 'bogus'\n"
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("mode", ["nn", "ball"])
+def test_detect_rejects_s_zero(tmp_path, capsys, mode):
+    graph_path = write_path_graph(tmp_path, 6)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
+    code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap),
+                         "--mode", mode, "--s", "0")
+    assert code == 1 and out == "" and "s must be >= 1" in err

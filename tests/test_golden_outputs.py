@@ -1,0 +1,113 @@
+"""Golden bytes: sha256 digests of generated graphs and fixed-seed sweep CSVs.
+
+A refactor of the graph layer or the harness must leave these bytes as they
+are. A digest that changes on purpose (a new generator, a changed rule) is
+updated in the same change, with the reason written down beside it.
+"""
+
+import hashlib
+
+import pytest
+
+from hotspot.detector import DetectorConfig
+from hotspot.graph import (gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
+                           load_edge_list, save_edge_list)
+from hotspot.harness import (DistanceNoise, ExperimentSpec, ScenarioRule,
+                             TopologySpec, run_sweep, threshold_sweep)
+
+
+def csr_digest(g) -> str:
+    h = hashlib.sha256(f"n={g.n}".encode())
+    for arr in (g._indptr, g._indices):
+        h.update(f"|{arr.dtype.str}{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def er_file(tmp_path):
+    path = tmp_path / "er.txt"
+    save_edge_list(gen_erdos_renyi(300, 1.5 / 300, 11), path)
+    return str(path)
+
+
+def sparse_id_file(tmp_path):
+    path = tmp_path / "sparse_ids.txt"
+    path.write_text("# n=5\n10 400\n400 7\n7 10\n99 3\n3 3\n400 10\n12 99\n")
+    return str(path)
+
+
+GRAPHS = {
+    "er_dense": (lambda tmp: gen_erdos_renyi(400, 0.01, 5),
+                 "d1785fa4694bd703eeb37bc9835988cea09bbbe121e8a60641ae47d5722a5db4"),
+    "er_sparse": (lambda tmp: gen_erdos_renyi(5000, 2.0 / 5000, 6),
+                  "685d524cc73685e8423ee07eaa26446bfec660ae653b1893af3366a4e387186c"),
+    "grid": (lambda tmp: gen_grid(3, 5),
+             "27e9dba935bf445bcaa38f0114d01e03d34a215fbe0d0b57755e3b5d2b74cd45"),
+    "tree": (lambda tmp: gen_tree(3, 4),
+             "5b8308a446c7cea4bde45d689e3ce6a068886bdb0cda37e3813e9360c9dbbb16"),
+    "powerlaw": (lambda tmp: gen_power_law(2000, 2.5, 8),
+                 "ea03072391aef7ff75b9c9320851ccd2448522e02cddeb569f905f2d6dcf7a16"),
+    "largest_component": (lambda tmp: gen_erdos_renyi(3000, 1.5 / 3000, 9).largest_component()[0],
+                          "21070dfc389f9a4a119f42865e3cd7a95d53fd4cf3b15dc52848a7b60eb08c22"),
+    "load_plain": (lambda tmp: load_edge_list(er_file(tmp)),
+                   "efb3d344fc419e70e410d08bcb0e136584a73fe931f24fc86640a203a8381dd9"),
+    "load_compact": (lambda tmp: load_edge_list(sparse_id_file(tmp), compact=True),
+                     "1dfe6f6ea89cde2be14e88347f01916d356cbc4373f16298817f502dcc555295"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_graph_bytes(name, tmp_path):
+    build, digest = GRAPHS[name]
+    assert csr_digest(build(tmp_path)) == digest
+
+
+def sweep_spec(topology, detector, sweep_name, sweep_values, **extra):
+    return ExperimentSpec(topology=topology, scenario=ScenarioRule(alpha=0.15, q=0.6, f=0.5),
+                          detector=detector, sweep_name=sweep_name,
+                          sweep_values=sweep_values, trials_per_point=3,
+                          master_seed=21, **extra)
+
+
+SWEEPS = {
+    "grid_nn_side": (
+        lambda tmp: run_sweep(sweep_spec(TopologySpec(kind="grid", side=8),
+                                         DetectorConfig.nn(k=3, s=2, t=2.0),
+                                         "side", (6, 9))),
+        "548ec67a7efc762c89f6dab43480e1d1c2e56485ad1585171d9b93cc1feffd6d"),
+    "tree_ball_q": (
+        lambda tmp: run_sweep(sweep_spec(TopologySpec(kind="tree", degree=3, depth=4),
+                                         DetectorConfig.ball_mode(l=2, s=1, t=3.0),
+                                         "q", (0.4, 0.8))),
+        "376ccd97ac317fde69a7df6c0544f967ca3c4d2bc221d08980d998d733817480"),
+    "file_giant_noisy": (
+        lambda tmp: run_sweep(sweep_spec(TopologySpec(kind="file", path=er_file(tmp), giant=True),
+                                         DetectorConfig.nn(k=4, s=2, t=3.0),
+                                         "flip_prob", (0.0, 0.3),
+                                         noise=DistanceNoise(flip_prob=0.0, magnitude=1))),
+        "a85e924e8c04ef821218cc265bb350af5ce8abc66a1af1b3c2c3d0269a40a6fe"),
+    "er_giant_s": (
+        lambda tmp: run_sweep(sweep_spec(TopologySpec(kind="er", n=400, giant=True),
+                                         DetectorConfig.ball_mode(l=2, s=1, t=4.0),
+                                         "s", (1, 2))),
+        "211e79a6ff655869fedf47d038c620c43431f474b48e688ae3d994bfb4e39bda"),
+    "grid_auto": (
+        lambda tmp: run_sweep(sweep_spec(TopologySpec(kind="grid", side=8), "auto",
+                                         "alpha", (0.1, 0.2))),
+        "13be510bf3a5e85c96940aea880b77ebeabfe8040525a3cc45021da7d881b04f"),
+    "threshold_er_giant": (
+        lambda tmp: threshold_sweep(sweep_spec(TopologySpec(kind="er", n=400, giant=True),
+                                               DetectorConfig.nn(k=3, s=2, t=0.0),
+                                               "q", (0.6,)), (0, 1, 2.5, 6)),
+        "e924c99cec984706654e91cffcef1e7a0ff31bde9ea6bbe1ccf15c8d91a17fd7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csv_bytes(name, tmp_path):
+    run, digest = SWEEPS[name]
+    assert text_digest(run(tmp_path).to_csv_text()) == digest

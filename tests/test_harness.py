@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hotspot
+from hotspot import calibration, harness
 from hotspot.detector import DetectorConfig
-from hotspot.graph import Graph, gen_erdos_renyi
+from hotspot.graph import Graph, gen_erdos_renyi, save_edge_list
 from hotspot.harness import (SWEEP_CSV_HEADER, DistanceNoise, ExperimentSpec,
                              NoisyView, ScenarioRule, TopologySpec,
                              describe_defaults, read_config, run_sweep,
@@ -413,3 +414,71 @@ def test_describe_defaults_lists_decisions():
     for token in ("natural", "ascending node id", "round-half-even",
                   "0.5", "strict", "exit codes", "HOTSPOT_SEED"):
         assert token in text
+
+
+# -- sweep points and kept graphs ----------------------------------------------------
+
+def test_unknown_or_auto_detector_sweeps_are_rejected_up_front():
+    with pytest.raises(ValueError, match="unknown sweep variable 'volume'"):
+        small_spec(sweep_name="volume")
+    with pytest.raises(ValueError, match="detector field with detector='auto'"):
+        small_spec(detector="auto", sweep_name="k")
+
+
+@pytest.mark.parametrize("key, text", [("side", "abc"), ("alpha", "x1")])
+def test_spec_from_mapping_names_the_key_of_a_bad_number(key, text):
+    raw = {"topology": "grid", "side": "8", "sweep": "q", "values": "0.5", key: text}
+    with pytest.raises(ValueError, match=f"{key}='{text}': expected"):
+        spec_from_mapping(raw)
+
+
+def test_k_cap_is_ceil_ln_n_at_least_one():
+    assert [calibration.k_cap(n) for n in (0, 1, 2, 3, 8, 1000)] == [1, 1, 1, 2, 3, 7]
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+def test_fixed_topology_is_built_once_per_sweep_point(monkeypatch, tmp_path):
+    calls = counting(monkeypatch, harness, "gen_grid")
+    grid = dict(topology=TopologySpec(kind="grid", side=10),
+                scenario=ScenarioRule(alpha=0.1, q=0.6, f=0.5),
+                detector=DetectorConfig.nn(k=3, s=2, t=2.0), trials_per_point=3)
+    run_sweep(ExperimentSpec(sweep_name="q", sweep_values=(0.4, 0.8), **grid))
+    assert len(calls) == 1
+    calls.clear()
+    run_sweep(ExperimentSpec(sweep_name="side", sweep_values=(8, 10), **grid))
+    assert [args[1] for args in calls] == [8, 10]
+
+    path = tmp_path / "dust.txt"
+    save_edge_list(gen_erdos_renyi(300, 1.5 / 300, 2), path)
+    giants = counting(monkeypatch, Graph, "largest_component")
+    run_sweep(small_spec(topology=TopologySpec(kind="file", path=str(path), giant=True),
+                         sweep_values=(0.4, 0.8), trials_per_point=3))
+    assert len(giants) == 1
+
+
+def test_spec_keeps_a_fixed_graph_and_a_new_spec_reads_the_file_afresh(tmp_path):
+    path = tmp_path / "g.txt"
+    save_edge_list(path_graph(3), path)
+    spec = TopologySpec(kind="file", path=str(path))
+    first = spec.build(0)
+    assert first.n == 3 and spec.build(1) is first
+    assert spec == TopologySpec(kind="file", path=str(path))
+    assert hash(spec) == hash(TopologySpec(kind="file", path=str(path)))
+    assert "_graph=" not in repr(spec)
+    save_edge_list(path_graph(5), path)
+    assert spec.build(0).n == 3  # the spec keeps what it read
+    assert TopologySpec(kind="file", path=str(path)).build(0).n == 5
+    assert replace(spec, giant=True).build(0).n == 5
+    er = TopologySpec(kind="er", n=50)
+    assert er.build(1) is not er.build(1)  # seeded kinds keep nothing

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import GammaProfile, k_cap, reporting_probabilities, smallest_k
+from .calibration import (GammaProfile, gamma_analytic_tree, k_cap, reporting_probabilities,
+                          smallest_k)
 from .graph import BALL, NN, isin_sorted, leading_runs, node_array
 from .scenario import EPIDEMIC, UNIFORM
 
@@ -193,7 +194,7 @@ def select_params_dense(gamma: float | GammaProfile, f: float, p_in: float, p: f
     if topology == "grid":
         gamma_of_k, k_values = (lambda k: 1.0), itertools.count(1)
     elif topology == "tree":
-        gamma_of_k, k_values = (lambda k: 1.0 / k), range(1, 65)
+        gamma_of_k, k_values = gamma_analytic_tree, range(1, 65)
     elif topology != "general":
         raise ValueError(f"unknown topology {topology!r}")
     elif profiled:

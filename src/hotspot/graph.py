@@ -91,9 +91,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph from an iterable (or (m,2) array) of endpoints.
 
-        Self-loops and duplicate edges are dropped silently; use
-        :func:`clean_edges` first if you need the dropped counts. Directed
-        input is symmetrized.
+        Self-loops and duplicate edges are dropped silently. Directed input
+        is symmetrized.
         """
         if n < 0 or n > MAX_NODES:
             raise ValueError(f"node count {n} out of supported range")
@@ -105,22 +104,19 @@ class Graph:
             raise ValueError("edges must be pairs")
         if edges_arr.size and (edges_arr.min() < 0 or edges_arr.max() >= n):
             raise ValueError("edge endpoint out of range")
-        uniq, _, _ = clean_edges(n, edges_arr)
-        return cls._from_clean_undirected(n, uniq)
+        return cls._from_pairs(n, edges_arr[:, 0], edges_arr[:, 1])
 
     @classmethod
-    def _from_clean_undirected(cls, n: int, edges: np.ndarray) -> "Graph":
-        # edges: unique, u < v; store both directions sorted by (src, dst)
-        if edges.size == 0:
-            return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+    def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+        """The graph on the pairs (u[i], v[i]) of two int64 arrays, given in
+        either direction; repeats and self-loops are dropped. Every graph is
+        built here: one sort of the keys u*n + v orders each row's neighbors."""
+        keep = u != v
+        u, v = u[keep], v[keep]
+        keys = sorted_unique(np.concatenate([u * n + v, v * n + u]))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, dst)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys % n)
 
     # -- basic queries -----------------------------------------------------
 
@@ -344,30 +340,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-# -- edge hygiene ------------------------------------------------------------
-
-
-def clean_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Canonicalize an edge array: drop self-loops and duplicates.
-
-    Returns (edges with u < v, unique, sorted; n_duplicates, n_self_loops).
-    An edge listed in both directions counts as one duplicate.
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    self_mask = edges[:, 0] == edges[:, 1]
-    n_self = int(self_mask.sum())
-    edges = edges[~self_mask]
-    if edges.shape[0] == 0:
-        return edges, 0, n_self
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    keys = lo * n + hi
-    uniq = sorted_unique(keys)
-    n_dup = int(keys.size - uniq.size)
-    out = np.stack([uniq // n, uniq % n], axis=1)
-    return out, n_dup, n_self
-
-
 # -- file I/O ----------------------------------------------------------------
 
 
@@ -406,11 +378,13 @@ def load_edge_list(path, compact: bool = False) -> Graph:
         n = ids.size
     else:
         n = max(int(arr.max()) + 1, hint_n)
-    uniq, n_dup, n_self = clean_edges(n, arr)
+    g = Graph._from_pairs(n, arr[:, 0], arr[:, 1])
+    n_self = int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
+    n_dup = len(arr) - n_self - g.num_edges  # an edge in both directions is one duplicate
     if n_dup or n_self:
         logger.warning("%s: dropped %d duplicate edge(s) and %d self-loop(s)",
                        path, n_dup, n_self)
-    return Graph._from_clean_undirected(n, uniq)
+    return g
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -440,37 +414,25 @@ def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     rng = np.random.default_rng(rng_seed)
     total_pairs = n * (n - 1) // 2
     if p == 0.0 or total_pairs == 0:
-        return Graph.from_edges(n, np.empty((0, 2), dtype=np.int64))
+        return Graph._from_pairs(n, _EMPTY, _EMPTY)
     if p == 1.0:
         if n > 20_000:
             raise ValueError("complete graph this large is not supported")
-        iu = np.transpose(np.triu_indices(n, k=1))
-        return Graph._from_clean_undirected(n, iu.astype(np.int64))
+        return Graph._from_pairs(n, *np.triu_indices(n, k=1))
     if n <= 2000:
-        mat = rng.random((n, n))
-        iu = np.triu_indices(n, k=1)
-        mask = mat[iu] < p
-        edges = np.stack([iu[0][mask], iu[1][mask]], axis=1)
-        return Graph._from_clean_undirected(n, edges.astype(np.int64))
+        # one draw per cell; the cells above the diagonal are the pairs
+        return Graph._from_pairs(n, *divmod(np.flatnonzero(np.triu(rng.random((n, n)) < p, 1)), n))
     m = int(rng.binomial(total_pairs, p))
     keys = np.empty(0, dtype=np.int64)
     while keys.size < m:
-        need = m - keys.size
-        draw = max(16, int(need * 1.3))
+        draw = max(16, int((m - keys.size) * 1.3))
         u = rng.integers(0, n, size=draw, dtype=np.int64)
         v = rng.integers(0, n, size=draw, dtype=np.int64)
-        ok = u != v
-        lo = np.minimum(u[ok], v[ok])
-        hi = np.maximum(u[ok], v[ok])
-        keys = sorted_unique(np.concatenate([keys, lo * n + hi]))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = sorted_unique(np.concatenate([keys, (lo * n + hi)[lo < hi]]))
     if keys.size > m:
         keys = rng.choice(keys, size=m, replace=False)
-    edges = np.stack([keys // n, keys % n], axis=1)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    order = np.argsort(lo * n + hi)
-    edges = np.stack([lo, hi], axis=1)[order]
-    return Graph._from_clean_undirected(n, edges)
+    return Graph._from_pairs(n, keys // n, keys % n)
 
 
 def gen_grid(dim: int, side: int) -> Graph:
@@ -483,14 +445,10 @@ def gen_grid(dim: int, side: int) -> Graph:
     if n > MAX_NODES:
         raise ValueError(f"grid of {n} nodes exceeds supported size")
     ids = np.arange(n, dtype=np.int64)
-    edge_blocks = []
-    stride = 1
-    for _ in range(dim):
-        coord = (ids // stride) % side
-        mask = coord < side - 1
-        edge_blocks.append(np.stack([ids[mask], ids[mask] + stride], axis=1))
-        stride *= side
-    return Graph._from_clean_undirected(n, np.concatenate(edge_blocks, axis=0))
+    # along each axis, every node not on the far face links to its successor
+    lows = [ids[(ids // side ** axis) % side < side - 1] for axis in range(dim)]
+    highs = [low + side ** axis for axis, low in enumerate(lows)]
+    return Graph._from_pairs(n, np.concatenate(lows), np.concatenate(highs))
 
 
 def gen_tree(degree: int, depth: int) -> Graph:
@@ -507,7 +465,7 @@ def gen_tree(degree: int, depth: int) -> Graph:
         raise ValueError(f"tree of {n} nodes exceeds supported size")
     child = np.arange(1, n, dtype=np.int64)
     parent = (child - 1) // degree
-    return Graph._from_clean_undirected(n, np.stack([parent, child], axis=1))
+    return Graph._from_pairs(n, parent, child)
 
 
 def tree_level_offsets(degree: int, depth: int) -> list[int]:
@@ -540,9 +498,11 @@ def gen_power_law(n: int, exponent: float, rng_seed: int) -> Graph:
         degrees[rng.integers(0, n)] += 1
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    uniq, n_dup, n_self = clean_edges(n, pairs)
+    u, v = stubs[0::2], stubs[1::2]
+    g = Graph._from_pairs(n, u, v)
+    n_self = int(np.count_nonzero(u == v))
+    n_dup = u.size - n_self - g.num_edges
     if n_dup or n_self:
         logger.debug("configuration model dropped %d duplicate(s), %d self-loop(s)",
                      n_dup, n_self)
-    return Graph._from_clean_undirected(n, uniq)
+    return g

@@ -209,8 +209,17 @@ class ExperimentSpec:
             raise ValueError("detector must be a DetectorConfig or 'auto'")
         if self.sweep_name not in _SWEEPS:
             raise ValueError(f"unknown sweep variable {self.sweep_name!r}")
-        if isinstance(self.detector, str) and _SWEEPS[self.sweep_name][0] == "detector":
+        part, _, cast = _SWEEPS[self.sweep_name]
+        if isinstance(self.detector, str) and part == "detector":
             raise ValueError("cannot sweep a detector field with detector='auto'")
+        for value in self.sweep_values:  # kept as given: seed tokens and CSV labels
+            try:
+                ok = cast(value) == value
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"sweep {self.sweep_name}: value {value!r} is not "
+                                 + ("an integer" if cast is int else "a number"))
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
 
 
@@ -238,10 +247,11 @@ class _Point:
 
 
 def _prepare_point(spec: ExperimentSpec, value) -> _Point:
-    """Set the swept field to ``value``. With detector="auto", also estimate
-    gamma(K) for K = 1..ceil(ln N) on the graph built from the sweep-point
-    seed, so every trial of the point sees the same calibration whatever
-    ran before it."""
+    """Set the swept field to ``value`` and build a fixed kind's graph, so a
+    graph that cannot be built fails the point once, before any trial. With
+    detector="auto", also estimate gamma(K) for K = 1..ceil(ln N) on the
+    graph built from the sweep-point seed, so every trial of the point sees
+    the same calibration whatever ran before it."""
     part, name, cast = _SWEEPS[spec.sweep_name]
     parts = dict(topology=spec.topology, scenario=spec.scenario,
                  detector=spec.detector, noise=spec.noise)
@@ -249,10 +259,12 @@ def _prepare_point(spec: ExperimentSpec, value) -> _Point:
         parts[part] = DistanceNoise(flip_prob=0.0)
     parts[part] = replace(parts[part], **{name: cast(value)})
     point = _Point(**parts)
-    if not isinstance(point.detector, str):
+    auto = isinstance(point.detector, str)
+    if auto or point.topology.kind in _FIXED_KINDS:
+        graph = point.topology.build(
+            derive_seed(spec.master_seed, spec.sweep_name, value, "graph"))
+    if not auto:
         return point
-    graph = point.topology.build(
-        derive_seed(spec.master_seed, spec.sweep_name, value, "graph"))
     gamma = calibration.estimate_gamma(
         graph, point.scenario.for_n(graph.n), range(1, calibration.k_cap(graph.n) + 1),
         GAMMA_CALIBRATION_TRIALS,

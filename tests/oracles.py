@@ -15,6 +15,25 @@ from hotspot.graph import Graph
 from hotspot.seeds import splitmix64
 
 
+def csr_oracle(n: int, edges) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(indptr, indices, n_duplicates, n_self_loops) of the simple graph on
+    an (m, 2) edge array. Canonical u < v keys go through np.unique; both
+    directions are then ordered by a lexsort on (src, dst) and rows counted
+    with np.add.at. An edge listed in both directions is one duplicate."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = edges[:, 0] == edges[:, 1]
+    edges = edges[~loops]
+    keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
+    uniq = np.unique(keys)
+    src = np.concatenate([uniq // n, uniq % n])
+    dst = np.concatenate([uniq % n, uniq // n])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src[order] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, dst[order], int(keys.size - uniq.size), int(loops.sum())
+
+
 def hop_distances(g: Graph, src: int) -> dict[int, int]:
     """Plain queue BFS returning hop distance to every reachable node."""
     dist = {src: 0}

@@ -388,6 +388,17 @@ def test_unknown_sweep_name_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_missing_graph_file_fails_the_sweep_once_without_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hotspot.__file__))}
+    argv = ["sweep", "--graph", "missing.txt", "--sweep", "q", "--values", "0.5",
+            "--trials", "2"]
+    done = subprocess.run([sys.executable, "-m", "hotspot.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: [Errno 2] No such file or directory: 'missing.txt'\n"
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("mode", ["nn", "ball"])
 def test_detect_rejects_s_zero(tmp_path, capsys, mode):
     graph_path = write_path_graph(tmp_path, 6)

@@ -10,8 +10,8 @@ import hashlib
 import pytest
 
 from hotspot.detector import DetectorConfig
-from hotspot.graph import (gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
-                           load_edge_list, save_edge_list)
+from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
+                           gen_tree, load_edge_list, save_edge_list)
 from hotspot.harness import (DistanceNoise, ExperimentSpec, ScenarioRule,
                              TopologySpec, run_sweep, threshold_sweep)
 
@@ -45,8 +45,19 @@ GRAPHS = {
                  "d1785fa4694bd703eeb37bc9835988cea09bbbe121e8a60641ae47d5722a5db4"),
     "er_sparse": (lambda tmp: gen_erdos_renyi(5000, 2.0 / 5000, 6),
                   "685d524cc73685e8423ee07eaa26446bfec660ae653b1893af3366a4e387186c"),
+    # the retry draw overshoots m, so rng.choice trims the keys
+    "er_sparse_8000": (lambda tmp: gen_erdos_renyi(8000, 2.0 / 8000, 12),
+                       "633b3da95265e757393438c4bcb8f8c74c9d787b861e235fb8957d1530d3e1e6"),
+    "er_complete": (lambda tmp: gen_erdos_renyi(40, 1.0, 3),
+                    "258e7be6ca35b9d9d3248c2042c9a74d26c5204b0fb335fea2f1c37623699a51"),
     "grid": (lambda tmp: gen_grid(3, 5),
              "27e9dba935bf445bcaa38f0114d01e03d34a215fbe0d0b57755e3b5d2b74cd45"),
+    "grid_1d": (lambda tmp: gen_grid(1, 9),
+                "61051fc5fef3c912b1e79b4fca0fc65d3964c3f1030af9cd8cf263b789c66976"),
+    "grid_2d": (lambda tmp: gen_grid(2, 7),
+                "0510e227be622b0aff839db0e254d16563ae3991d790971e028ba4b4041a325c"),
+    "grid_3d_side2": (lambda tmp: gen_grid(3, 2),
+                      "657313147637c6b812e35957b90db41e41046dde8729d79617b90e8c05b4c0da"),
     "tree": (lambda tmp: gen_tree(3, 4),
              "5b8308a446c7cea4bde45d689e3ce6a068886bdb0cda37e3813e9360c9dbbb16"),
     "powerlaw": (lambda tmp: gen_power_law(2000, 2.5, 8),
@@ -57,6 +68,9 @@ GRAPHS = {
                    "efb3d344fc419e70e410d08bcb0e136584a73fe931f24fc86640a203a8381dd9"),
     "load_compact": (lambda tmp: load_edge_list(sparse_id_file(tmp), compact=True),
                      "1dfe6f6ea89cde2be14e88347f01916d356cbc4373f16298817f502dcc555295"),
+    "from_edges_messy": (lambda tmp: Graph.from_edges(9, [(3, 1), (1, 3), (4, 4), (0, 5), (5, 0),
+                                                         (0, 5), (7, 2), (2, 2), (6, 0), (1, 3)]),
+                         "1d1a36cd1f79850d5beeef69ca509b2c97fdebf6de926691e4cbc767f1deb605"),
 }
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotspot.graph import (Graph, clean_edges, gen_erdos_renyi, gen_grid,
-                           gen_power_law, gen_tree, load_edge_list,
-                           save_edge_list, tree_level_offsets)
+from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
+                           gen_tree, load_edge_list, save_edge_list,
+                           tree_level_offsets)
 
-from oracles import (ball_oracle, components_oracle, hop_distances,
+from oracles import (ball_oracle, components_oracle, csr_oracle, hop_distances,
                      largest_component_oracle, nn_oracle)
 
 
@@ -58,11 +58,42 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(3, [(0, 3)])
 
 
-def test_clean_edges_counts_duplicates_and_self_loops():
-    edges = np.array([[0, 1], [1, 0], [0, 0]])
-    uniq, n_dup, n_self = clean_edges(2, edges)
-    assert uniq.tolist() == [[0, 1]]
-    assert n_dup == 1 and n_self == 1
+@st.composite
+def messy_edges(draw):
+    """A node count and an edge array with repeats, reversed pairs,
+    self-loops and isolated nodes; n may be 0."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, np.empty((0, 2), dtype=np.int64)
+    ends = st.integers(0, draw(st.integers(0, n - 1)))  # ids above are isolated
+    edges = np.asarray(draw(st.lists(st.tuples(ends, ends), max_size=30)),
+                       dtype=np.int64).reshape(-1, 2)
+    flipped = edges[:draw(st.integers(0, len(edges))), ::-1]
+    repeated = edges[:draw(st.integers(0, len(edges)))]
+    return n, np.concatenate([edges, flipped, repeated])
+
+
+@given(messy_edges())
+def test_from_edges_matches_csr_oracle(case):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    indptr, indices, _, _ = csr_oracle(n, edges)
+    for got, want in ((g._indptr, indptr), (g._indices, indices)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_clean_edges_counts_duplicates_and_self_loops(tmp_path, caplog):
+    edges = np.array([[0, 1], [1, 0], [0, 0], [2, 2], [1, 2], [1, 2], [2, 1], [3, 3]])
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    with caplog.at_level(logging.WARNING):
+        g = load_edge_list(path)
+    indptr, indices, n_dup, n_self = csr_oracle(4, edges)
+    assert (n_dup, n_self) == (3, 3)
+    assert f"dropped {n_dup} duplicate edge(s) and {n_self} self-loop(s)" in caplog.text
+    assert g._indptr.tolist() == indptr.tolist() == [0, 1, 3, 4, 4]
+    assert g._indices.tolist() == indices.tolist() == [1, 0, 2, 1]
 
 
 @given(small_graphs())
@@ -234,13 +265,18 @@ def test_power_law_degree_slope():
 def test_clean_edges_matches_unique_reference(n, pairs, n_reversed):
     edges = np.asarray([(u % n, v % n) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
     edges = np.concatenate([edges, edges[:n_reversed, ::-1]])  # both directions
-    out, n_dup, n_self = clean_edges(n, edges)
+    indptr, indices, n_dup, n_self = csr_oracle(n, edges)
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    out = np.stack([src, indices], axis=1)[src < indices]
     loops = edges[:, 0] == edges[:, 1]
     rest = edges[~loops]
     keys = np.unique(rest.min(axis=1) * n + rest.max(axis=1))
     assert out.dtype == np.int64 and out.shape == (keys.size, 2)
     assert out.tolist() == np.stack([keys // n, keys % n], axis=1).tolist()
     assert n_dup == len(rest) - keys.size and n_self == int(loops.sum())
+    # load_edge_list's counts, from sizes alone
+    g = Graph.from_edges(n, edges)
+    assert n_dup == len(edges) - n_self - g.num_edges
 
 
 # -- neighborhood queries --------------------------------------------------------

@@ -432,6 +432,19 @@ def test_spec_from_mapping_names_the_key_of_a_bad_number(key, text):
         spec_from_mapping(raw)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("side", "abc", "sweep side: value 'abc' is not an integer"),
+    ("k", 1.5, "sweep k: value 1.5 is not an integer"),
+    ("alpha", "x", "sweep alpha: value 'x' is not a number"),
+])
+def test_sweep_values_that_do_not_cast_exactly_are_rejected_up_front(name, value, message):
+    grid = TopologySpec(kind="grid", side=8)
+    with pytest.raises(ValueError, match=message):
+        small_spec(topology=grid, sweep_name=name, sweep_values=(value,))
+    spec = small_spec(topology=grid, sweep_name=name, sweep_values=(2, 3.0))
+    assert spec.sweep_values == (2, 3.0)  # kept as given: seed tokens and CSV labels
+
+
 def test_k_cap_is_ceil_ln_n_at_least_one():
     assert [calibration.k_cap(n) for n in (0, 1, 2, 3, 8, 1000)] == [1, 1, 1, 2, 3, 7]
 

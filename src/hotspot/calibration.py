@@ -10,6 +10,7 @@ and very small infections closed forms / fallbacks are provided.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -125,13 +126,18 @@ class GammaProfile:
                 return e.gamma
         raise KeyError(f"no gamma estimate for K={k}")
 
+    def to_csv_text(self) -> str:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(GAMMA_CSV_HEADER)
+        for e in self.entries:
+            writer.writerow([e.k, f"{e.gamma:.10g}", f"{e.stderr:.10g}",
+                             e.trials, self.topology])
+        return out.getvalue()
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(GAMMA_CSV_HEADER)
-            for e in self.entries:
-                writer.writerow([e.k, f"{e.gamma:.10g}", f"{e.stderr:.10g}",
-                                 e.trials, self.topology])
+            fh.write(self.to_csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "GammaProfile":

@@ -128,12 +128,11 @@ def _cmd_detect(args) -> int:
         cfg = _auto_detect_config(args, g, snap.reporting)
     else:
         if args.mode == "nn":
-            k = args.k if args.k is not None else 1
-            cfg = DetectorConfig.nn(k=k, t=args.t, s=k if args.s is None else args.s)
+            cfg = DetectorConfig.nn(k=args.k if args.k is not None else 1, t=args.t, s=args.s)
         else:
-            cfg = DetectorConfig.ball_mode(l=args.l if args.l is not None else 2,
-                                           s=1 if args.s is None else args.s, t=args.t)
-    verdict = detector.classify(g, snap.reporting, cfg, keep_indicators=False)
+            cfg = DetectorConfig.ball_mode(l=args.l if args.l is not None else 2, t=args.t,
+                                           s=args.s)
+    verdict = detector.classify(g, snap.reporting, cfg)
     truth = snap.truth if snap.truth in (EPIDEMIC, UNIFORM) else None
     if args.header:
         print(VERDICT_CSV_HEADER)
@@ -150,12 +149,7 @@ def _cmd_gamma(args) -> int:
         k_values = list(range(1, calibration.k_cap(g.n) + 1))
     profile = calibration.estimate_gamma(g, params, k_values, args.trials,
                                          _seed(args), topology_tag=args.tag)
-    if args.out:
-        profile.to_csv(args.out)
-    else:
-        print(",".join(calibration.GAMMA_CSV_HEADER))
-        for e in profile.entries:
-            print(f"{e.k},{e.gamma:.10g},{e.stderr:.10g},{e.trials},{profile.topology}")
+    _write_text(profile.to_csv_text(), args.out)
     return 0
 
 

@@ -26,9 +26,6 @@ logger = logging.getLogger(__name__)
 
 VERDICT_CSV_HEADER = "truth,label,hotspot_count,threshold,k,mode"
 
-# per-node indicator maps are dropped by default above this node count
-_INDICATOR_RETENTION_LIMIT = 1_000_000
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -54,8 +51,9 @@ class DetectorConfig:
         return cls(mode=NN, k_or_l=k, s=k if s is None else s, t=t, note=note)
 
     @classmethod
-    def ball_mode(cls, l: int, s: int, t: float, note: str = "") -> "DetectorConfig":
-        return cls(mode=BALL, k_or_l=l, s=s, t=t, note=note)
+    def ball_mode(cls, l: int, t: float, s: int | None = None,
+                  note: str = "") -> "DetectorConfig":
+        return cls(mode=BALL, k_or_l=l, s=1 if s is None else s, t=t, note=note)
 
     def with_threshold(self, t: float) -> "DetectorConfig":
         return replace(self, t=t)
@@ -79,17 +77,15 @@ class Verdict:
 
 
 def classify(view, reporting, cfg: DetectorConfig,
-             keep_indicators: bool | None = None) -> Verdict:
+             keep_indicators: bool = False) -> Verdict:
     """Run the hotspot count test over a reporting snapshot.
 
     ``view`` is a Graph or any object exposing n and neighborhoods (e.g. the
-    harness's noisy-distance view). ``keep_indicators=None`` keeps the
-    per-node map only for graphs up to a million nodes. A reporter id
-    outside the graph raises ValueError.
+    harness's noisy-distance view). ``keep_indicators=True`` also returns
+    the per-node hotspot map. A reporter id outside the graph raises
+    ValueError.
     """
     centers = node_array(reporting)
-    if keep_indicators is None:
-        keep_indicators = view.n <= _INDICATOR_RETENTION_LIMIT
     owner, member, _ = view.neighborhoods(centers, cfg.k_or_l, cfg.mode)
     # i is a hotspot iff >= s members of its neighborhood (i excluded) report
     hits = np.bincount(owner[isin_sorted(member, centers)], minlength=centers.size)

@@ -10,7 +10,6 @@ byte-for-byte and trials can run in any order or in parallel.
 from __future__ import annotations
 
 import io
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -23,8 +22,6 @@ from .graph import (BALL, NN, Graph, gen_erdos_renyi, gen_grid, gen_power_law,
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
 from .seeds import derive_seed, splitmix64, splitmix64_array
-
-logger = logging.getLogger(__name__)
 
 SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
                     "mean_hotspots_epi,sd_epi,mean_hotspots_null,sd_null")
@@ -301,7 +298,7 @@ def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
                         alpha=params.alpha, f=params.f, gamma=point.gamma)
     else:
         cfg = point.detector
-    verdict = classify(view, snapshot.reporting, cfg, keep_indicators=False)
+    verdict = classify(view, snapshot.reporting, cfg)
     return verdict, snapshot.truth
 
 
@@ -316,7 +313,7 @@ class SweepRow:
     sd_epi: float
     mean_hotspots_null: float
     sd_null: float
-    failures: int = 0
+    failures: int = 0  # always 0: a failed trial stops the sweep
 
     def csv_row(self) -> str:
         vals = [self.sweep_value, self.trials]
@@ -353,30 +350,23 @@ def _mean_sd(values: list[int]) -> tuple[float, float]:
 def _point_outcomes(spec: ExperimentSpec, value):
     """All trial verdicts for one sweep point, keyed by scenario label.
 
-    Raises ValueError when every trial of a label failed: rates over zero
-    trials would read as a perfect detector.
+    The first trial that fails stops the sweep with a ValueError naming the
+    trial, so every row's rates are over exactly trials_per_point trials.
     """
     point = _prepare_point(spec, value)
     per_label: dict[str, list] = {EPIDEMIC: [], UNIFORM: []}
-    failures = 0
     for label in (EPIDEMIC, UNIFORM):
         for trial in range(spec.trials_per_point):
             try:
                 verdict, _ = run_trial(spec, value, label, trial, point)
-            except Exception:
-                failures += 1
-                logger.exception("trial %d (%s) at %s=%r failed",
-                                 trial, label, spec.sweep_name, value)
-                continue
+            except ValueError as exc:
+                raise ValueError(f"{label} trial {trial} at "
+                                 f"{spec.sweep_name}={value!r}: {exc}") from exc
             per_label[label].append(verdict)
-        if not per_label[label]:
-            raise ValueError(f"all {spec.trials_per_point} {label} trials failed "
-                             f"at {spec.sweep_name}={value!r}")
-    return per_label, failures
+    return per_label
 
 
-def _sweep_row(spec: ExperimentSpec, sweep_value, per_label, failures,
-               declared) -> SweepRow:
+def _sweep_row(spec: ExperimentSpec, sweep_value, per_label, declared) -> SweepRow:
     """One CSV row from a point's verdicts; ``declared(verdict)`` says
     whether that trial was called an epidemic."""
     epi, null = per_label[EPIDEMIC], per_label[UNIFORM]
@@ -387,7 +377,7 @@ def _sweep_row(spec: ExperimentSpec, sweep_value, per_label, failures,
     return SweepRow(sweep_value=sweep_value, trials=spec.trials_per_point,
                     type1=type1, type2=type2, mean_error=(type1 + type2) / 2.0,
                     mean_hotspots_epi=mean_epi, sd_epi=sd_epi,
-                    mean_hotspots_null=mean_null, sd_null=sd_null, failures=failures)
+                    mean_hotspots_null=mean_null, sd_null=sd_null)
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -398,12 +388,8 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """
     result = SweepResult()
     for value in spec.sweep_values:
-        per_label, failures = _point_outcomes(spec, value)
-        result.rows.append(_sweep_row(spec, value, per_label, failures,
+        result.rows.append(_sweep_row(spec, value, _point_outcomes(spec, value),
                                       lambda v: v.label == EPIDEMIC))
-        if failures:
-            logger.warning("%d trial failure(s) at %s=%r", failures,
-                           spec.sweep_name, value)
     return result
 
 
@@ -419,11 +405,10 @@ def threshold_sweep(spec: ExperimentSpec, t_values) -> SweepResult:
     t_values = list(t_values)
     if not t_values:
         raise ValueError("t_values must be nonempty")
-    per_label, failures = _point_outcomes(spec, spec.sweep_values[0])
+    per_label = _point_outcomes(spec, spec.sweep_values[0])
     result = SweepResult()
     for t in t_values:
-        result.rows.append(_sweep_row(spec, t, per_label, failures,
-                                      lambda v: v.hotspot_count > t))
+        result.rows.append(_sweep_row(spec, t, per_label, lambda v: v.hotspot_count > t))
     return result
 
 
@@ -512,9 +497,9 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
     if det_kind == "auto":
         detector: DetectorConfig | str = "auto"
     elif det_kind == "nn":
-        detector = DetectorConfig.nn(k=k, t=t, s=k if s is None else s)
+        detector = DetectorConfig.nn(k=k, t=t, s=s)
     elif det_kind == "ball":
-        detector = DetectorConfig.ball_mode(l=l, s=1 if s is None else s, t=t)
+        detector = DetectorConfig.ball_mode(l=l, t=t, s=s)
     else:
         raise ValueError(f"unknown detector kind {det_kind!r}")
     return ExperimentSpec(
@@ -549,6 +534,7 @@ def describe_defaults() -> str:
         "for CI-grade runs",
         "gamma estimator: mean of per-realization interior fractions",
         "seed derivation: splitmix64 chain over (master, sweep, value, label, trial)",
+        "trial failures: the first failed trial stops the sweep (exit 1)",
         "CLI exit codes: 0 = uniform reporting, 2 = epidemic, 1 = error",
         "CLI precedence: flags override --config keys; seed: --seed > config seed= "
         "> HOTSPOT_SEED > 0",

@@ -275,7 +275,7 @@ def test_sweep_with_every_trial_failing_exits_one(capsys):
                          "--sweep", "q", "--values", "1", "--trials", "3")
     assert code == 1
     assert out == ""
-    assert "trials failed at q=1" in err
+    assert "epidemic trial 0 at q=1" in err
 
 
 SMALL_CONFIG = ("topology=er\nn=150\ngiant=true\nalpha=0.2\nq=0.6\nf=0.5\n"
@@ -386,6 +386,34 @@ def test_unknown_sweep_name_exits_one_without_traceback(tmp_path):
     assert done.returncode == 1
     assert done.stderr == "error: unknown sweep variable 'bogus'\n"
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv, error", [
+    # 11 of these 40 trials draw a giant too small for 2 seeds; a row over
+    # the other 29 would still claim 20 trials per label
+    (["--topology", "er", "--n", "60", "--giant", "--alpha", "0.0222222222",
+      "--num-seeds", "2", "--detector", "nn", "--k", "2", "--t", "1", "--sweep", "t",
+      "--values", "1", "--trials", "20", "--seed", "3"],
+     "epidemic trial 0 at t=1: target infection size 1 smaller than num_seeds=2"),
+    (["--topology", "er", "--n", "60", "--alpha", "0.9", "--num-seeds", "80",
+      "--sweep", "q", "--values", "0.5", "--trials", "2"],
+     "epidemic trial 0 at q=0.5: target infection size 54 smaller than num_seeds=80"),
+])
+def test_first_failed_trial_stops_the_sweep_without_traceback(tmp_path, argv, error):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hotspot.__file__))}
+    done = subprocess.run([sys.executable, "-m", "hotspot.cli", "sweep", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"error: {error}\n"
+
+
+def test_gamma_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["gamma", "--topology", "grid", "--side", "8", "--alpha", "0.2",
+            "--trials", "3", "--tag", "grid"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--out", str(tmp_path / "gamma.csv"))[0] == 0
+    assert (tmp_path / "gamma.csv").read_bytes() == out.encode()
 
 
 def test_missing_graph_file_fails_the_sweep_once_without_traceback(tmp_path):

@@ -83,7 +83,7 @@ def test_reporters_outside_the_graph_are_rejected(bad):
 
 def test_classify_empty_reporting():
     g = path_graph(4)
-    verdict = classify(g, set(), DetectorConfig.nn(k=1, t=0))
+    verdict = classify(g, set(), DetectorConfig.nn(k=1, t=0), keep_indicators=True)
     assert verdict.label == UNIFORM and verdict.hotspot_count == 0
     assert verdict.per_node == {}
 
@@ -92,7 +92,7 @@ def test_classify_path_example():
     # indicators: node 1 sees {0,2} (one reporter), node 2 sees {1,3} (two),
     # node 3 sees {2,4} (one); only node 2 fires
     g = path_graph(5)
-    verdict = classify(g, {1, 2, 3}, DetectorConfig.nn(k=2, t=0))
+    verdict = classify(g, {1, 2, 3}, DetectorConfig.nn(k=2, t=0), keep_indicators=True)
     assert verdict.hotspot_count == 1
     assert verdict.label == EPIDEMIC
     assert verdict.per_node == {1: False, 2: True, 3: False}
@@ -121,7 +121,7 @@ def test_classify_indicator_retention_flag():
 
 def test_verdict_csv_row():
     g = path_graph(5)
-    verdict = classify(g, {1, 2, 3}, DetectorConfig.nn(k=2, t=0))
+    verdict = classify(g, {1, 2, 3}, DetectorConfig.nn(k=2, t=0), keep_indicators=True)
     assert verdict.csv_row("epidemic") == "epidemic,epidemic,1,0,2,nn"
     assert verdict.csv_row() == ",epidemic,1,0,2,nn"
 

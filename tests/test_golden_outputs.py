@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from hotspot.cli import main
 from hotspot.detector import DetectorConfig
 from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
                            gen_tree, load_edge_list, save_edge_list)
@@ -125,3 +126,10 @@ SWEEPS = {
 def test_sweep_csv_bytes(name, tmp_path):
     run, digest = SWEEPS[name]
     assert text_digest(run(tmp_path).to_csv_text()) == digest
+
+
+def test_gamma_stdout_bytes(capsys):
+    assert main(["gamma", "--topology", "grid", "--side", "12", "--alpha", "0.2",
+                 "--trials", "3"]) == 0
+    assert text_digest(capsys.readouterr().out) == (
+        "973c6bca3c198f9a54c23358b86957dd111d1a4c65ec836569c296e89f15fce1")

@@ -65,6 +65,19 @@ def _load_graph(args):
         path=path, compact=args.compact, giant=args.giant).build(_seed(args))
 
 
+def _flag_list(flag: str, text: str, cast) -> list:
+    """The comma-separated items of ``flag``, each through ``cast`` (int or
+    float); a bad item raises ValueError naming the flag and the item."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(cast(item))
+        except ValueError:
+            expected = "an integer" if cast is int else "a number"
+            raise ValueError(f"{flag} item {item!r}: expected {expected}") from None
+    return values
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -144,7 +157,7 @@ def _cmd_gamma(args) -> int:
     g = _load_graph(args)
     params = ScenarioParams(alpha=args.alpha, q=args.q, f=args.f, num_seeds=args.seeds)
     if args.k_list:
-        k_values = [int(v) for v in args.k_list.split(",")]
+        k_values = _flag_list("--k-list", args.k_list, int)
     else:
         k_values = list(range(1, calibration.k_cap(g.n) + 1))
     profile = calibration.estimate_gamma(g, params, k_values, args.trials,
@@ -186,7 +199,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_threshold_sweep(args) -> int:
     spec = _spec_from_args(args)
-    t_values = [float(v) for v in args.t_values.split(",")]
+    t_values = _flag_list("--t-values", args.t_values, float)
     result = harness.threshold_sweep(spec, t_values)
     _write_text(result.to_csv_text(), args.out)
     return 0

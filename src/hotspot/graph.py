@@ -342,42 +342,47 @@ class Graph:
 
 # -- file I/O ----------------------------------------------------------------
 
+# byte classes of an edge-list file: the ASCII blanks str.split() splits on
+# (less the line breaks), digits, the line break; any other byte is an error
+# outside a comment line
+_BLANKS = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_OTHER, _BLANK, _DIGIT, _BREAK = 0, 1, 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(_BLANKS)] = _BLANK
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[ord("\n")] = _BREAK
+_BYTE_CLASS.flags.writeable = False
+
+# an id of more significant digits than this does not fit in int64
+_INT64_DIGITS = 19
+_INT64_MAX = np.uint64(np.iinfo(np.int64).max)
+
+# nodes per block of save_edge_list: a block's ints and text stay near 1 MB
+_WRITE_BLOCK = 1 << 12
+
 
 def load_edge_list(path, compact: bool = False) -> Graph:
     """Read a whitespace-separated "u v" edge list into a Graph.
 
-    Lines starting with '#' are ignored, except that a "# n=<count>" hint
-    (as written by :func:`save_edge_list`) extends the node count beyond
-    the largest endpoint so trailing isolated nodes survive a round trip.
-    Node ids are used as given; with ``compact=True`` they are remapped to
-    dense indices 0..m-1 in ascending id order.
+    Lines break at \\n, \\r\\n or \\r. A line whose first non-blank byte is '#'
+    is a comment, except that a "# n=<count>" hint (as written by
+    :func:`save_edge_list`) extends the node count beyond the largest
+    endpoint so trailing isolated nodes survive a round trip. Every other
+    line is blank or holds two non-negative int64 ids separated by ASCII
+    blanks; anything else raises ValueError naming the first such line.
+    Node ids are used as given (their count may not exceed MAX_NODES); with
+    ``compact=True`` they are remapped to dense indices 0..m-1 in ascending
+    id order.
     """
-    edges = []
-    hint_n = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if body.startswith("n=") and body[2:].isdigit():
-                    hint_n = max(hint_n, int(body[2:]))
-                continue
-            parts = stripped.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected two non-negative integers, got {stripped!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-    if not edges:
-        raise ValueError(f"{path}: no edges found")
-    arr = np.asarray(edges, dtype=np.int64)
+    arr, hint_n = _read_pairs(path)
     if compact:
         ids, inverse = np.unique(arr, return_inverse=True)
         arr = inverse.reshape(arr.shape)
         n = ids.size
     else:
         n = max(int(arr.max()) + 1, hint_n)
+    if n > MAX_NODES:
+        raise ValueError(f"{path}: node count {n} out of supported range")
     g = Graph._from_pairs(n, arr[:, 0], arr[:, 1])
     n_self = int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
     n_dup = len(arr) - n_self - g.num_edges  # an edge in both directions is one duplicate
@@ -387,14 +392,98 @@ def load_edge_list(path, compact: bool = False) -> Graph:
     return g
 
 
+def _read_pairs(path) -> tuple[np.ndarray, int]:
+    """The (m, 2) int64 id pairs of an edge-list file, in file order, and
+    its largest "# n=" hint (-1 without one), by byte masks over the whole
+    file: no per-line Python work outside the comment lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    kind = _BYTE_CLASS[buf]
+    breaks = np.flatnonzero(kind == _BREAK)
+
+    # comment lines are few: blank them out one by one, up to the first line
+    # holding a '#' that is no comment (an error, as is any byte of class
+    # _OTHER left after this)
+    hint_n = -1
+    for line in np.unique(np.searchsorted(breaks, np.flatnonzero(buf == ord("#")))).tolist():
+        start, end = _line_span(breaks, line, buf.size)
+        text = data[start:end].strip(_BLANKS)
+        if not text.startswith(b"#"):
+            break
+        body = text[1:].strip(_BLANKS)
+        if body.startswith(b"n=") and body[2:].isdigit():
+            hint_n = max(hint_n, int(body[2:]))
+        kind[start:end] = _BLANK
+    stray = int(kind.argmin()) if kind.size else -1  # the first byte of the lowest class
+    bad = [int(np.searchsorted(breaks, stray))] if stray >= 0 and kind[stray] == _OTHER else []
+
+    digit = np.zeros(buf.size + 2, dtype=bool)  # padded: every run starts and stops
+    np.equal(kind, _DIGIT, out=digit[1:-1])
+    starts, stops = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
+    run_line = np.searchsorted(breaks, starts)
+    runs_per_line = np.bincount(run_line, minlength=breaks.size + 1)
+    values, too_big = _run_values(data, buf, starts, stops)
+    bad += np.flatnonzero((runs_per_line != 0) & (runs_per_line != 2))[:1].tolist()
+    bad += run_line[too_big][:1].tolist()
+    if bad:
+        line = min(bad)
+        start, end = _line_span(breaks, line, buf.size)
+        text = data[start:end].decode("utf-8", "replace").strip()
+        raise ValueError(
+            f"{path}: line {line + 1}: expected two non-negative integers, got {text!r}")
+    if not values.size:
+        raise ValueError(f"{path}: no edges found")
+    # every non-blank line holds two runs, so the runs pair up in order
+    return values.view(np.int64).reshape(-1, 2), hint_n
+
+
+def _line_span(breaks: np.ndarray, line: int, size: int) -> tuple[int, int]:
+    """Byte range of the 0-based ``line`` of a buffer of ``size`` bytes whose
+    line breaks sit at the ascending positions ``breaks``."""
+    start = int(breaks[line - 1]) + 1 if line else 0
+    end = int(breaks[line]) if line < breaks.size else size
+    return start, end
+
+
+def _run_values(data: bytes, buf: np.ndarray, starts: np.ndarray,
+                stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal value of each digit run buf[starts[i]:stops[i]] as uint64,
+    one digit place per pass from the last, and a mask of the runs above the
+    int64 range."""
+    length = stops - starts
+    values = np.zeros(starts.size, dtype=np.uint64)
+    pos, weight = stops - 1, np.uint64(1)
+    for place in range(min(int(length.max(initial=0)), _INT64_DIGITS)):
+        # place < the longest run <= buf.size, so a pos left of byte 0 wraps
+        # to a valid index; that run is shorter than place and masked out
+        digit = buf[pos] - np.uint8(ord("0"))
+        digit[length <= place] = 0
+        values += digit * weight
+        pos -= 1
+        weight *= np.uint64(10)
+    too_big = values > _INT64_MAX
+    # zeros may pad an id to any length; any other digit there overflows
+    for run in np.flatnonzero(length > _INT64_DIGITS).tolist():
+        too_big[run] |= len(data[starts[run]:stops[run]].lstrip(b"0")) > _INT64_DIGITS
+    return values, too_big
+
+
 def save_edge_list(g: Graph, path) -> None:
-    """Write g as a "u v" edge list with a "# n=" node-count hint."""
+    """Write g as a "u v" edge list with a "# n=" node-count hint: each edge
+    once, u < v, ordered by u then v."""
+    indptr, indices = g._indptr, g._indices
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n}\n")
-        for u in range(g.n):
-            for v in g.neighbors(u).tolist():
-                if u < v:
-                    fh.write(f"{u} {v}\n")
+        for lo in range(0, g.n, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, g.n)
+            u = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+            v = indices[indptr[lo]:indptr[hi]]
+            keep = u < v
+            pairs = np.column_stack([u[keep], v[keep]]).ravel().tolist()
+            fh.write("%d %d\n" * (len(pairs) // 2) % tuple(pairs))
 
 
 # -- generators ---------------------------------------------------------------

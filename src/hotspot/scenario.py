@@ -24,6 +24,10 @@ logger = logging.getLogger(__name__)
 EPIDEMIC = "epidemic"
 UNIFORM = "uniform"
 
+# simulate_si draws its edge clocks in blocks that start small, so a tiny
+# contagion does not overdraw, and double up to this many draws
+_CLOCK_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -105,7 +109,7 @@ class ReportSnapshot:
             raise ValueError(f"malformed snapshot header: {lines[0]!r}") from exc
         reporting = set()
         for ln in lines[1:]:
-            if not ln.isdigit():
+            if not (ln.isascii() and ln.isdigit()):
                 raise ValueError(f"malformed snapshot line: {ln!r}")
             node = int(ln)
             if node >= n:
@@ -144,7 +148,7 @@ def simulate_si(g: Graph, seeds, target_size: int, rng_seed: int) -> EpidemicOut
         raise ValueError("seeds must be nonempty and distinct")
     if target_size < len(seeds):
         raise ValueError("target_size must be >= number of seeds")
-    rng = np.random.default_rng(rng_seed)
+    clock = _exp_clocks(np.random.default_rng(rng_seed))
     infected_set = set(seeds)
     infected = list(seeds)
     heap: list[tuple[float, int]] = []
@@ -153,7 +157,7 @@ def simulate_si(g: Graph, seeds, target_size: int, rng_seed: int) -> EpidemicOut
             raise ValueError(f"seed {s} out of range")
         for w in g.neighbors(s).tolist():
             if w not in infected_set:
-                heapq.heappush(heap, (rng.exponential(), w))
+                heapq.heappush(heap, (next(clock), w))
     while len(infected) < target_size and heap:
         t, v = heapq.heappop(heap)
         if v in infected_set:
@@ -164,12 +168,21 @@ def simulate_si(g: Graph, seeds, target_size: int, rng_seed: int) -> EpidemicOut
             break
         for w in g.neighbors(v).tolist():
             if w not in infected_set:
-                heapq.heappush(heap, (t + rng.exponential(), w))
+                heapq.heappush(heap, (t + next(clock), w))
     truncated = len(infected) < target_size
     if truncated:
         logger.debug("contagion exhausted seed components at %d/%d nodes",
                      len(infected), target_size)
     return EpidemicOutcome(seeds=seeds, infected=infected, truncated=truncated)
+
+
+def _exp_clocks(rng):
+    """Exp(1) draws in the order successive rng.exponential() calls give
+    them, taken from rng.standard_exponential in blocks."""
+    size = 16
+    while True:
+        yield from rng.standard_exponential(size).tolist()
+        size = min(2 * size, _CLOCK_BLOCK)
 
 
 def _sample_outside(n: int, count: int, excluded: set[int], rng) -> list[int]:

@@ -7,12 +7,17 @@ query paths under test.
 
 from __future__ import annotations
 
+import heapq
+import logging
 from collections import deque
 
 import numpy as np
 
 from hotspot.graph import Graph
+from hotspot.scenario import EpidemicOutcome
 from hotspot.seeds import splitmix64
+
+logger = logging.getLogger(__name__)
 
 
 def csr_oracle(n: int, edges) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -136,3 +141,68 @@ def random_graph(n: int, edge_prob: float, rng: np.random.Generator) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < edge_prob]
     return Graph.from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def edge_list_oracle(path, compact: bool = False) -> Graph:
+    """load_edge_list as a loop over the lines of the file in text mode:
+    strip, skip blanks, read '#' comments and "# n=" hints, split the rest
+    into exactly two str.isdigit() ids. Logs the same drop warning."""
+    edges = []
+    hint_n = -1
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                body = stripped[1:].strip()
+                if body.startswith("n=") and body[2:].isdigit():
+                    hint_n = max(hint_n, int(body[2:]))
+                continue
+            parts = stripped.split()
+            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected two non-negative integers, got {stripped!r}")
+            edges.append((int(parts[0]), int(parts[1])))
+    if not edges:
+        raise ValueError(f"{path}: no edges found")
+    arr = np.asarray(edges, dtype=np.int64)
+    if compact:
+        ids, inverse = np.unique(arr, return_inverse=True)
+        arr = inverse.reshape(arr.shape)
+        n = ids.size
+    else:
+        n = max(int(arr.max()) + 1, hint_n)
+    g = Graph._from_pairs(n, arr[:, 0], arr[:, 1])
+    n_self = int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
+    n_dup = len(arr) - n_self - g.num_edges
+    if n_dup or n_self:
+        logger.warning("%s: dropped %d duplicate edge(s) and %d self-loop(s)",
+                       path, n_dup, n_self)
+    return g
+
+
+def simulate_si_oracle(g: Graph, seeds, target_size: int, rng_seed: int) -> EpidemicOutcome:
+    """simulate_si with one rng.exponential() call per pushed edge clock."""
+    seeds = list(seeds)
+    rng = np.random.default_rng(rng_seed)
+    infected_set = set(seeds)
+    infected = list(seeds)
+    heap: list[tuple[float, int]] = []
+    for s in seeds:
+        for w in g.neighbors(s).tolist():
+            if w not in infected_set:
+                heapq.heappush(heap, (rng.exponential(), w))
+    while len(infected) < target_size and heap:
+        t, v = heapq.heappop(heap)
+        if v in infected_set:
+            continue
+        infected_set.add(v)
+        infected.append(v)
+        if len(infected) >= target_size:
+            break
+        for w in g.neighbors(v).tolist():
+            if w not in infected_set:
+                heapq.heappush(heap, (t + rng.exponential(), w))
+    return EpidemicOutcome(seeds=seeds, infected=infected,
+                           truncated=len(infected) < target_size)

@@ -435,3 +435,26 @@ def test_detect_rejects_s_zero(tmp_path, capsys, mode):
     code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap),
                          "--mode", mode, "--s", "0")
     assert code == 1 and out == "" and "s must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["gamma", "--topology", "grid", "--side", "8", "--alpha", "0.2", "--k-list", "1,x"],
+     "--k-list item 'x': expected an integer"),
+    (["threshold-sweep", "--topology", "grid", "--side", "8", "--t-values", "1,,2"],
+     "--t-values item '': expected a number"),
+])
+def test_list_flag_errors_name_the_flag_and_item(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {error}\n"
+
+
+def test_detect_id_beyond_int64_exits_one_without_traceback(tmp_path):
+    (tmp_path / "g.txt").write_text("0 1\n1 9223372036854775808\n")
+    (tmp_path / "s.txt").write_text("truth=uniform n=2\n1\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hotspot.__file__))}
+    argv = ["detect", "--graph", "g.txt", "--snapshot", "s.txt"]
+    done = subprocess.run([sys.executable, "-m", "hotspot.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == ("error: g.txt: line 2: expected two non-negative integers, "
+                           "got '1 9223372036854775808'\n")

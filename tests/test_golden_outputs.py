@@ -81,6 +81,22 @@ def test_graph_bytes(name, tmp_path):
     assert csr_digest(build(tmp_path)) == digest
 
 
+# save_edge_list bytes: more nodes than one write block, a tree, and isolated
+# nodes (ids beyond the last edge) that only the "# n=" hint keeps
+SAVED = {
+    "er_sparse_8000": "f2d55493a52ab171725d2c30214624ffac61ff869cd387fc98951bee17cfbf50",
+    "tree": "59ee05f2fccb63bc208c276d62d687734d91429fcf6843255e6e01b9c5a88e10",
+    "from_edges_messy": "f2739f25a18df5cd1bd4ee3f390f5bf1e801f28b8f4fd7f67a1369a5c095217d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED))
+def test_saved_edge_list_bytes(name, tmp_path):
+    path = tmp_path / "saved.txt"
+    save_edge_list(GRAPHS[name][0](tmp_path), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED[name]
+
+
 def sweep_spec(topology, detector, sweep_name, sweep_values, **extra):
     return ExperimentSpec(topology=topology, scenario=ScenarioRule(alpha=0.15, q=0.6, f=0.5),
                           detector=detector, sweep_name=sweep_name,

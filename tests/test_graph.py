@@ -10,8 +10,8 @@ from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
                            gen_tree, load_edge_list, save_edge_list,
                            tree_level_offsets)
 
-from oracles import (ball_oracle, components_oracle, csr_oracle, hop_distances,
-                     largest_component_oracle, nn_oracle)
+from oracles import (ball_oracle, components_oracle, csr_oracle, edge_list_oracle,
+                     hop_distances, largest_component_oracle, nn_oracle)
 
 
 def path_graph(n):
@@ -167,6 +167,109 @@ def test_load_edge_list_missing_and_empty(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no edges"):
         load_edge_list(empty)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def load_outcome(load, path, compact):
+    """What a loader makes of a file: the CSR arrays with their dtypes, or
+    the error text, and the log messages either way."""
+    handler = _Messages()
+    logging.getLogger().addHandler(handler)
+    try:
+        g = load(path, compact=compact)
+        return (g.n, g._indptr.dtype, g._indptr.tolist(), g._indices.dtype,
+                g._indices.tolist(), handler.messages)
+    except ValueError as exc:
+        return str(exc), handler.messages
+    finally:
+        logging.getLogger().removeHandler(handler)
+
+
+# free text of at most 7 bytes per line, ids up to 40 and hints up to 60
+# keep every graph small: the line loop has no node cap
+_FUZZ_LINES = st.one_of(
+    st.text("0123456789 \t\x0b\x0c\x1f#+-n=xZ", max_size=7),
+    st.builds("{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), st.integers(0, 40),
+              st.sampled_from([" ", "\t", " \x0b", "\x0c ", "\x1c"]), st.integers(0, 40),
+              st.sampled_from(["", " ", "\x0b"])),
+    st.builds("{}#{}n={}{}".format, st.sampled_from(["", " "]), st.sampled_from(["", " ", "\t"]),
+              st.integers(0, 60), st.sampled_from(["", "", " ", "x", "\x0b"])),
+)
+
+
+@given(st.lists(st.tuples(_FUZZ_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+       st.booleans(), st.booleans())
+def test_load_edge_list_matches_line_loop(tmp_path_factory, rows, last_break, compact):
+    text = "".join(line + brk for line, brk in rows)
+    if rows and not last_break:
+        text = text[:-len(rows[-1][1])]
+    path = str(tmp_path_factory.mktemp("fuzz") / "g.txt")
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+    assert (load_outcome(load_edge_list, path, compact)
+            == load_outcome(edge_list_oracle, path, compact))
+
+
+def test_load_edge_list_takes_the_largest_hint(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# n=9\n#n=4\n# n=12x\n# n=\n0 1\n")
+    assert load_edge_list(path).n == 9
+    assert load_edge_list(path, compact=True).n == 2
+
+
+@pytest.mark.parametrize("text, lineno, shown", [
+    ("0 1\r\n1 2\rno\n", 3, "no"),
+    ("0 1\n\n0 \u0661\n", 3, "0 \u0661"),  # a digit outside ASCII
+    ("0\u00a01\n", 1, "0\u00a01"),  # a blank outside ASCII
+    ("# n=4\n\u3000# x\n0 1\n", 2, "# x"),  # a blank outside ASCII before '#'
+    ("0 1 # x\n", 1, "0 1 # x"),
+])
+def test_load_edge_list_names_the_first_bad_line(tmp_path, text, lineno, shown):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as info:
+        load_edge_list(path)
+    assert str(info.value) == (
+        f"{path}: line {lineno}: expected two non-negative integers, got {shown!r}")
+
+
+def test_load_edge_list_caps_the_node_count(tmp_path, monkeypatch):
+    monkeypatch.setattr("hotspot.graph.MAX_NODES", 10)
+    path = tmp_path / "g.txt"
+    for text, n in (("0 1\n1 11\n", 12), ("# n=11\n0 1\n", 11)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"g.txt: node count {n} out of supported range"):
+            load_edge_list(path)
+    path.write_text("# n=10\n0 9\n")
+    assert load_edge_list(path).n == 10
+    path.write_text("0 1\n1 11\n")
+    assert load_edge_list(path, compact=True).n == 3
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("big", ["9223372036854775808", "10000000000000000000"])
+def test_load_edge_list_rejects_ids_beyond_int64(tmp_path, compact, big):
+    path = tmp_path / "g.txt"
+    path.write_text(f"0 1\n1 {big}\n2 3\n")
+    with pytest.raises(ValueError, match=f"line 2: expected two non-negative integers, "
+                                         f"got '1 {big}'"):
+        load_edge_list(path, compact=compact)
+
+
+def test_load_edge_list_compact_keeps_int64_ids(tmp_path):
+    path = tmp_path / "g.txt"
+    # leading zeros pad an id past 19 digits and it still fits
+    path.write_text("5 9223372036854775807\n0000000000000000000000007 5\n")
+    g = load_edge_list(path, compact=True)
+    assert g.n == 3 and [g.neighbors(i).tolist() for i in range(3)] == [[1, 2], [0], [0]]
 
 
 # -- generators ----------------------------------------------------------------

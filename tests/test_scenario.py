@@ -8,6 +8,8 @@ from hotspot.scenario import (EPIDEMIC, UNIFORM, ReportSnapshot, ScenarioParams,
                               apply_reporting, generate_uniform_null,
                               make_epidemic_snapshot, pick_seeds, simulate_si)
 
+from oracles import simulate_si_oracle
+
 
 def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -87,6 +89,20 @@ def test_si_deterministic():
     a = simulate_si(g, [0], 40, rng_seed=7)
     b = simulate_si(g, [0], 40, rng_seed=7)
     assert a.infected == b.infected
+
+
+@pytest.mark.parametrize("g, seeds, target", [
+    # ~16k clocks: the draw blocks reach their cap
+    (gen_erdos_renyi(2000, 8 / 2000, 2), [0], 1900),
+    (gen_grid(2, 30), [0, 450], 700),
+    (Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), [0], 6),  # truncated
+    (path_graph(3), [1], 3),
+], ids=["er", "grid", "truncated", "path3"])
+def test_si_block_clocks_match_scalar_draws(g, seeds, target):
+    for seed in range(5):
+        want = simulate_si_oracle(g, seeds, target, seed)
+        got = simulate_si(g, seeds, target, seed)
+        assert (got.infected, got.truncated) == (want.infected, want.truncated)
 
 
 def test_si_validation():
@@ -251,6 +267,12 @@ def test_snapshot_rejects_malformed():
         ReportSnapshot.from_text("truth=epidemic n=10\nxyz\n")
     with pytest.raises(ValueError):
         ReportSnapshot.from_text("truth=epidemic n=10\n12\n")
+
+
+@pytest.mark.parametrize("node", ["\u00b2", "\u0661"])  # superscript two, Arabic-Indic one
+def test_snapshot_ids_are_ascii_digits(node):
+    with pytest.raises(ValueError, match=f"^malformed snapshot line: '{node}'$"):
+        ReportSnapshot.from_text(f"truth=epidemic n=10\n1\n{node}\n")
 
 
 def test_make_epidemic_snapshot_ground_truth_consistency():

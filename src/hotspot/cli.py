@@ -65,19 +65,6 @@ def _load_graph(args):
         path=path, compact=args.compact, giant=args.giant).build(_seed(args))
 
 
-def _flag_list(flag: str, text: str, cast) -> list:
-    """The comma-separated items of ``flag``, each through ``cast`` (int or
-    float); a bad item raises ValueError naming the flag and the item."""
-    values = []
-    for item in text.split(","):
-        try:
-            values.append(cast(item))
-        except ValueError:
-            expected = "an integer" if cast is int else "a number"
-            raise ValueError(f"{flag} item {item!r}: expected {expected}") from None
-    return values
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -157,7 +144,8 @@ def _cmd_gamma(args) -> int:
     g = _load_graph(args)
     params = ScenarioParams(alpha=args.alpha, q=args.q, f=args.f, num_seeds=args.seeds)
     if args.k_list:
-        k_values = _flag_list("--k-list", args.k_list, int)
+        k_values = [harness.cast_value(f"--k-list item {item!r}", item, int)
+                    for item in args.k_list.split(",")]
     else:
         k_values = list(range(1, calibration.k_cap(g.n) + 1))
     profile = calibration.estimate_gamma(g, params, k_values, args.trials,
@@ -199,7 +187,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_threshold_sweep(args) -> int:
     spec = _spec_from_args(args)
-    t_values = _flag_list("--t-values", args.t_values, float)
+    t_values = [harness.cast_value(f"--t-values item {item!r}", item, float)
+                for item in args.t_values.split(",")]
     result = harness.threshold_sweep(spec, t_values)
     _write_text(result.to_csv_text(), args.out)
     return 0

@@ -459,7 +459,9 @@ def _run_values(data: bytes, buf: np.ndarray, starts: np.ndarray,
     for place in range(min(int(length.max(initial=0)), _INT64_DIGITS)):
         # place < the longest run <= buf.size, so a pos left of byte 0 wraps
         # to a valid index; that run is shorter than place and masked out
-        digit = buf[pos] - np.uint8(ord("0"))
+        # uint64 before the product: a uint8 digit times a uint64 scalar is
+        # uint8 under NumPy 1.x's value-based casting and wraps at 9 * 100
+        digit = buf[pos].astype(np.uint64) - np.uint64(ord("0"))
         digit[length <= place] = 0
         values += digit * weight
         pos -= 1

@@ -216,8 +216,20 @@ class ExperimentSpec:
                 ok = False
             if not ok:
                 raise ValueError(f"sweep {self.sweep_name}: value {value!r} is not "
-                                 + ("an integer" if cast is int else "a number"))
+                                 + _EXPECTED[cast])
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+
+
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def cast_value(label: str, text: str, cast):
+    """``cast(text)`` for cast int or float; on failure a ValueError
+    "<label>: expected an integer" (or "a number")."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"{label}: expected {_EXPECTED[cast]}") from None
 
 
 # sweep name -> (part of the experiment, field of that part, cast of the value)
@@ -459,11 +471,7 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
         if key not in raw:
             return default
         val = raw.pop(key)
-        try:
-            return cast(val)
-        except ValueError:
-            expected = "an integer" if cast is int else "a number"
-            raise ValueError(f"{key}={val!r}: expected {expected}") from None
+        return cast_value(f"{key}={val!r}", val, cast)
 
     def flag(key):
         val = raw.pop(key, "false").lower()

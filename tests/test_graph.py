@@ -218,6 +218,22 @@ def test_load_edge_list_matches_line_loop(tmp_path_factory, rows, last_break, co
             == load_outcome(edge_list_oracle, path, compact))
 
 
+# ids of several digits, which the fuzz above keeps out of plain files; the
+# large ones only with compact, where the line loop allocates nothing per id
+@pytest.mark.parametrize("text, compact", [
+    ("123 4567\n4567 89\n0099 100\n", False),
+    ("999 1000\n1000 1001\n", False),
+    ("123 4567\n9999999 89\n", True),
+    ("1234567890123 98765432109876543\n9223372036854775807 1\n", True),
+])
+def test_load_edge_list_matches_line_loop_on_long_ids(tmp_path, text, compact):
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert (load_outcome(load_edge_list, path, compact)
+            == load_outcome(edge_list_oracle, path, compact))
+
+
 def test_load_edge_list_takes_the_largest_hint(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# n=9\n#n=4\n# n=12x\n# n=\n0 1\n")

@@ -180,7 +180,7 @@ def estimate_gamma(g: Graph, params: ScenarioParams, k_values, trials: int,
         seeds = pick_seeds(g, params.num_seeds, derive_seed(rng_seed, "seeds", trial))
         outcome = simulate_si(g, seeds, target, derive_seed(rng_seed, "si", trial))
         truncated += outcome.truncated
-        gammas = gamma_for_set(g, set(outcome.infected), k_values)
+        gammas = gamma_for_set(g, outcome.infected, k_values)
         for j, val in enumerate(gammas):
             per_k_samples[j].append(val)
     if truncated:

@@ -30,12 +30,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
 
 
 def _seed(args) -> int:
     """--seed, else $HOTSPOT_SEED, else 0; a sweep config's seed= ranks after --seed."""
-    return args.seed if args.seed is not None else int(os.environ.get("HOTSPOT_SEED", "0"))
+    if args.seed is not None:
+        return args.seed
+    seed = os.environ.get("HOTSPOT_SEED", "0")
+    return harness.cast_value(f"HOTSPOT_SEED={seed!r}", seed, int)
 
 
 def _add_topology_flags(p: argparse.ArgumentParser) -> None:
@@ -120,8 +124,8 @@ def _cmd_detect(args) -> int:
     snap = ReportSnapshot.load(args.snapshot)
     if snap.n != g.n:
         print(f"warning: snapshot n={snap.n} vs graph n={g.n}", file=sys.stderr)
-    if snap.reporting and max(snap.reporting) >= g.n:
-        raise ValueError(f"reporting node {max(snap.reporting)} out of range "
+    if snap.reporting.size and snap.reporting[-1] >= g.n:
+        raise ValueError(f"reporting node {snap.reporting[-1]} out of range "
                          f"for a graph of {g.n} nodes")
     if args.regime or args.gamma_profile or args.gamma is not None or args.gamma_fallback:
         args.regime = args.regime or "auto"

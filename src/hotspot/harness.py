@@ -310,7 +310,8 @@ def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
                         alpha=params.alpha, f=params.f, gamma=point.gamma)
     else:
         cfg = point.detector
-    verdict = classify(view, snapshot.reporting, cfg)
+    # Python ints: perfbench's noisy check masks these ids as uint64 (np.int64 overflows)
+    verdict = classify(view, snapshot.reporting.tolist(), cfg)
     return verdict, snapshot.truth
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, node_array
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -76,24 +76,22 @@ class EpidemicOutcome:
     infected: list[int]
     truncated: bool = False
 
-    @property
-    def infection_order(self) -> dict[int, int]:
-        return {node: rank for rank, node in enumerate(self.infected)}
 
-
-@dataclass
+@dataclass(eq=False)
 class ReportSnapshot:
-    """One observed snapshot plus the ground truth the harness scores against."""
+    """One observed snapshot: the reporting node ids, normalised to a sorted,
+    distinct, read-only int64 array, and the label the harness scores against."""
 
     n: int
-    reporting: set[int]
+    reporting: np.ndarray
     truth: str
-    true_reporters: set[int] = field(default_factory=set)
-    infected: set[int] = field(default_factory=set)
+
+    def __post_init__(self):
+        self.reporting = node_array(self.reporting)
+        self.reporting.flags.writeable = False
 
     def to_text(self) -> str:
-        lines = [f"truth={self.truth} n={self.n}"]
-        lines.extend(str(i) for i in sorted(self.reporting))
+        lines = [f"truth={self.truth} n={self.n}", *map(str, self.reporting.tolist())]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -101,20 +99,21 @@ class ReportSnapshot:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("truth="):
             raise ValueError("snapshot must start with 'truth=<label> n=<N>'")
-        head = dict(part.split("=", 1) for part in lines[0].split())
         try:
+            head = dict(part.split("=", 1) for part in lines[0].split())
             n = int(head["n"])
             truth = head["truth"]
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed snapshot header: {lines[0]!r}") from exc
-        reporting = set()
+        reporting = []
         for ln in lines[1:]:
             if not (ln.isascii() and ln.isdigit()):
                 raise ValueError(f"malformed snapshot line: {ln!r}")
             node = int(ln)
-            if node >= n:
+            # an id past int64 is out of range whatever the header says
+            if node >= n or node >> 63:
                 raise ValueError(f"reporting node {node} out of range for n={n}")
-            reporting.add(node)
+            reporting.append(node)
         return cls(n=n, reporting=reporting, truth=truth)
 
     def save(self, path) -> None:
@@ -185,36 +184,38 @@ def _exp_clocks(rng):
         size = min(2 * size, _CLOCK_BLOCK)
 
 
-def _sample_outside(n: int, count: int, excluded: set[int], rng) -> list[int]:
-    """count distinct uniform draws from {0..n-1} minus excluded."""
-    available = n - len(excluded)
-    if count > available:
+def _sample_outside(n: int, count: int, excluded: np.ndarray, rng) -> np.ndarray:
+    """count distinct uniform draws from {0..n-1} minus the distinct ids ``excluded``."""
+    if count > n - excluded.size:
         raise ValueError("not enough nodes outside the excluded set")
-    if n <= 100_000 or count > available // 2:
-        pool = np.setdiff1d(np.arange(n, dtype=np.int64),
-                            np.fromiter(excluded, dtype=np.int64, count=len(excluded)))
-        return rng.choice(pool, size=count, replace=False).tolist()
-    # rejection sampling; excluded and count are small relative to n here
-    chosen: set[int] = set()
-    while len(chosen) < count:
-        draw = rng.integers(0, n, size=2 * (count - len(chosen)) + 8).tolist()
-        for v in draw:
-            if v not in excluded and v not in chosen:
-                chosen.add(v)
-                if len(chosen) == count:
-                    break
-    return sorted(chosen)
+    taken = np.zeros(n, dtype=bool)
+    taken[excluded] = True
+    if n <= 100_000 or count > (n - excluded.size) // 2:
+        return rng.choice(np.flatnonzero(~taken), size=count, replace=False)
+    # rejection sampling; excluded and count are small relative to n here.
+    # Each round keeps, in draw order, the first draws not yet taken.
+    chosen = [np.empty(0, dtype=np.int64)]
+    while count:
+        draw = rng.integers(0, n, size=2 * count + 8)
+        draw = draw[~taken[draw]]
+        _, first = np.unique(draw, return_index=True)
+        draw = draw[np.sort(first)][:count]
+        taken[draw] = True
+        chosen.append(draw)
+        count -= draw.size
+    return np.concatenate(chosen)
 
 
 def apply_reporting(outcome: EpidemicOutcome, g: Graph, q: float, f: float,
-                    rng_seed: int) -> ReportSnapshot:
+                    rng_seed: int) -> tuple[ReportSnapshot, np.ndarray]:
     """Observe an epidemic through the noisy reporting channel.
 
     Each infected node reports with probability q (the true reporters);
     then round(f * |true reporters|) additional nodes, drawn uniformly
     without replacement from everyone else, also report. Rounding is
     round-half-to-even. If the request exceeds the remaining pool it is
-    clamped with a warning.
+    clamped with a warning. Returns the snapshot and the true reporters as
+    a sorted id array.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
@@ -222,22 +223,18 @@ def apply_reporting(outcome: EpidemicOutcome, g: Graph, q: float, f: float,
         raise ValueError("f must be >= 0")
     rng = np.random.default_rng(rng_seed)
     infected = np.asarray(outcome.infected, dtype=np.int64)
-    mask = rng.random(infected.size) < q
-    true_reporters = set(infected[mask].tolist())
-    extras_wanted = round(f * len(true_reporters))
-    available = g.n - len(true_reporters)
+    true_reporters = node_array(infected[rng.random(infected.size) < q])
+    extras_wanted = round(f * true_reporters.size)
+    available = g.n - true_reporters.size
     if extras_wanted > available:
         logger.warning("clamping %d extra reporters to the %d remaining nodes",
                        extras_wanted, available)
         extras_wanted = available
-    extras = _sample_outside(g.n, extras_wanted, true_reporters, rng) if extras_wanted else []
-    return ReportSnapshot(
-        n=g.n,
-        reporting=true_reporters | set(extras),
-        truth=EPIDEMIC,
-        true_reporters=true_reporters,
-        infected=set(outcome.infected),
-    )
+    reporting = true_reporters
+    if extras_wanted:
+        extras = _sample_outside(g.n, extras_wanted, true_reporters, rng)
+        reporting = np.concatenate([true_reporters, extras])
+    return ReportSnapshot(n=g.n, reporting=reporting, truth=EPIDEMIC), true_reporters
 
 
 def generate_uniform_null(g: Graph, p: float, rng_seed: int) -> ReportSnapshot:
@@ -245,12 +242,8 @@ def generate_uniform_null(g: Graph, p: float, rng_seed: int) -> ReportSnapshot:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = np.random.default_rng(rng_seed)
-    mask = rng.random(g.n) < p
-    return ReportSnapshot(
-        n=g.n,
-        reporting=set(np.flatnonzero(mask).tolist()),
-        truth=UNIFORM,
-    )
+    return ReportSnapshot(n=g.n, reporting=np.flatnonzero(rng.random(g.n) < p),
+                          truth=UNIFORM)
 
 
 def make_epidemic_snapshot(g: Graph, params: ScenarioParams, rng_seed: int,
@@ -259,5 +252,5 @@ def make_epidemic_snapshot(g: Graph, params: ScenarioParams, rng_seed: int,
     params.validate_for(g.n)
     seeds = pick_seeds(g, params.num_seeds, derive_seed(rng_seed, "seeds"))
     outcome = simulate_si(g, seeds, params.target_size(g.n), derive_seed(rng_seed, "si"))
-    snap = apply_reporting(outcome, g, params.q, params.f, derive_seed(rng_seed, "report"))
+    snap, _ = apply_reporting(outcome, g, params.q, params.f, derive_seed(rng_seed, "report"))
     return snap, outcome

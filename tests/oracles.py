@@ -206,3 +206,23 @@ def simulate_si_oracle(g: Graph, seeds, target_size: int, rng_seed: int) -> Epid
                 heapq.heappush(heap, (t + rng.exponential(), w))
     return EpidemicOutcome(seeds=seeds, infected=infected,
                            truncated=len(infected) < target_size)
+
+
+def sample_outside_oracle(n: int, count: int, excluded: set[int], rng) -> list[int]:
+    """count distinct uniform draws from {0..n-1} minus excluded, with the
+    set arithmetic of the first implementation: a setdiff1d pool for small n
+    or large count, else one accept-or-skip pass per draw in draw order."""
+    available = n - len(excluded)
+    if n <= 100_000 or count > available // 2:
+        pool = np.setdiff1d(np.arange(n, dtype=np.int64),
+                            np.array(sorted(excluded), dtype=np.int64))
+        return sorted(rng.choice(pool, size=count, replace=False).tolist())
+    chosen: set[int] = set()
+    while len(chosen) < count:
+        draw = rng.integers(0, n, size=2 * (count - len(chosen)) + 8).tolist()
+        for v in draw:
+            if v not in excluded and v not in chosen:
+                chosen.add(v)
+                if len(chosen) == count:
+                    break
+    return sorted(chosen)

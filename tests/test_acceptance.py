@@ -140,7 +140,7 @@ def fig6_runs():
         epi, _ = make_epidemic_snapshot(g, FIG6_PARAMS, derive_seed(root, "e"))
         null = generate_uniform_null(g, probs.p, derive_seed(root, "n"))
         for snap, label in ((epi, EPIDEMIC), (null, UNIFORM)):
-            rep = snap.reporting
+            rep = set(snap.reporting.tolist())  # a set: the loops below test membership
             per_node = [sum(1 for v in g.ball_members(i, 3) if v in rep)
                         for i in sorted(rep)]
             data["ball3"][label].append(per_node)
@@ -215,12 +215,12 @@ def test_criterion_05_error_decay_with_n():
             g, _ = gen_erdos_renyi(n, 2 / n, derive_seed(root, "graph")
                                    ).largest_component()
             snap, _ = make_epidemic_snapshot(g, params, derive_seed(root, "e"))
-            rep = snap.reporting
+            rep = set(snap.reporting.tolist())  # a set: the loops below test membership
             count = sum(1 for i in rep
                         if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 2)
             t2 += not count > 0.5
             snap = generate_uniform_null(g, p_null, derive_seed(root, "n"))
-            rep = snap.reporting
+            rep = set(snap.reporting.tolist())
             count = sum(1 for i in rep
                         if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 2)
             t1 += count > 0.5
@@ -251,12 +251,12 @@ def test_criterion_06_multiseed_robustness():
             g, _ = gen_erdos_renyi(8000, 2 / 8000, derive_seed(root, "graph")
                                    ).largest_component()
             snap, _ = make_epidemic_snapshot(g, params, derive_seed(root, "e"))
-            rep = snap.reporting
+            rep = set(snap.reporting.tolist())  # a set: the loops below test membership
             count = sum(1 for i in rep
                         if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 1)
             t2 += not count > 50
             snap = generate_uniform_null(g, p_null, derive_seed(root, "n"))
-            rep = snap.reporting
+            rep = set(snap.reporting.tolist())
             count = sum(1 for i in rep
                         if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 1)
             t1 += count > 50

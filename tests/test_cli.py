@@ -458,3 +458,27 @@ def test_detect_id_beyond_int64_exits_one_without_traceback(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == ("error: g.txt: line 2: expected two non-negative integers, "
                            "got '1 9223372036854775808'\n")
+
+
+def test_snapshot_header_word_without_equals_exits_one(tmp_path, capsys):
+    graph_path = write_path_graph(tmp_path)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=uniform n3\n1\n")
+    code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap))
+    assert code == 1 and out == ""
+    assert err == "error: malformed snapshot header: 'truth=uniform n3'\n"
+
+
+def test_bad_flag_value_prints_usage_then_argparse_message(capsys):
+    code, out, err = run(capsys, "detect", "--graph", "g.txt", "--snapshot", "s.txt",
+                         "--k", "x")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: hotspot detect ")
+    assert err.endswith("\nerror: argument --k: invalid int value: 'x'\n")
+
+
+def test_bad_env_seed_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("HOTSPOT_SEED", "x")
+    code, out, err = run(capsys, "simulate", "--topology", "grid", "--side", "5")
+    assert code == 1 and out == ""
+    assert err == "error: HOTSPOT_SEED='x': expected an integer\n"

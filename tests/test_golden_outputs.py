@@ -1,4 +1,5 @@
-"""Golden bytes: sha256 digests of generated graphs and fixed-seed sweep CSVs.
+"""Golden bytes: sha256 digests of generated graphs, snapshot files and
+fixed-seed sweep CSVs.
 
 A refactor of the graph layer or the harness must leave these bytes as they
 are. A digest that changes on purpose (a new generator, a changed rule) is
@@ -9,12 +10,14 @@ import hashlib
 
 import pytest
 
+from hotspot.calibration import reporting_probabilities
 from hotspot.cli import main
 from hotspot.detector import DetectorConfig
 from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
                            gen_tree, load_edge_list, save_edge_list)
 from hotspot.harness import (DistanceNoise, ExperimentSpec, ScenarioRule,
                              TopologySpec, run_sweep, threshold_sweep)
+from hotspot.scenario import ScenarioParams, generate_uniform_null, make_epidemic_snapshot
 
 
 def csr_digest(g) -> str:
@@ -95,6 +98,30 @@ def test_saved_edge_list_bytes(name, tmp_path):
     path = tmp_path / "saved.txt"
     save_edge_list(GRAPHS[name][0](tmp_path), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED[name]
+
+
+# ReportSnapshot.to_text bytes of an epidemic snapshot and its matched null.
+# On the 6438-node giant the extras come from the sorted pool; on the
+# 159777-node giant (n > 100,000, few extras) from the rejection loop.
+SNAPSHOTS = {
+    "er_giant_8000": ((8000, 4, ScenarioParams(alpha=0.13, q=0.22, f=1.0), 7),
+                      "8f2055c01ff27472970ddd469a6ac3ce648e94b57d8df3a88c06f6d6166403e8",
+                      "b50216bf9f8aa0b88399d10a75ca183926afeb2c791ae6dcd615f2d91c4aa710"),
+    "er_giant_200000": ((200_000, 5, ScenarioParams(alpha=0.02, q=0.5, f=1.0), 8),
+                        "5d4ae6638508779f97ec349505ac6096d0fd9bbf16611d6ce92b836aaf645af2",
+                        "af216d2bd0e16c07dadf76ce56004f7081f4e2afede746a6d0f8120341041a2b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+def test_snapshot_text_bytes(name):
+    (n, graph_seed, params, seed), epidemic_digest, null_digest = SNAPSHOTS[name]
+    g = gen_erdos_renyi(n, 2.0 / n, graph_seed).largest_component()[0]
+    epidemic, _ = make_epidemic_snapshot(g, params, seed)
+    null = generate_uniform_null(g, reporting_probabilities(params.q, params.alpha, params.f).p,
+                                 seed)
+    assert text_digest(epidemic.to_text()) == epidemic_digest
+    assert text_digest(null.to_text()) == null_digest
 
 
 def sweep_spec(topology, detector, sweep_name, sweep_values, **extra):

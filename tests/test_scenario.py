@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
 from hotspot.scenario import (EPIDEMIC, UNIFORM, ReportSnapshot, ScenarioParams,
-                              apply_reporting, generate_uniform_null,
+                              _sample_outside, apply_reporting, generate_uniform_null,
                               make_epidemic_snapshot, pick_seeds, simulate_si)
+from hotspot.seeds import derive_seed
 
-from oracles import simulate_si_oracle
+from oracles import sample_outside_oracle, simulate_si_oracle
 
 
 def path_graph(n):
@@ -54,7 +56,7 @@ def test_si_full_graph():
     g = complete_graph(6)
     out = simulate_si(g, [0], 6, rng_seed=1)
     assert sorted(out.infected) == list(range(6))
-    assert out.infection_order[0] == 0
+    assert {v: r for r, v in enumerate(out.infected)}[0] == 0
 
 
 def test_si_path_growth_is_contiguous():
@@ -71,7 +73,7 @@ def test_si_every_nonseed_has_earlier_infected_neighbor():
     labels = g.component_labels()
     comp = np.flatnonzero(labels == labels[0]).tolist()
     out = simulate_si(g, [comp[0]], min(80, len(comp)), rng_seed=9)
-    order = out.infection_order
+    order = {v: r for r, v in enumerate(out.infected)}
     for node in out.infected[len(out.seeds):]:
         assert any(order.get(w, math.inf) < order[node]
                    for w in g.neighbors(node).tolist())
@@ -138,25 +140,25 @@ def outcome_on(g, infected):
 def test_reporting_q_zero_empty():
     g = path_graph(6)
     out = outcome_on(g, [1, 2, 3])
-    snap = apply_reporting(out, g, q=0.0, f=5.0, rng_seed=0)
-    assert snap.reporting == set()
+    snap, _ = apply_reporting(out, g, q=0.0, f=5.0, rng_seed=0)
+    assert snap.reporting.tolist() == []
     assert snap.truth == EPIDEMIC
 
 
 def test_reporting_f_zero_true_reporters_only():
     g = path_graph(6)
     out = outcome_on(g, [1, 2, 3])
-    snap = apply_reporting(out, g, q=1.0, f=0.0, rng_seed=0)
-    assert snap.reporting == {1, 2, 3} == snap.true_reporters
+    snap, true_reporters = apply_reporting(out, g, q=1.0, f=0.0, rng_seed=0)
+    assert snap.reporting.tolist() == [1, 2, 3] == true_reporters.tolist()
 
 
 def test_reporting_exact_extra_count():
     # two true reporters at f=1 bring exactly two extras
     g = path_graph(10)
     out = outcome_on(g, [4, 5])
-    snap = apply_reporting(out, g, q=1.0, f=1.0, rng_seed=3)
-    assert snap.true_reporters == {4, 5}
-    extras = snap.reporting - snap.true_reporters
+    snap, true_reporters = apply_reporting(out, g, q=1.0, f=1.0, rng_seed=3)
+    assert true_reporters.tolist() == [4, 5]
+    extras = set(snap.reporting.tolist()) - set(true_reporters.tolist())
     assert len(extras) == 2
     assert extras.isdisjoint({4, 5})
 
@@ -164,18 +166,18 @@ def test_reporting_exact_extra_count():
 def test_reporting_rounds_half_to_even():
     g = path_graph(40)
     out = outcome_on(g, [0, 1, 2, 3, 4])
-    snap = apply_reporting(out, g, q=1.0, f=0.5, rng_seed=1)  # 2.5 -> 2
-    assert len(snap.reporting - snap.true_reporters) == 2
-    snap2 = apply_reporting(out, g, q=1.0, f=0.7, rng_seed=1)  # 3.5 -> 4
-    assert len(snap2.reporting - snap2.true_reporters) == 4
+    snap, true_reporters = apply_reporting(out, g, q=1.0, f=0.5, rng_seed=1)  # 2.5 -> 2
+    assert len(set(snap.reporting.tolist()) - set(true_reporters.tolist())) == 2
+    snap2, true_reporters2 = apply_reporting(out, g, q=1.0, f=0.7, rng_seed=1)  # 3.5 -> 4
+    assert len(set(snap2.reporting.tolist()) - set(true_reporters2.tolist())) == 4
 
 
 def test_reporting_clamps_to_pool(caplog):
     g = path_graph(5)
     out = outcome_on(g, [0, 1])
     with caplog.at_level("WARNING"):
-        snap = apply_reporting(out, g, q=1.0, f=10.0, rng_seed=0)
-    assert snap.reporting == {0, 1, 2, 3, 4}
+        snap, _ = apply_reporting(out, g, q=1.0, f=10.0, rng_seed=0)
+    assert snap.reporting.tolist() == [0, 1, 2, 3, 4]
     assert "clamping" in caplog.text
 
 
@@ -183,7 +185,7 @@ def test_reporting_mean_true_reporter_count():
     g = path_graph(400)
     out = outcome_on(g, list(range(100)))
     q, runs = 0.3, 400
-    sizes = [len(apply_reporting(out, g, q, 0.0, seed).true_reporters)
+    sizes = [len(apply_reporting(out, g, q, 0.0, seed)[1])
              for seed in range(runs)]
     sigma_mean = math.sqrt(100 * q * (1 - q) / runs)
     assert abs(np.mean(sizes) - 30.0) < 3 * sigma_mean
@@ -202,11 +204,12 @@ def test_reporting_validation():
 
 def test_null_extremes():
     g = path_graph(30)
-    assert generate_uniform_null(g, 0.0, 0).reporting == set()
+    assert generate_uniform_null(g, 0.0, 0).reporting.tolist() == []
     full = generate_uniform_null(g, 1.0, 0)
-    assert full.reporting == set(range(30))
+    assert full.reporting.tolist() == list(range(30))
     assert full.truth == UNIFORM
-    assert full.infected == set() and full.true_reporters == set()
+    # a snapshot carries no ground truth beyond its label
+    assert [fld.name for fld in dataclasses.fields(full)] == ["n", "reporting", "truth"]
 
 
 def test_null_binomial_concentration():
@@ -254,10 +257,10 @@ def test_snapshot_round_trip(tmp_path):
     assert text.splitlines()[0] == "truth=epidemic n=50"
     assert text.splitlines()[1:] == ["1", "3", "41"]
     back = ReportSnapshot.from_text(text)
-    assert back.n == 50 and back.reporting == {1, 3, 41} and back.truth == EPIDEMIC
+    assert back.n == 50 and back.reporting.tolist() == [1, 3, 41] and back.truth == EPIDEMIC
     path = tmp_path / "snap.txt"
     snap.save(path)
-    assert ReportSnapshot.load(path).reporting == snap.reporting
+    assert ReportSnapshot.load(path).reporting.tolist() == snap.reporting.tolist()
 
 
 def test_snapshot_rejects_malformed():
@@ -267,6 +270,8 @@ def test_snapshot_rejects_malformed():
         ReportSnapshot.from_text("truth=epidemic n=10\nxyz\n")
     with pytest.raises(ValueError):
         ReportSnapshot.from_text("truth=epidemic n=10\n12\n")
+    with pytest.raises(ValueError, match="out of range"):  # ids stop at int64
+        ReportSnapshot.from_text(f"truth=uniform n={2 ** 70}\n{2 ** 64}\n")
 
 
 @pytest.mark.parametrize("node", ["\u00b2", "\u0661"])  # superscript two, Arabic-Indic one
@@ -275,12 +280,43 @@ def test_snapshot_ids_are_ascii_digits(node):
         ReportSnapshot.from_text(f"truth=epidemic n=10\n1\n{node}\n")
 
 
+def test_snapshot_reporting_is_a_sorted_read_only_array():
+    ids = np.array([7, 2, 7, 5])
+    snap = ReportSnapshot(n=10, reporting=ids, truth=UNIFORM)
+    assert snap.reporting.dtype == np.int64 and snap.reporting.tolist() == [2, 5, 7]
+    assert not snap.reporting.flags.writeable and ids.flags.writeable
+    with pytest.raises(ValueError):
+        snap.reporting[0] = 3
+    assert ReportSnapshot(n=10, reporting={5, 2}, truth=UNIFORM).reporting.tolist() == [2, 5]
+    assert snap != ReportSnapshot(n=10, reporting=ids, truth=UNIFORM)  # identity, no raise
+
+
+@pytest.mark.parametrize("n, count, n_excluded", [
+    (5000, 300, 400), (5000, 4600, 400),            # pool: small n
+    (150_000, 70_000, 20_000),                       # pool: count above half
+    (150_000, 40, 300), (200_001, 50_000, 100_000),  # rejection: one round, several
+])
+def test_sample_outside_matches_set_reference(n, count, n_excluded):
+    for seed in range(3):
+        rng = np.random.default_rng([seed, n])
+        excluded = np.sort(rng.choice(n, n_excluded, replace=False))
+        want_rng = np.random.default_rng(seed)
+        want = sample_outside_oracle(n, count, set(excluded.tolist()), want_rng)
+        got_rng = np.random.default_rng(seed)
+        got = _sample_outside(n, count, excluded, got_rng)
+        assert np.sort(got).tolist() == want
+        assert got_rng.random() == want_rng.random()  # same number of draws
+
+
 def test_make_epidemic_snapshot_ground_truth_consistency():
     g = gen_grid(2, 12)
     params = ScenarioParams(alpha=0.3, q=0.5, f=0.5, num_seeds=2)
     snap, outcome = make_epidemic_snapshot(g, params, 4)
-    assert snap.true_reporters <= snap.infected
-    assert snap.true_reporters <= snap.reporting
-    assert snap.infected == set(outcome.infected)
+    again, true_reporters = apply_reporting(outcome, g, params.q, params.f,
+                                            derive_seed(4, "report"))
+    true_reporters = set(true_reporters.tolist())
+    assert true_reporters <= set(outcome.infected)
+    assert true_reporters <= set(snap.reporting.tolist())
+    assert again.reporting.tolist() == snap.reporting.tolist()
     assert len(outcome.infected) == params.target_size(g.n)
     assert len(outcome.seeds) == 2

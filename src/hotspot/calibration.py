@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NN, Graph, isin_sorted, leading_runs, node_array
+from .graph import Graph, leading_runs, node_array
 from .scenario import ScenarioParams, pick_seeds, simulate_si
 from .seeds import derive_seed
 
@@ -60,28 +60,16 @@ def reporting_probabilities(q: float, alpha: float, f: float) -> ReportingProbab
     return ReportingProbabilities(p_in=p_in, p=p)
 
 
-def _uninfected_ranks(g: Graph, infected: np.ndarray, k_max: int) -> np.ndarray:
-    """Per node of the ascending array ``infected``: the 1-based position of
-    the first uninfected node in its canonical nearest-neighbor order,
-    scanning at most k_max members.
-
-    A node whose first k_max members (or all reachable nodes, if fewer) are
-    infected gets k_max + 1: it is interior for every k <= k_max.
-    """
-    owner, member, rank = g.neighborhoods(infected, k_max, NN)
-    runs = leading_runs(owner, rank, isin_sorted(member, infected), infected.size)
-    reached = np.bincount(owner, minlength=infected.size)
-    return np.where(runs < reached, runs + 1, k_max + 1)
-
-
-def boundary_set(g: Graph, infected, k: int) -> set[int]:
-    """Infected nodes whose k-nearest-neighbor set contains an uninfected node."""
+def boundary_set(g: Graph, infected, k: int) -> np.ndarray:
+    """Infected nodes whose k-nearest-neighbor set contains an uninfected
+    node, as an ascending int64 array."""
     infected = node_array(infected)
     if not infected.size:
         raise ValueError("infected set must be nonempty")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return set(infected[_uninfected_ranks(g, infected, k) <= k].tolist())
+    runs, reached = leading_runs(g, infected, k, infected)
+    return infected[runs < reached]
 
 
 def gamma_for_set(g: Graph, infected, k_values) -> list[float]:
@@ -95,8 +83,9 @@ def gamma_for_set(g: Graph, infected, k_values) -> list[float]:
     k_values = [int(k) for k in k_values]
     if any(k < 1 for k in k_values):
         raise ValueError("k values must be >= 1")
-    ranks = _uninfected_ranks(g, infected, max(k_values))
-    return [1.0 - int(np.count_nonzero(ranks <= k)) / infected.size for k in k_values]
+    runs, reached = leading_runs(g, infected, max(k_values), infected)
+    stops = runs[runs < reached]  # on the boundary for every k above its stop
+    return [1.0 - int(np.count_nonzero(stops < k)) / infected.size for k in k_values]
 
 
 @dataclass(frozen=True)
@@ -135,20 +124,27 @@ class GammaProfile:
                              e.trials, self.topology])
         return out.getvalue()
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
-
     @classmethod
     def from_csv(cls, path) -> "GammaProfile":
+        """Read a profile as to_csv_text writes it; a missing or malformed
+        value raises ValueError naming the file, line and column."""
         entries = []
         topology = ""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                entries.append(GammaEntry(k=int(row["K"]), gamma=float(row["gamma"]),
-                                          stderr=float(row["stderr"]),
-                                          trials=int(row["trials"])))
+                values = []
+                for column, cast in zip(GAMMA_CSV_HEADER, (int, float, float, int)):
+                    text = row.get(column)
+                    where = f"{path}: line {reader.line_num}: column {column!r}"
+                    if text is None:
+                        raise ValueError(f"{where}: no value")
+                    try:
+                        values.append(cast(text))
+                    except ValueError:
+                        expected = "an integer" if cast is int else "a number"
+                        raise ValueError(f"{where}: expected {expected}, got {text!r}") from None
+                entries.append(GammaEntry(*values))
                 topology = row.get("topology", "") or topology
         if not entries:
             raise ValueError(f"{path}: empty gamma profile")
@@ -159,6 +155,14 @@ def k_cap(n: int) -> int:
     """Largest K the multi-K test and a default gamma(K) profile use on an
     N-node graph: ceil(ln N), at least 1."""
     return max(1, math.ceil(math.log(max(n, 2))))
+
+
+def mean_variance(values) -> tuple[float, float]:
+    """Sample mean and unbiased sample variance (0.0 for one value)."""
+    mean = sum(values) / len(values)
+    if len(values) < 2:
+        return mean, 0.0
+    return mean, sum((x - mean) ** 2 for x in values) / (len(values) - 1)
 
 
 def estimate_gamma(g: Graph, params: ScenarioParams, k_values, trials: int,
@@ -187,15 +191,10 @@ def estimate_gamma(g: Graph, params: ScenarioParams, k_values, trials: int,
         logger.info("estimate_gamma: %d/%d trials truncated by component size",
                     truncated, trials)
     entries = []
-    for j, k in enumerate(k_values):
-        samples = per_k_samples[j]
-        mean = sum(samples) / trials
-        if trials > 1:
-            var = sum((x - mean) ** 2 for x in samples) / (trials - 1)
-            stderr = math.sqrt(var / trials)
-        else:
-            stderr = 0.0
-        entries.append(GammaEntry(k=k, gamma=mean, stderr=stderr, trials=trials))
+    for k, samples in zip(k_values, per_k_samples):
+        mean, var = mean_variance(samples)
+        entries.append(GammaEntry(k=k, gamma=mean, stderr=math.sqrt(var / trials),
+                                  trials=trials))
     return GammaProfile(entries=entries, topology=topology_tag)
 
 

@@ -41,10 +41,12 @@ class DetectorConfig:
     def __post_init__(self):
         if self.mode not in (NN, BALL):
             raise ValueError(f"mode must be '{NN}' or '{BALL}'")
+        # the size first: in nn mode s defaults to k, so s < 1 follows from k < 1
+        if self.k_or_l < (1 if self.mode == NN else 0):
+            raise ValueError("k must be >= 1 in nn mode" if self.mode == NN
+                             else "l must be >= 0 in ball mode")
         if self.s < 1:
             raise ValueError("s must be >= 1")
-        if self.k_or_l < (1 if self.mode == NN else 0):
-            raise ValueError("k_or_l must be >= 1 in nn mode and >= 0 in ball mode")
 
     @classmethod
     def nn(cls, k: int, t: float, s: int | None = None, note: str = "") -> "DetectorConfig":
@@ -54,9 +56,6 @@ class DetectorConfig:
     def ball_mode(cls, l: int, t: float, s: int | None = None,
                   note: str = "") -> "DetectorConfig":
         return cls(mode=BALL, k_or_l=l, s=1 if s is None else s, t=t, note=note)
-
-    def with_threshold(self, t: float) -> "DetectorConfig":
-        return replace(self, t=t)
 
 
 @dataclass
@@ -98,23 +97,6 @@ def classify(view, reporting, cfg: DetectorConfig,
                    note=cfg.note)
 
 
-def _prefix_lengths(view, centers, k_max: int, reporting) -> np.ndarray:
-    """Per center, the length of the all-reporting prefix of its k_max
-    nearest neighbors; ``reporting`` is an ascending id array."""
-    owner, member, rank = view.neighborhoods(centers, k_max, NN)
-    return leading_runs(owner, rank, isin_sorted(member, reporting), centers.size)
-
-
-def reporting_prefix_length(view, i: int, k_max: int, reporting) -> int:
-    """Length of the all-reporting prefix of i's nearest-neighbor order.
-
-    Equals the largest K <= k_max such that all of i's K nearest neighbors
-    report (0 if the closest one does not). Lets one BFS serve every K in
-    a multi-K test.
-    """
-    return int(_prefix_lengths(view, node_array([i]), k_max, node_array(reporting))[0])
-
-
 def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
                  deviation_factor: float) -> Verdict:
     """Deviation test against the null's expected hotspot counts.
@@ -135,7 +117,7 @@ def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
     if missing:
         raise ValueError(f"null_expectations missing K values {missing}")
     centers = node_array(reporting)
-    lengths = _prefix_lengths(view, centers, k_range[-1], centers)
+    lengths, _ = leading_runs(view, centers, k_range[-1], centers)
     counts = {k: int(np.count_nonzero(lengths >= k)) for k in k_range}
     worst_k, worst_excess = k_range[0], float("-inf")
     fired = False

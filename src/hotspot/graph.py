@@ -63,16 +63,22 @@ def node_array(nodes) -> np.ndarray:
     return sorted_unique(nodes.astype(np.int64, copy=False))
 
 
-def leading_runs(owner: np.ndarray, rank: np.ndarray, ok: np.ndarray,
-                 count: int) -> np.ndarray:
-    """For each of ``count`` owners, how many of its first members have
-    ``ok`` set; (owner, rank) is a Graph.neighborhoods listing."""
-    runs = np.bincount(owner, minlength=count)
+def leading_runs(view, centers: np.ndarray, k_max: int,
+                 marked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One scan of the ``k_max`` nearest neighbors, through ``view``, of each
+    node in the ascending array ``centers``. Returns (runs, reached): per
+    center, how many of its first neighbors are all in the ascending array
+    ``marked``, and how many neighbors the scan found (fewer than k_max when
+    the component ends first)."""
+    owner, member, rank = view.neighborhoods(centers, k_max, NN)
+    ok = isin_sorted(member, marked)
+    reached = np.bincount(owner, minlength=centers.size)
+    runs = reached.copy()
     miss_owner, miss_rank = owner[~ok], rank[~ok]
     first = np.ones(miss_owner.size, dtype=bool)
     first[1:] = miss_owner[1:] != miss_owner[:-1]
     runs[miss_owner[first]] = miss_rank[first]
-    return runs
+    return runs, reached
 
 
 class Graph:
@@ -127,9 +133,6 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i (read-only view)."""
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
-
-    def degree(self, i: int) -> int:
-        return int(self._indptr[i + 1] - self._indptr[i])
 
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
@@ -323,18 +326,6 @@ class Graph:
         indptr = np.zeros(old_ids.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(src[keep], minlength=old_ids.size), out=indptr[1:])
         return Graph(old_ids.size, indptr, dst[keep]), old_ids
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Raise if adjacency is not simple, symmetric and sorted."""
-        for i in range(self.n):
-            row = self.neighbors(i)
-            if row.size and (np.any(np.diff(row) <= 0) or np.any(row == i)):
-                raise AssertionError(f"adjacency of node {i} not sorted/simple")
-            for j in row.tolist():
-                if i not in self._indices[self._indptr[j]:self._indptr[j + 1]]:
-                    raise AssertionError(f"edge {i}-{j} not symmetric")
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
@@ -557,14 +548,6 @@ def gen_tree(degree: int, depth: int) -> Graph:
     child = np.arange(1, n, dtype=np.int64)
     parent = (child - 1) // degree
     return Graph._from_pairs(n, parent, child)
-
-
-def tree_level_offsets(degree: int, depth: int) -> list[int]:
-    """Start index of each level for a gen_tree graph (level-order ids)."""
-    offsets = [0]
-    for level in range(depth + 1):
-        offsets.append(offsets[-1] + degree ** level)
-    return offsets
 
 
 def gen_power_law(n: int, exponent: float, rng_seed: int) -> Graph:

@@ -347,18 +347,6 @@ class SweepResult:
             out.write(row.csv_row() + "\n")
         return out.getvalue()
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
-
-
-def _mean_sd(values: list[int]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    if len(values) < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var)
-
 
 def _point_outcomes(spec: ExperimentSpec, value):
     """All trial verdicts for one sweep point, keyed by scenario label.
@@ -385,12 +373,12 @@ def _sweep_row(spec: ExperimentSpec, sweep_value, per_label, declared) -> SweepR
     epi, null = per_label[EPIDEMIC], per_label[UNIFORM]
     type1 = sum(1 for v in null if declared(v)) / len(null)
     type2 = sum(1 for v in epi if not declared(v)) / len(epi)
-    mean_epi, sd_epi = _mean_sd([v.hotspot_count for v in epi])
-    mean_null, sd_null = _mean_sd([v.hotspot_count for v in null])
+    mean_epi, var_epi = calibration.mean_variance([v.hotspot_count for v in epi])
+    mean_null, var_null = calibration.mean_variance([v.hotspot_count for v in null])
     return SweepRow(sweep_value=sweep_value, trials=spec.trials_per_point,
                     type1=type1, type2=type2, mean_error=(type1 + type2) / 2.0,
-                    mean_hotspots_epi=mean_epi, sd_epi=sd_epi,
-                    mean_hotspots_null=mean_null, sd_null=sd_null)
+                    mean_hotspots_epi=mean_epi, sd_epi=math.sqrt(var_epi),
+                    mean_hotspots_null=mean_null, sd_null=math.sqrt(var_null))
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -448,16 +436,12 @@ def read_mapping(path) -> dict[str, str]:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
+            key, sep, val = stripped.partition("=")
+            key = key.strip()
+            if not (sep and key):
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
-            key, _, val = stripped.partition("=")
-            raw[key.strip()] = val.strip()
+            raw[key] = val.strip()
     return raw
-
-
-def read_config(path) -> ExperimentSpec:
-    """Build an ExperimentSpec from a flat key=value file ('#' comments)."""
-    return spec_from_mapping(read_mapping(path))
 
 
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")

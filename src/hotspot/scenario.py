@@ -103,6 +103,8 @@ class ReportSnapshot:
             head = dict(part.split("=", 1) for part in lines[0].split())
             n = int(head["n"])
             truth = head["truth"]
+            if n < 0:
+                raise ValueError("negative node count")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed snapshot header: {lines[0]!r}") from exc
         reporting = []

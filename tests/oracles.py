@@ -39,6 +39,25 @@ def csr_oracle(n: int, edges) -> tuple[np.ndarray, np.ndarray, int, int]:
     return indptr, dst[order], int(keys.size - uniq.size), int(loops.sum())
 
 
+def check_invariants(g: Graph) -> None:
+    """Raise if adjacency is not simple, symmetric and sorted."""
+    for i in range(g.n):
+        row = g.neighbors(i)
+        if row.size and (np.any(np.diff(row) <= 0) or np.any(row == i)):
+            raise AssertionError(f"adjacency of node {i} not sorted/simple")
+        for j in row.tolist():
+            if i not in g.neighbors(j):
+                raise AssertionError(f"edge {i}-{j} not symmetric")
+
+
+def tree_level_offsets(degree: int, depth: int) -> list[int]:
+    """Start index of each level for a gen_tree graph (level-order ids)."""
+    offsets = [0]
+    for level in range(depth + 1):
+        offsets.append(offsets[-1] + degree ** level)
+    return offsets
+
+
 def hop_distances(g: Graph, src: int) -> dict[int, int]:
     """Plain queue BFS returning hop distance to every reachable node."""
     dist = {src: 0}

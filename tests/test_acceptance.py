@@ -23,14 +23,14 @@ import pytest
 from hotspot.calibration import (error_bounds, estimate_gamma, gamma_for_set,
                                  reporting_probabilities, solve_k)
 from hotspot.detector import DetectorConfig, classify
-from hotspot.graph import gen_erdos_renyi, gen_grid, gen_tree, tree_level_offsets
+from hotspot.graph import gen_erdos_renyi, gen_grid, gen_tree
 from hotspot.harness import (DistanceNoise, ExperimentSpec, NoisyView,
                              ScenarioRule, TopologySpec, run_sweep)
 from hotspot.scenario import (EPIDEMIC, UNIFORM, ScenarioParams,
                               generate_uniform_null, make_epidemic_snapshot)
 from hotspot.seeds import derive_seed
 
-from oracles import hotspot_count_oracle, random_graph
+from oracles import hotspot_count_oracle, random_graph, tree_level_offsets
 
 MASTER = 2024
 
@@ -437,8 +437,8 @@ def test_criterion_11_sweep_determinism(tmp_path):
 
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    run_sweep(build_spec()).to_csv(first)
-    run_sweep(build_spec()).to_csv(second)
+    first.write_text(run_sweep(build_spec()).to_csv_text())
+    second.write_text(run_sweep(build_spec()).to_csv_text())
     identical = first.read_bytes() == second.read_bytes()
     report("11", identical, f"rerun CSV identical: {identical} "
                             f"({len(first.read_bytes())} bytes)")

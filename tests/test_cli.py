@@ -10,7 +10,7 @@ from hotspot import harness
 from hotspot.calibration import GammaProfile
 from hotspot.cli import main
 from hotspot.graph import Graph, save_edge_list
-from hotspot.harness import SWEEP_CSV_HEADER, read_config
+from hotspot.harness import SWEEP_CSV_HEADER, read_mapping, spec_from_mapping
 from hotspot.scenario import ReportSnapshot
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
@@ -369,7 +369,7 @@ def test_missing_topology_fields_exit_one_without_traceback(tmp_path, argv):
 @pytest.mark.parametrize("name", sorted(p.name for p in EXPERIMENTS.glob("*.cfg")))
 def test_shipped_experiment_configs_run(capsys, name):
     path = EXPERIMENTS / name
-    smallest = min(read_config(path).sweep_values)
+    smallest = min(spec_from_mapping(read_mapping(path)).sweep_values)
     code, out, err = run(capsys, "sweep", "--config", str(path), "--trials", "1",
                          "--values", str(smallest))
     assert code == 0, err
@@ -482,3 +482,52 @@ def test_bad_env_seed_names_the_variable(capsys, monkeypatch):
     code, out, err = run(capsys, "simulate", "--topology", "grid", "--side", "5")
     assert code == 1 and out == ""
     assert err == "error: HOTSPOT_SEED='x': expected an integer\n"
+
+
+@pytest.mark.parametrize("size_flags, error", [
+    (["--k", "0"], "k must be >= 1 in nn mode"),
+    (["--mode", "ball", "--l", "-1"], "l must be >= 0 in ball mode"),
+], ids=["nn", "ball"])
+def test_detect_rejects_empty_neighborhood_naming_its_flag(tmp_path, capsys, size_flags,
+                                                           error):
+    # s defaults to k in nn mode, so the message must blame k, not s
+    graph_path = write_path_graph(tmp_path, 6)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
+    code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap),
+                         *size_flags)
+    assert code == 1 and out == "" and err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("csv_text, error", [
+    ("K,stderr,trials\n1,0.01,10\n", "line 2: column 'gamma': no value"),
+    ("K,gamma,stderr,trials\n1,0.9,0.01,10\n2,x,0.01,10\n",
+     "line 3: column 'gamma': expected a number, got 'x'"),
+], ids=["missing-column", "bad-value"])
+def test_detect_bad_gamma_profile_names_file_line_and_column(tmp_path, capsys, csv_text,
+                                                             error):
+    graph_path = write_path_graph(tmp_path, 40)
+    gamma_csv = tmp_path / "gamma.csv"
+    gamma_csv.write_text(csv_text)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=40\n10\n11\n12\n")
+    code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap),
+                         "--regime", "dense", "--q", "0.5", "--alpha", "0.25", "--f", "1",
+                         "--gamma-profile", str(gamma_csv))
+    assert code == 1 and out == "" and err == f"error: {gamma_csv}: {error}\n"
+
+
+def test_snapshot_header_negative_n_exits_one(tmp_path, capsys):
+    graph_path = write_path_graph(tmp_path)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=uniform n=-3\n")
+    code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap))
+    assert code == 1 and out == ""
+    assert err == "error: malformed snapshot header: 'truth=uniform n=-3'\n"
+
+
+def test_config_line_without_key_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "nokey.cfg"
+    cfg.write_text("topology=grid\n=5\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == "" and err == f"error: {cfg}: line 2: expected key=value\n"

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hotspot.calibration import (GammaEntry, GammaProfile, gamma_for_set,
                                  reporting_probabilities)
 from hotspot.detector import (DetectorConfig, SmallRegimeParams, classify,
-                              multi_k_test, prescribe, reporting_prefix_length,
-                              select_params_dense, select_params_small)
-from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
+                              multi_k_test, prescribe, select_params_dense,
+                              select_params_small)
+from hotspot.graph import Graph, gen_erdos_renyi, gen_grid, leading_runs, node_array
 from hotspot.scenario import EPIDEMIC, UNIFORM, generate_uniform_null, simulate_si
 
 from oracles import hotspot_count_oracle, random_graph
@@ -283,10 +283,16 @@ def test_small_regime_fires_on_single_hotspot():
 
 def test_reporting_prefix_length():
     g = path_graph(6)
+
+    def prefix(k_max, reporting):
+        runs, reached = leading_runs(g, node_array([2]), k_max, node_array(reporting))
+        return int(runs[0]), int(reached[0])
+
     # canonical NN order of node 2 is [1, 3, 0, 4, 5]
-    assert reporting_prefix_length(g, 2, 5, {1, 3, 0}) == 3
-    assert reporting_prefix_length(g, 2, 5, {3}) == 0
-    assert reporting_prefix_length(g, 2, 2, {1, 3, 0}) == 2  # capped at k_max
+    assert prefix(5, {1, 3, 0}) == (3, 5)
+    assert prefix(5, {3}) == (0, 5)
+    assert prefix(2, {1, 3, 0}) == (2, 2)  # capped at k_max
+    assert prefix(9, {0, 1, 3, 4, 5}) == (5, 5)  # the component ends first
 
 
 def test_multi_k_empty_reporting_is_uniform():

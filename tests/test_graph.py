@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
-                           gen_tree, load_edge_list, save_edge_list,
-                           tree_level_offsets)
+                           gen_tree, load_edge_list, save_edge_list)
 
-from oracles import (ball_oracle, components_oracle, csr_oracle, edge_list_oracle,
-                     hop_distances, largest_component_oracle, nn_oracle)
+from oracles import (ball_oracle, check_invariants, components_oracle, csr_oracle,
+                     edge_list_oracle, hop_distances, largest_component_oracle, nn_oracle,
+                     tree_level_offsets)
 
 
 def path_graph(n):
@@ -50,7 +50,7 @@ def test_from_edges_builds_sorted_symmetric_adjacency():
     assert g.n == 4 and g.num_edges == 3
     assert g.neighbors(0).tolist() == [1, 2]
     assert g.neighbors(1).tolist() == [0, 3]
-    g.check_invariants()
+    check_invariants(g)
 
 
 def test_from_edges_rejects_out_of_range():
@@ -127,7 +127,7 @@ def test_load_edge_list_comments_and_gaps(tmp_path):
     path.write_text("# a comment\n0 5\n\n5 7\n")
     g = load_edge_list(path)
     assert g.n == 8  # ids used as given, nodes 0..7
-    assert g.degree(3) == 0
+    assert g.degrees()[3] == 0
     compacted = load_edge_list(path, compact=True)
     assert compacted.n == 3 and compacted.num_edges == 2
     assert [compacted.neighbors(i).tolist() for i in range(3)] == [[1], [0, 2], [1]]
@@ -303,7 +303,7 @@ def test_erdos_renyi_deterministic_and_seed_sensitive():
     c = gen_erdos_renyi(3000, 2 / 3000, 43)
     assert np.array_equal(a._indices, b._indices)
     assert not np.array_equal(a._indices, c._indices)
-    a.check_invariants()
+    check_invariants(a)
 
 
 def test_erdos_renyi_mean_edge_count():
@@ -320,7 +320,7 @@ def test_erdos_renyi_dense_path_matches_probability():
     g = gen_erdos_renyi(400, 0.05, 7)
     expected = 400 * 399 / 2 * 0.05
     assert abs(g.num_edges - expected) < 4 * math.sqrt(expected)
-    g.check_invariants()
+    check_invariants(g)
 
 
 def test_grid_shapes():
@@ -347,15 +347,15 @@ def test_tree_counts_and_structure():
     assert t.n == 3 and t.num_edges == 2
     t13 = gen_tree(3, 2)
     assert t13.n == 13
-    assert t13.degree(0) == 3  # root
-    assert t13.degree(12) == 1  # last leaf
+    assert t13.degrees()[0] == 3  # root
+    assert t13.degrees()[12] == 1  # last leaf
     assert t13.neighbors(1).tolist() == [0, 4, 5, 6]
     assert tree_level_offsets(3, 2) == [0, 1, 4, 13]
 
 
 def test_power_law_small_graph_is_simple():
     g = gen_power_law(10, 3.0, seed_ok := 3)
-    g.check_invariants()
+    check_invariants(g)
     assert g.n == 10
     assert int(g.degrees().min()) >= 1, f"seed {seed_ok} left an isolated node"
 
@@ -502,7 +502,7 @@ def test_largest_component_matches_dfs_oracle(g):
     expected = largest_component_oracle(g)
     assert old_ids.dtype == np.int64 and old_ids.tolist() == expected
     assert sub.n == len(expected)
-    sub.check_invariants()
+    check_invariants(sub)
     for new, old in enumerate(expected):
         assert old_ids[sub.neighbors(new)].tolist() == g.neighbors(old).tolist()
 
@@ -531,4 +531,4 @@ def test_components_and_subgraph():
     assert sub.n == 4 and sub.num_edges == 4
     sub2, ids2 = g.subgraph([0, 1, 6])
     assert ids2.tolist() == [0, 1, 6]
-    assert sub2.num_edges == 1 and sub2.degree(2) == 0
+    assert sub2.num_edges == 1 and sub2.degrees()[2] == 0

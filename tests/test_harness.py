@@ -14,7 +14,7 @@ from hotspot.detector import DetectorConfig
 from hotspot.graph import Graph, gen_erdos_renyi, save_edge_list
 from hotspot.harness import (SWEEP_CSV_HEADER, DistanceNoise, ExperimentSpec,
                              NoisyView, ScenarioRule, TopologySpec,
-                             describe_defaults, read_config, run_sweep,
+                             describe_defaults, read_mapping, run_sweep,
                              run_trial, spec_from_mapping, threshold_sweep)
 from hotspot.scenario import EPIDEMIC, UNIFORM
 
@@ -191,8 +191,8 @@ def test_threshold_sweep_matches_fixed_t_run_sweep():
     spec = small_spec(trials_per_point=6)
     swept = threshold_sweep(spec, [10.0, 30.0])
     for row in swept.rows:
-        fixed = run_sweep(replace(spec, detector=spec.detector.with_threshold(
-            float(row.sweep_value))))
+        fixed = run_sweep(replace(spec, detector=replace(spec.detector,
+                                                         t=float(row.sweep_value))))
         assert fixed.rows[0].type1 == row.type1
         assert fixed.rows[0].type2 == row.type2
 
@@ -355,7 +355,7 @@ noise_d=2
 """
     path = tmp_path / "exp.cfg"
     path.write_text(text)
-    spec = read_config(path)
+    spec = spec_from_mapping(read_mapping(path))
     assert spec.topology.kind == "er" and spec.topology.giant
     assert spec.detector.mode == "ball" and spec.detector.t == 12.5
     assert spec.sweep_values == (0.3, 0.5)
@@ -367,7 +367,7 @@ noise_d=2
     bad = tmp_path / "bad.cfg"
     bad.write_text("topology er\n")
     with pytest.raises(ValueError, match="line 1"):
-        read_config(bad)
+        spec_from_mapping(read_mapping(bad))
 
 
 @pytest.mark.parametrize("raw, key", [
@@ -381,7 +381,7 @@ def test_spec_from_mapping_rejects_unknown_keys_and_bad_booleans(tmp_path, raw, 
     path = tmp_path / "exp.cfg"
     path.write_text("".join(f"{k}={v}\n" for k, v in raw.items()))
     with pytest.raises(ValueError, match=key):
-        read_config(path)
+        spec_from_mapping(read_mapping(path))
 
 
 def test_spec_from_mapping_reads_every_boolean_spelling():

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotspot.calibration import boundary_set, gamma_for_set
-from hotspot.detector import DetectorConfig, classify, multi_k_test, reporting_prefix_length
-from hotspot.graph import Graph, gen_erdos_renyi
+from hotspot.detector import DetectorConfig, classify, multi_k_test
+from hotspot.graph import Graph, gen_erdos_renyi, leading_runs, node_array
 from hotspot.harness import DistanceNoise, NoisyView
 
 from oracles import (interior_fraction_oracle, nn_oracle, noisy_ranking_oracle,
@@ -116,8 +116,8 @@ def test_gamma_and_boundary_match_interior_fraction_oracle(g, data, k_values):
     for k, got in zip(k_values, gammas):
         assert got == pytest.approx(interior_fraction_oracle(g, infected, k), abs=1e-12)
         boundary = boundary_set(g, infected, k)
-        assert boundary == {i for i in infected
-                            if not all(v in infected for v in nn_oracle(g, i, k))}
+        assert boundary.tolist() == [i for i in sorted(infected)
+                                     if not all(v in infected for v in nn_oracle(g, i, k))]
         assert got == pytest.approx(1 - len(boundary) / len(infected), abs=1e-12)
 
 
@@ -128,7 +128,8 @@ def test_multi_k_counts_match_per_node_prefix_lengths(g, data):
     k_range = list(range(1, k_cap + 1))
     verdict = multi_k_test(g, reporting, k_range, {k: 1.0 for k in k_range}, 4.0)
     counts = {int(k): int(c) for k, c in re.findall(r"K=(\d+):count=(\d+)", verdict.note)}
-    lengths = [reporting_prefix_length(g, i, k_cap, reporting) for i in sorted(reporting)]
+    centers = node_array(reporting)
+    lengths = leading_runs(g, centers, k_cap, centers)[0].tolist()
     assert lengths == [prefix_length_oracle(nn_oracle(g, i, k_cap), reporting)
                        for i in sorted(reporting)]
     assert counts == {k: sum(length >= k for length in lengths) for k in k_range}

@@ -17,13 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, leading_runs, node_array
+from .graph import Graph, NearestTable, leading_runs, node_array
 from .scenario import ScenarioParams, pick_seeds, simulate_si
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
 GAMMA_CSV_HEADER = ["K", "gamma", "stderr", "trials", "topology"]
+
+# the numeric columns of a gamma profile: name, cast, the test a value must
+# pass (NaN fails each one) and how the error message words it
+_GAMMA_CSV_COLUMNS = (
+    ("K", int, lambda v: v >= 1, "an integer >= 1"),
+    ("gamma", float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    ("stderr", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"),
+    ("trials", int, lambda v: v >= 1, "an integer >= 1"),
+)
+
+# largest nearest-neighbor table (nodes x K entries, 8 bytes each) that
+# estimate_gamma builds: 8 MB, twice that while it is built; a 640x640
+# lattice at K = 25 would need 80 MB
+NEAREST_TABLE_MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,9 +74,10 @@ def reporting_probabilities(q: float, alpha: float, f: float) -> ReportingProbab
     return ReportingProbabilities(p_in=p_in, p=p)
 
 
-def boundary_set(g: Graph, infected, k: int) -> np.ndarray:
-    """Infected nodes whose k-nearest-neighbor set contains an uninfected
-    node, as an ascending int64 array."""
+def boundary_set(g, infected, k: int) -> np.ndarray:
+    """Infected nodes whose k-nearest-neighbor set, through ``g`` (a Graph
+    or any view of one), contains an uninfected node, as an ascending int64
+    array."""
     infected = node_array(infected)
     if not infected.size:
         raise ValueError("infected set must be nonempty")
@@ -72,17 +87,25 @@ def boundary_set(g: Graph, infected, k: int) -> np.ndarray:
     return infected[runs < reached]
 
 
-def gamma_for_set(g: Graph, infected, k_values) -> list[float]:
-    """Interior fraction gamma(k) = 1 - |boundary(k)|/|S| for each k.
+def _checked_k_values(k_values) -> list[int]:
+    k_values = [int(k) for k in k_values]
+    if not k_values:
+        raise ValueError("k values must be nonempty")
+    if min(k_values) < 1:
+        raise ValueError("k values must be >= 1")
+    return k_values
+
+
+def gamma_for_set(g, infected, k_values) -> list[float]:
+    """Interior fraction gamma(k) = 1 - |boundary(k)|/|S| for each k, with
+    neighborhoods from ``g``, a Graph or any view of one.
 
     One outward scan per infected node serves every requested k.
     """
     infected = node_array(infected)
     if not infected.size:
         raise ValueError("infected set must be nonempty")
-    k_values = [int(k) for k in k_values]
-    if any(k < 1 for k in k_values):
-        raise ValueError("k values must be >= 1")
+    k_values = _checked_k_values(k_values)
     runs, reached = leading_runs(g, infected, max(k_values), infected)
     stops = runs[runs < reached]  # on the boundary for every k above its stop
     return [1.0 - int(np.count_nonzero(stops < k)) / infected.size for k in k_values]
@@ -126,24 +149,28 @@ class GammaProfile:
 
     @classmethod
     def from_csv(cls, path) -> "GammaProfile":
-        """Read a profile as to_csv_text writes it; a missing or malformed
-        value raises ValueError naming the file, line and column."""
+        """Read a profile as to_csv_text writes it; a missing, malformed or
+        out-of-range value raises ValueError naming the file, line and
+        column."""
         entries = []
         topology = ""
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 values = []
-                for column, cast in zip(GAMMA_CSV_HEADER, (int, float, float, int)):
+                for column, cast, allowed, expected in _GAMMA_CSV_COLUMNS:
                     text = row.get(column)
                     where = f"{path}: line {reader.line_num}: column {column!r}"
                     if text is None:
                         raise ValueError(f"{where}: no value")
                     try:
-                        values.append(cast(text))
+                        value = cast(text)
                     except ValueError:
-                        expected = "an integer" if cast is int else "a number"
-                        raise ValueError(f"{where}: expected {expected}, got {text!r}") from None
+                        kind = "an integer" if cast is int else "a number"
+                        raise ValueError(f"{where}: expected {kind}, got {text!r}") from None
+                    if not allowed(value):
+                        raise ValueError(f"{where}: expected {expected}, got {text!r}")
+                    values.append(value)
                 entries.append(GammaEntry(*values))
                 topology = row.get("topology", "") or topology
         if not entries:
@@ -172,19 +199,22 @@ def estimate_gamma(g: Graph, params: ScenarioParams, k_values, trials: int,
 
     Truncated realizations (seed components smaller than the target size)
     are kept and counted in the log; their gamma is still well defined.
+    Every realization is scanned through one NearestTable of ``g`` when
+    :func:`_gamma_view` finds that it pays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k_values = sorted(set(int(k) for k in k_values))
+    k_values = sorted(set(_checked_k_values(k_values)))
     params.validate_for(g.n)
     target = params.target_size(g.n)
+    view = _gamma_view(g, k_values[-1], trials * target)
     per_k_samples: list[list[float]] = [[] for _ in k_values]
     truncated = 0
     for trial in range(trials):
         seeds = pick_seeds(g, params.num_seeds, derive_seed(rng_seed, "seeds", trial))
         outcome = simulate_si(g, seeds, target, derive_seed(rng_seed, "si", trial))
         truncated += outcome.truncated
-        gammas = gamma_for_set(g, outcome.infected, k_values)
+        gammas = gamma_for_set(view, outcome.infected, k_values)
         for j, val in enumerate(gammas):
             per_k_samples[j].append(val)
     if truncated:
@@ -196,6 +226,15 @@ def estimate_gamma(g: Graph, params: ScenarioParams, k_values, trials: int,
         entries.append(GammaEntry(k=k, gamma=mean, stderr=math.sqrt(var / trials),
                                   trials=trials))
     return GammaProfile(entries=entries, topology=topology_tag)
+
+
+def _gamma_view(g: Graph, k_max: int, centers: int):
+    """A NearestTable of ``g`` when the ``centers`` a calibration scans
+    outnumber the nodes, so that scanning every node once costs less, and
+    the table's n * k_max entries fit NEAREST_TABLE_MAX_ENTRIES; else ``g``."""
+    if centers >= g.n and g.n * k_max <= NEAREST_TABLE_MAX_ENTRIES:
+        return NearestTable(g, k_max)
+    return g
 
 
 def gamma_analytic_tree(k: int) -> float:
@@ -263,8 +302,8 @@ def smallest_k(gamma_of_k, f: float, k_values, log_base: float | None = None) ->
     warning) when none does.
     """
     base = math.e if log_base is None else float(log_base)
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    if not 1.0 < base < math.inf:
+        raise ValueError("log base must exceed 1 and be finite")
     k = None
     for k in k_values:
         gamma = gamma_of_k(k)

@@ -148,7 +148,7 @@ def _check_gamma(gamma: float) -> None:
     if gamma <= 0.0:
         raise ValueError("gamma = 0: boundary covers the infection; "
                          "dense-regime prescription inapplicable")
-    if gamma > 1.0:
+    if not gamma <= 1.0:  # NaN as well
         raise ValueError("gamma must be in (0, 1]")
 
 

@@ -63,6 +63,16 @@ def node_array(nodes) -> np.ndarray:
     return sorted_unique(nodes.astype(np.int64, copy=False))
 
 
+def _centers_of(centers, n: int) -> np.ndarray:
+    """Ascending node ids as an int64 array, checked against a graph of n
+    nodes."""
+    centers = np.asarray(centers, dtype=np.int64)
+    if centers.size and (centers[0] < 0 or centers[-1] >= n):
+        bad = centers[0] if centers[0] < 0 else centers[-1]
+        raise ValueError(f"node id {bad} out of range for a graph of {n} nodes")
+    return centers
+
+
 def leading_runs(view, centers: np.ndarray, k_max: int,
                  marked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One scan of the ``k_max`` nearest neighbors, through ``view``, of each
@@ -71,7 +81,11 @@ def leading_runs(view, centers: np.ndarray, k_max: int,
     ``marked``, and how many neighbors the scan found (fewer than k_max when
     the component ends first)."""
     owner, member, rank = view.neighborhoods(centers, k_max, NN)
-    ok = isin_sorted(member, marked)
+    # a node mask: one gather per member, where a binary search of
+    # ``marked`` per member costs ten times more
+    ok = np.zeros(view.n, dtype=bool)
+    ok[marked] = True
+    ok = ok[member]
     reached = np.bincount(owner, minlength=centers.size)
     runs = reached.copy()
     miss_owner, miss_rank = owner[~ok], rank[~ok]
@@ -215,10 +229,7 @@ class Graph:
         nearest = mode == NN
         if size < (1 if nearest else 0):
             raise ValueError("k must be >= 1" if nearest else "radius must be >= 0")
-        centers = np.asarray(centers, dtype=np.int64)
-        if centers.size and (centers[0] < 0 or centers[-1] >= self.n):
-            bad = centers[0] if centers[0] < 0 else centers[-1]
-            raise ValueError(f"node id {bad} out of range for a graph of {self.n} nodes")
+        centers = _centers_of(centers, self.n)
         owners, members, ranks = [_EMPTY], [_EMPTY], [_EMPTY]
         for lo in range(0, centers.size, _BLOCK):
             owner, member, rank = self._neighborhood_block(
@@ -329,6 +340,51 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+class NearestTable:
+    """The ``k_max`` nearest neighbors of every node of a view, scanned
+    once, as a view itself: ``neighborhoods`` answers "nn" queries of any
+    size up to ``k_max`` by gathers, with the arrays the view gives.
+
+    Members are stored in CSR form: node i's neighbors, in the view's
+    order, are member[offsets[i]:offsets[i + 1]], fewer than k_max when
+    i's component ends first. A table costs about 8 * n * k_max bytes.
+    """
+
+    __slots__ = ("n", "k_max", "_member", "_offsets")
+
+    def __init__(self, view, k_max: int):
+        if k_max < 1:
+            raise ValueError("k must be >= 1")
+        self.n, self.k_max = view.n, int(k_max)
+        # one query per block of centers: no owner or rank array over every
+        # node is ever held, which would triple the table's size while it is built
+        members, counts = [_EMPTY], [_EMPTY]
+        for lo in range(0, self.n, _BLOCK):
+            centers = np.arange(lo, min(lo + _BLOCK, self.n), dtype=np.int64)
+            owner, member, _ = view.neighborhoods(centers, self.k_max, NN)
+            members.append(member)
+            counts.append(np.bincount(owner, minlength=centers.size))
+        self._member = np.concatenate(members)
+        self._offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(counts), out=self._offsets[1:])
+
+    def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
+        """The view's neighborhoods(centers, size, "nn") for size <= k_max."""
+        if mode != NN:
+            raise ValueError(f"a nearest-neighbor table cannot answer mode {mode!r}")
+        if size < 1:
+            raise ValueError("k must be >= 1")
+        if size > self.k_max:
+            raise ValueError(f"k={size} exceeds the table's k_max={self.k_max}")
+        centers = _centers_of(centers, self.n)
+        start = self._offsets[centers]
+        count = np.minimum(self._offsets[centers + 1] - start, size)
+        first = count.cumsum() - count
+        owner = np.arange(centers.size, dtype=np.int64).repeat(count)
+        rank = np.arange(owner.size, dtype=np.int64) - first.repeat(count)
+        return owner, self._member[start.repeat(count) + rank], rank
 
 
 # -- file I/O ----------------------------------------------------------------

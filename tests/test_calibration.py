@@ -1,17 +1,19 @@
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotspot.calibration import (GammaEntry, GammaProfile, boundary_set,
-                                 error_bounds, estimate_gamma,
+from hotspot import calibration
+from hotspot.calibration import (GammaEntry, GammaProfile, _gamma_view,
+                                 boundary_set, error_bounds, estimate_gamma,
                                  gamma_analytic_tree, gamma_for_set,
                                  gamma_lower_bound, reporting_probabilities,
                                  solve_k)
-from hotspot.graph import Graph, gen_grid, gen_tree
+from hotspot.graph import Graph, NearestTable, gen_erdos_renyi, gen_grid, gen_tree
 from hotspot.scenario import ScenarioParams
 
 from oracles import tree_level_offsets
@@ -101,6 +103,8 @@ def test_gamma_validation():
         boundary_set(g, {1}, 0)
     with pytest.raises(ValueError):
         gamma_for_set(g, {1}, [0])
+    with pytest.raises(ValueError, match="k values must be nonempty"):
+        gamma_for_set(g, {1, 2}, [])
 
 
 def test_tree_level_infection_matches_analytic_form():
@@ -142,6 +146,36 @@ def test_estimate_gamma_validation():
     with pytest.raises(ValueError):
         estimate_gamma(g, ScenarioParams(alpha=0.5, q=1.0, f=0.0), [1], trials=0,
                        rng_seed=0)
+
+
+@pytest.mark.parametrize("k_values, error", [
+    ([], "k values must be nonempty"),
+    ([2, 0], "k values must be >= 1"),
+], ids=["empty", "zero"])
+def test_estimate_gamma_checks_k_values_before_simulating(monkeypatch, k_values, error):
+    def simulate_si(*args):
+        raise AssertionError("simulated a contagion before checking the K values")
+
+    monkeypatch.setattr(calibration, "simulate_si", simulate_si)
+    with pytest.raises(ValueError, match=error):
+        estimate_gamma(gen_grid(2, 4), ScenarioParams(alpha=0.5, q=1.0, f=0.0), k_values,
+                       trials=2, rng_seed=0)
+
+
+def test_gamma_view_builds_a_table_only_when_it_pays():
+    # the calibrate_gamma benchmark's case: 50 trials of 13% of an ER giant
+    # (about 6400 nodes), K = 1..9
+    g = gen_erdos_renyi(8000, 2.0 / 8000, 1).largest_component()[0]
+    centers = 50 * ScenarioParams(alpha=0.13, q=0.22, f=1.0).target_size(g.n)
+    assert centers >= g.n
+    table = _gamma_view(g, 9, centers)
+    assert isinstance(table, NearestTable) and (table.n, table.k_max) == (g.n, 9)
+    # fewer centers than nodes: scanning each center is cheaper
+    assert _gamma_view(g, 9, g.n - 1) is g
+    # criterion 07b: 20 trials of 10% of a 640x640 lattice at K <= 25 would
+    # need 409,600 x 25 entries, so the view stays the graph, unscanned
+    lattice = SimpleNamespace(n=640 * 640)
+    assert _gamma_view(lattice, 25, 20 * math.ceil(0.1 * lattice.n)) is lattice
 
 
 # -- closed forms ------------------------------------------------------------------------
@@ -234,7 +268,8 @@ def test_solve_k_empty_profile():
 
 def test_gamma_profile_csv_round_trip(tmp_path):
     profile = GammaProfile(
-        entries=[GammaEntry(1, 0.5, 0.01, 100), GammaEntry(3, 0.25, 0.02, 100)],
+        entries=[GammaEntry(1, 0.5, 0.01, 100), GammaEntry(3, 0.25, 0.02, 100),
+                 GammaEntry(30, 0.0, 0.0, 100)],  # K beyond the infection: gamma 0
         topology="er8000")
     path = tmp_path / "gamma.csv"
     path.write_text(profile.to_csv_text())
@@ -243,7 +278,7 @@ def test_gamma_profile_csv_round_trip(tmp_path):
     back = GammaProfile.from_csv(path)
     assert back.topology == "er8000"
     assert [(e.k, e.gamma, e.stderr, e.trials) for e in back.entries] == \
-        [(1, 0.5, 0.01, 100), (3, 0.25, 0.02, 100)]
+        [(1, 0.5, 0.01, 100), (3, 0.25, 0.02, 100), (30, 0.0, 0.0, 100)]
     assert back.gamma(3) == 0.25
     with pytest.raises(KeyError):
         back.gamma(2)

@@ -503,7 +503,22 @@ def test_detect_rejects_empty_neighborhood_naming_its_flag(tmp_path, capsys, siz
     ("K,stderr,trials\n1,0.01,10\n", "line 2: column 'gamma': no value"),
     ("K,gamma,stderr,trials\n1,0.9,0.01,10\n2,x,0.01,10\n",
      "line 3: column 'gamma': expected a number, got 'x'"),
-], ids=["missing-column", "bad-value"])
+    ("K,gamma,stderr,trials,topology\n0,0.9,0.01,10,x\n",
+     "line 2: column 'K': expected an integer >= 1, got '0'"),
+    ("K,gamma,stderr,trials\n1,0.9,0.01,10\n2,-0.5,0.01,10\n",
+     "line 3: column 'gamma': expected a number in [0, 1], got '-0.5'"),
+    ("K,gamma,stderr,trials\n1,0.9,0.01,10\n3,nan,0.01,10\n",
+     "line 3: column 'gamma': expected a number in [0, 1], got 'nan'"),
+    ("K,gamma,stderr,trials\n1,1.5,0.01,10\n",
+     "line 2: column 'gamma': expected a number in [0, 1], got '1.5'"),
+    ("K,gamma,stderr,trials\n1,0.9,-0.01,10\n",
+     "line 2: column 'stderr': expected a finite number >= 0, got '-0.01'"),
+    ("K,gamma,stderr,trials\n1,0.9,inf,10\n",
+     "line 2: column 'stderr': expected a finite number >= 0, got 'inf'"),
+    ("K,gamma,stderr,trials\n1,0.9,0.01,0\n",
+     "line 2: column 'trials': expected an integer >= 1, got '0'"),
+], ids=["missing-column", "bad-value", "k-zero", "gamma-negative", "gamma-nan",
+        "gamma-above-one", "stderr-negative", "stderr-inf", "trials-zero"])
 def test_detect_bad_gamma_profile_names_file_line_and_column(tmp_path, capsys, csv_text,
                                                              error):
     graph_path = write_path_graph(tmp_path, 40)
@@ -515,6 +530,25 @@ def test_detect_bad_gamma_profile_names_file_line_and_column(tmp_path, capsys, c
                          "--regime", "dense", "--q", "0.5", "--alpha", "0.25", "--f", "1",
                          "--gamma-profile", str(gamma_csv))
     assert code == 1 and out == "" and err == f"error: {gamma_csv}: {error}\n"
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--gamma", "nan"], "gamma must be in (0, 1]"),
+    (["--gamma", "0.5", "--log-base", "nan"], "log base must exceed 1 and be finite"),
+    (["--gamma", "0.5", "--log-base", "inf"], "log base must exceed 1 and be finite"),
+], ids=["gamma-nan", "log-base-nan", "log-base-inf"])
+def test_detect_rejects_nan_gamma_and_log_base(tmp_path, flags, error):
+    # in a subprocess with a timeout: a NaN that slips through makes the K
+    # search run forever
+    write_path_graph(tmp_path, 40)
+    (tmp_path / "snap.txt").write_text("truth=epidemic n=40\n10\n11\n12\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hotspot.__file__))}
+    argv = ["detect", "--graph", "graph.txt", "--snapshot", "snap.txt", "--regime", "dense",
+            "--q", "0.5", "--alpha", "0.1", "--f", "1", *flags]
+    done = subprocess.run([sys.executable, "-m", "hotspot.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"error: {error}\n"
 
 
 def test_snapshot_header_negative_n_exits_one(tmp_path, capsys):

@@ -176,3 +176,13 @@ def test_gamma_stdout_bytes(capsys):
                  "--trials", "3"]) == 0
     assert text_digest(capsys.readouterr().out) == (
         "973c6bca3c198f9a54c23358b86957dd111d1a4c65ec836569c296e89f15fce1")
+
+
+def test_gamma_table_stdout_bytes(capsys):
+    # 20 trials of 29 infected on 144 nodes: the centers outnumber the nodes,
+    # so estimate_gamma scans through a NearestTable, where the 3-trial run
+    # above scans the graph once per realization
+    assert main(["gamma", "--topology", "grid", "--side", "12", "--alpha", "0.2",
+                 "--trials", "20"]) == 0
+    assert text_digest(capsys.readouterr().out) == (
+        "571465a17b30396e0390617ae14d3c383610c13e1e017cf4c8c5df1f82944e83")

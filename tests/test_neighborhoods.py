@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hotspot.calibration import boundary_set, gamma_for_set
 from hotspot.detector import DetectorConfig, classify, multi_k_test
-from hotspot.graph import Graph, gen_erdos_renyi, leading_runs, node_array
+from hotspot.graph import (_BLOCK, Graph, NearestTable, gen_erdos_renyi, gen_grid,
+                           leading_runs, node_array)
 from hotspot.harness import DistanceNoise, NoisyView
 
 from oracles import (interior_fraction_oracle, nn_oracle, noisy_ranking_oracle,
@@ -78,6 +79,37 @@ def test_kernel_validation():
         g.neighborhoods(np.array([0]), 1, "hexagon")
     owner, member, rank = g.neighborhoods(np.empty(0, dtype=np.int64), 2, "nn")
     assert owner.size == member.size == rank.size == 0
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["graph", "noisy"])
+def test_nearest_table_matches_its_view(noisy):
+    g = gen_erdos_renyi(3000, 2.0 / 3000, 8)
+    k_max = 12
+    sizes = np.bincount(g.component_labels())
+    assert (g.degrees() == 0).any() and ((sizes > 1) & (sizes <= k_max)).any()
+    view = NoisyView(g, DistanceNoise(flip_prob=0.3), seed=5) if noisy else g
+    table = NearestTable(view, k_max)
+    some = np.sort(np.random.default_rng(1).choice(g.n, 2 * _BLOCK + 7, replace=False))
+    for centers in (np.arange(g.n), some, np.empty(0, dtype=np.int64)):
+        for size in range(1, k_max + 1):
+            want = view.neighborhoods(centers, size, "nn")
+            got = table.neighborhoods(centers, size, "nn")
+            for w, h in zip(want, got):
+                assert h.dtype == w.dtype and np.array_equal(h, w)
+
+
+def test_nearest_table_validation():
+    table = NearestTable(gen_grid(2, 5), 4)
+    with pytest.raises(ValueError, match="cannot answer mode 'ball'"):
+        table.neighborhoods(np.arange(3), 1, "ball")
+    with pytest.raises(ValueError, match="k=5 exceeds the table's k_max=4"):
+        table.neighborhoods(np.arange(3), 5, "nn")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        table.neighborhoods(np.arange(3), 0, "nn")
+    with pytest.raises(ValueError, match="node id 25 "):
+        table.neighborhoods(np.array([3, 25]), 1, "nn")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        NearestTable(gen_grid(2, 5), 0)
 
 
 @given(graphs(), st.data(), st.integers(1, 8), st.integers(0, 4), st.integers(1, 4))

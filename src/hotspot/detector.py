@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import (GammaProfile, gamma_analytic_tree, k_cap, reporting_probabilities,
                           smallest_k)
-from .graph import BALL, NN, isin_sorted, leading_runs, node_array
+from .graph import BALL, NN, leading_runs, node_array
 from .scenario import EPIDEMIC, UNIFORM
 
 logger = logging.getLogger(__name__)
@@ -47,6 +47,8 @@ class DetectorConfig:
                              else "l must be >= 0 in ball mode")
         if self.s < 1:
             raise ValueError("s must be >= 1")
+        if math.isnan(self.t):  # +-inf stay: never and always declare
+            raise ValueError("t must not be NaN")
 
     @classmethod
     def nn(cls, k: int, t: float, s: int | None = None, note: str = "") -> "DetectorConfig":
@@ -86,8 +88,11 @@ def classify(view, reporting, cfg: DetectorConfig,
     """
     centers = node_array(reporting)
     owner, member, _ = view.neighborhoods(centers, cfg.k_or_l, cfg.mode)
-    # i is a hotspot iff >= s members of its neighborhood (i excluded) report
-    hits = np.bincount(owner[isin_sorted(member, centers)], minlength=centers.size)
+    # i is a hotspot iff >= s members of its neighborhood (i excluded) report;
+    # a node mask, built once the kernel has checked the ids, tests membership
+    reports = np.zeros(view.n, dtype=bool)
+    reports[centers] = True
+    hits = np.bincount(owner[reports[member]], minlength=centers.size)
     fired = hits >= cfg.s
     count = int(np.count_nonzero(fired))
     per_node = dict(zip(centers.tolist(), fired.tolist())) if keep_indicators else None

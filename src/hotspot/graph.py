@@ -15,6 +15,7 @@ single-node queries are the plain reference it is tested against.
 
 from __future__ import annotations
 
+import io
 import logging
 
 import numpy as np
@@ -389,20 +390,10 @@ class NearestTable:
 
 # -- file I/O ----------------------------------------------------------------
 
-# byte classes of an edge-list file: the ASCII blanks str.split() splits on
-# (less the line breaks), digits, the line break; any other byte is an error
-# outside a comment line
+# the ASCII blanks str.split() splits on, less the line breaks; a body of
+# an edge-list file (its comment lines cut out) holds these, digits and \n
 _BLANKS = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
-_OTHER, _BLANK, _DIGIT, _BREAK = 0, 1, 2, 3
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[list(_BLANKS)] = _BLANK
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[ord("\n")] = _BREAK
-_BYTE_CLASS.flags.writeable = False
-
-# an id of more significant digits than this does not fit in int64
-_INT64_DIGITS = 19
-_INT64_MAX = np.uint64(np.iinfo(np.int64).max)
+_TO_SPACE = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
 
 # nodes per block of save_edge_list: a block's ints and text stay near 1 MB
 _WRITE_BLOCK = 1 << 12
@@ -441,83 +432,57 @@ def load_edge_list(path, compact: bool = False) -> Graph:
 
 def _read_pairs(path) -> tuple[np.ndarray, int]:
     """The (m, 2) int64 id pairs of an edge-list file, in file order, and
-    its largest "# n=" hint (-1 without one), by byte masks over the whole
-    file: no per-line Python work outside the comment lines."""
+    its largest "# n=" hint (-1 without one): np.loadtxt parses what is left
+    once the comment lines are cut out, if that is digits, blanks and \\n."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    kind = _BYTE_CLASS[buf]
-    breaks = np.flatnonzero(kind == _BREAK)
-
-    # comment lines are few: blank them out one by one, up to the first line
-    # holding a '#' that is no comment (an error, as is any byte of class
-    # _OTHER left after this)
-    hint_n = -1
-    for line in np.unique(np.searchsorted(breaks, np.flatnonzero(buf == ord("#")))).tolist():
-        start, end = _line_span(breaks, line, buf.size)
+    hint_n, pieces, done, end = -1, [], 0, 0
+    while (at := data.find(b"#", end)) >= 0:
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at)
+        end = len(data) if end < 0 else end
         text = data[start:end].strip(_BLANKS)
         if not text.startswith(b"#"):
-            break
-        body = text[1:].strip(_BLANKS)
-        if body.startswith(b"n=") and body[2:].isdigit():
-            hint_n = max(hint_n, int(body[2:]))
-        kind[start:end] = _BLANK
-    stray = int(kind.argmin()) if kind.size else -1  # the first byte of the lowest class
-    bad = [int(np.searchsorted(breaks, stray))] if stray >= 0 and kind[stray] == _OTHER else []
-
-    digit = np.zeros(buf.size + 2, dtype=bool)  # padded: every run starts and stops
-    np.equal(kind, _DIGIT, out=digit[1:-1])
-    starts, stops = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
-    run_line = np.searchsorted(breaks, starts)
-    runs_per_line = np.bincount(run_line, minlength=breaks.size + 1)
-    values, too_big = _run_values(data, buf, starts, stops)
-    bad += np.flatnonzero((runs_per_line != 0) & (runs_per_line != 2))[:1].tolist()
-    bad += run_line[too_big][:1].tolist()
-    if bad:
-        line = min(bad)
-        start, end = _line_span(breaks, line, buf.size)
-        text = data[start:end].decode("utf-8", "replace").strip()
-        raise ValueError(
-            f"{path}: line {line + 1}: expected two non-negative integers, got {text!r}")
-    if not values.size:
+            break  # no comment: its '#' fails the byte check below
+        hint = text[1:].strip(_BLANKS)
+        if hint.startswith(b"n=") and hint[2:].isdigit():
+            hint_n = max(hint_n, int(hint[2:]))
+        pieces.append(data[done:start])
+        done = end
+    pieces.append(data[done:])
+    body = b"".join(pieces)
+    if body.translate(None, b"0123456789" + _BLANKS + b"\n"):
+        raise _bad_line(path, data)
+    if not body.strip(_BLANKS + b"\n"):
         raise ValueError(f"{path}: no edges found")
-    # every non-blank line holds two runs, so the runs pair up in order
-    return values.view(np.int64).reshape(-1, 2), hint_n
+    try:
+        pairs = np.loadtxt(io.BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # a line of another column count, or an id past int64
+        raise _bad_line(path, data) from None
+    if pairs.shape[1] != 2:  # every line of one wrong column count
+        raise _bad_line(path, data)
+    return pairs, hint_n
 
 
-def _line_span(breaks: np.ndarray, line: int, size: int) -> tuple[int, int]:
-    """Byte range of the 0-based ``line`` of a buffer of ``size`` bytes whose
-    line breaks sit at the ascending positions ``breaks``."""
-    start = int(breaks[line - 1]) + 1 if line else 0
-    end = int(breaks[line]) if line < breaks.size else size
-    return start, end
+def _bad_line(path, data: bytes) -> ValueError:
+    """The error naming the first line of ``data`` (its breaks already \\n)
+    that is neither blank, a comment, nor two ids."""
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        tokens = line.translate(_TO_SPACE).split()
+        if tokens and not tokens[0].startswith(b"#") and not (
+                len(tokens) == 2 and all(map(_is_id, tokens))):
+            text = line.decode("utf-8", "replace").strip()
+            return ValueError(
+                f"{path}: line {lineno}: expected two non-negative integers, got {text!r}")
+    raise AssertionError(f"{path}: rejected with no bad line")
 
 
-def _run_values(data: bytes, buf: np.ndarray, starts: np.ndarray,
-                stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal value of each digit run buf[starts[i]:stops[i]] as uint64,
-    one digit place per pass from the last, and a mask of the runs above the
-    int64 range."""
-    length = stops - starts
-    values = np.zeros(starts.size, dtype=np.uint64)
-    pos, weight = stops - 1, np.uint64(1)
-    for place in range(min(int(length.max(initial=0)), _INT64_DIGITS)):
-        # place < the longest run <= buf.size, so a pos left of byte 0 wraps
-        # to a valid index; that run is shorter than place and masked out
-        # uint64 before the product: a uint8 digit times a uint64 scalar is
-        # uint8 under NumPy 1.x's value-based casting and wraps at 9 * 100
-        digit = buf[pos].astype(np.uint64) - np.uint64(ord("0"))
-        digit[length <= place] = 0
-        values += digit * weight
-        pos -= 1
-        weight *= np.uint64(10)
-    too_big = values > _INT64_MAX
-    # zeros may pad an id to any length; any other digit there overflows
-    for run in np.flatnonzero(length > _INT64_DIGITS).tolist():
-        too_big[run] |= len(data[starts[run]:stops[run]].lstrip(b"0")) > _INT64_DIGITS
-    return values, too_big
+def _is_id(token: bytes) -> bool:
+    """Whether token is ASCII digits of a value that fits in int64."""
+    value = token.lstrip(b"0")  # fewer digits is smaller; as many compare as text
+    return token.isdigit() and (len(value), value) <= (19, b"9223372036854775807")
 
 
 def save_edge_list(g: Graph, path) -> None:

@@ -108,6 +108,11 @@ class ScenarioRule:
     q_exp: float = 0.0
     f_exp: float = 0.0
 
+    def __post_init__(self):
+        for name in ("alpha", "q", "f", "alpha_exp", "q_exp", "f_exp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
     def for_n(self, n: int) -> ScenarioParams:
         return ScenarioParams(
             alpha=min(1.0, self.alpha * n ** self.alpha_exp),
@@ -406,6 +411,8 @@ def threshold_sweep(spec: ExperimentSpec, t_values) -> SweepResult:
     t_values = list(t_values)
     if not t_values:
         raise ValueError("t_values must be nonempty")
+    if any(math.isnan(t) for t in t_values):
+        raise ValueError("t_values must not hold NaN")
     per_label = _point_outcomes(spec, spec.sweep_values[0])
     result = SweepResult()
     for t in t_values:

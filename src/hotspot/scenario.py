@@ -49,8 +49,8 @@ class ScenarioParams:
             raise ValueError("alpha must be in (0, 1]")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if self.f < 0.0:
-            raise ValueError("f must be >= 0")
+        if not 0.0 <= self.f < math.inf:
+            raise ValueError("f must be >= 0 and finite")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
 
@@ -221,8 +221,8 @@ def apply_reporting(outcome: EpidemicOutcome, g: Graph, q: float, f: float,
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
-    if f < 0.0:
-        raise ValueError("f must be >= 0")
+    if not 0.0 <= f < math.inf:
+        raise ValueError("f must be >= 0 and finite")
     rng = np.random.default_rng(rng_seed)
     infected = np.asarray(outcome.infected, dtype=np.int64)
     true_reporters = node_array(infected[rng.random(infected.size) < q])

@@ -551,6 +551,44 @@ def test_detect_rejects_nan_gamma_and_log_base(tmp_path, flags, error):
     assert done.stderr == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "grid", "--side", "5", "--scenario", "epidemic",
+     "--alpha", "0.5", "--q", "0.5"],
+    ["gamma", "--topology", "grid", "--side", "6", "--alpha", "0.2", "--q", "0.5",
+     "--trials", "3"],
+    ["bounds", "--gamma", "0.9", "--q", "0.4", "--alpha", "0.1", "--k", "1",
+     "--n-reporting", "500"],
+], ids=["simulate", "gamma", "bounds"])
+def test_nan_f_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv, "--f", "nan")
+    assert code == 1 and out == "" and err == "error: f must be >= 0 and finite\n"
+
+
+_GRID_SWEEP = ["--topology", "grid", "--side", "8", "--alpha", "0.2", "--q", "0.6",
+               "--f", "0.5", "--detector", "nn", "--k", "2", "--sweep", "q",
+               "--values", "0.6", "--trials", "2"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["detect", "--mode", "nn", "--k", "2", "--t", "nan"], "t must not be NaN"),
+    (["sweep", *_GRID_SWEEP, "--t", "nan"], "t must not be NaN"),
+    (["threshold-sweep", *_GRID_SWEEP, "--t-values", "1,nan"],
+     "t_values must not hold NaN"),
+], ids=["detect", "sweep", "threshold-sweep"])
+def test_nan_decision_threshold_is_rejected(tmp_path, capsys, argv, error):
+    if argv[0] == "detect":
+        snap = tmp_path / "snap.txt"
+        snap.write_text("truth=epidemic n=40\n10\n11\n12\n")
+        argv = [*argv, "--graph", write_path_graph(tmp_path, 40), "--snapshot", str(snap)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {error}\n"
+
+
+def test_sweep_rejects_nan_scaling_exponent(capsys):
+    code, out, err = run(capsys, "sweep", *_GRID_SWEEP, "--t", "1", "--q-exp", "nan")
+    assert code == 1 and out == "" and err == "error: q_exp must be finite\n"
+
+
 def test_snapshot_header_negative_n_exits_one(tmp_path, capsys):
     graph_path = write_path_graph(tmp_path)
     snap = tmp_path / "snap.txt"

@@ -198,7 +198,8 @@ def load_outcome(load, path, compact):
 _FUZZ_LINES = st.one_of(
     st.text("0123456789 \t\x0b\x0c\x1f#+-n=xZ", max_size=7),
     st.builds("{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), st.integers(0, 40),
-              st.sampled_from([" ", "\t", " \x0b", "\x0c ", "\x1c"]), st.integers(0, 40),
+              st.sampled_from([" ", "\t", " \x0b", "\x0c ", "\x1c", "\x1d", "\x1e"]),
+              st.integers(0, 40),
               st.sampled_from(["", " ", "\x0b"])),
     st.builds("{}#{}n={}{}".format, st.sampled_from(["", " "]), st.sampled_from(["", " ", "\t"]),
               st.integers(0, 60), st.sampled_from(["", "", " ", "x", "\x0b"])),
@@ -247,6 +248,9 @@ def test_load_edge_list_takes_the_largest_hint(tmp_path):
     ("0\u00a01\n", 1, "0\u00a01"),  # a blank outside ASCII
     ("# n=4\n\u3000# x\n0 1\n", 2, "# x"),  # a blank outside ASCII before '#'
     ("0 1 # x\n", 1, "0 1 # x"),
+    ("+1 2\n", 1, "+1 2"),
+    ("0 1 2\n3 4 5\n", 1, "0 1 2"),  # every line of one wrong column count
+    ("0 1\r2\n", 2, "2"),
 ])
 def test_load_edge_list_names_the_first_bad_line(tmp_path, text, lineno, shown):
     path = tmp_path / "g.txt"

@@ -29,8 +29,14 @@ MAX_NODES = 100_000_000
 NN = "nn"
 BALL = "ball"
 
-# centers per batch of Graph.neighborhoods: keeps one level's pairs small
+# centers in the first batch of Graph.neighborhoods, and nodes per chunk of
+# a NearestTable build
 _BLOCK = 256
+
+# (center, node) pairs a batch of Graph.neighborhoods aims to expand over
+# all its levels: enough work to spread a level's fixed cost of ~50 numpy
+# calls, while a batch's arrays stay near this many pairs
+_PAIRS = 1 << 14
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -72,6 +78,13 @@ def _centers_of(centers, n: int) -> np.ndarray:
         bad = centers[0] if centers[0] < 0 else centers[-1]
         raise ValueError(f"node id {bad} out of range for a graph of {n} nodes")
     return centers
+
+
+def _max_batch(n: int) -> int:
+    """The most centers one batch of Graph.neighborhoods may hold on a graph
+    of n nodes: its sort codes (owner * span + dist) * n + node stay below
+    2**63 for any span <= 2n."""
+    return (2**63 - 1) // max(2 * n * n, 1)
 
 
 def leading_runs(view, centers: np.ndarray, k_max: int,
@@ -214,16 +227,18 @@ class Graph:
 
         Without ``perceive`` the perceived distance is the hop distance.
         ``perceive(observers, targets, d)`` maps pairs at hop distance d to
-        perceived distances no smaller than d - ``slack``. A ball then
-        explores ``size + slack`` hops, and an nn center stops once ``size``
-        of its members are perceived within depth - slack, as nothing deeper
-        can be perceived closer than those.
+        perceived distances in [1, 2n - 2] no smaller than d - ``slack``. A
+        ball then explores ``size + slack`` hops, and an nn center stops once
+        ``size`` of its members are perceived within depth - slack, as
+        nothing deeper can be perceived closer than those.
 
-        Centers go in fixed blocks; each block runs one level-synchronous
-        BFS over (center, node) pairs. A level expands the current shell
-        through the CSR arrays and keeps the pairs in neither the previous
-        nor the current shell: in an undirected graph those are exactly the
-        unvisited ones.
+        Centers go in batches sized by the work they cause: the first holds
+        _BLOCK centers, and each later one as many as expand about _PAIRS
+        pairs at the previous batch's rate per center (at least 1, at most
+        _max_batch). Each batch runs one level-synchronous BFS over (center,
+        node) pairs. A level expands the current shell through the CSR arrays
+        and keeps the pairs in neither the previous nor the current shell: in
+        an undirected graph those are exactly the unvisited ones.
         """
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
@@ -231,13 +246,17 @@ class Graph:
         if size < (1 if nearest else 0):
             raise ValueError("k must be >= 1" if nearest else "radius must be >= 0")
         centers = _centers_of(centers, self.n)
+        cap = _max_batch(self.n)
         owners, members, ranks = [_EMPTY], [_EMPTY], [_EMPTY]
-        for lo in range(0, centers.size, _BLOCK):
-            owner, member, rank = self._neighborhood_block(
-                centers[lo:lo + _BLOCK], size, nearest, perceive, slack)
+        lo, block = 0, min(_BLOCK, cap)
+        while lo < centers.size:
+            owner, member, rank, expanded = self._neighborhood_block(
+                centers[lo:lo + block], size, nearest, perceive, slack)
             owners.append(owner + lo)
             members.append(member)
             ranks.append(rank)
+            lo += block
+            block = min(max(_PAIRS * block // max(expanded, 1), 1), cap)
         return np.concatenate(owners), np.concatenate(members), np.concatenate(ranks)
 
     def _neighborhood_block(self, centers, size, nearest, perceive, slack):
@@ -247,12 +266,13 @@ class Graph:
         found = np.zeros(centers.size, dtype=np.int64)  # nn: settled members per center
         pending_owner, pending_dist = _EMPTY, _EMPTY
         keys, dists = [_EMPTY], [_EMPTY]
-        depth = 0
+        depth = expanded = 0
         while shell.size and (nearest or depth < size + slack):
             depth += 1
             nodes = shell % n
             start, deg = indptr[nodes], indptr[nodes + 1] - indptr[nodes]
             ends = deg.cumsum()
+            expanded += int(ends[-1])
             gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
             new = sorted_unique((shell - nodes).repeat(deg) + indices[gather])
             new = new[~(isin_sorted(new, prev) | isin_sorted(new, shell))]
@@ -274,9 +294,10 @@ class Graph:
         key, dist = np.concatenate(keys), np.concatenate(dists)
         if not nearest:
             key, dist = key[dist <= size], dist[dist <= size]
-        # one sort of (owner, perceived distance, node) codes; with at most
-        # _BLOCK owners, n <= MAX_NODES and distances below n + slack they
-        # fit in int64
+        # one sort of (owner, perceived distance, node) codes. True distances
+        # are below n, and a noisy view shifts only those above its magnitude,
+        # so perceived ones lie in [1, 2n - 2] and span <= 2n: with at most
+        # _max_batch(n) owners every code fits in int64
         owner = key // n
         dist -= dist.min(initial=0)
         span = dist.max(initial=0) + 1
@@ -288,7 +309,7 @@ class Graph:
         if nearest:
             keep = rank < size
             owner, member, rank = owner[keep], member[keep], rank[keep]
-        return owner, member, rank
+        return owner, member, rank, expanded
 
     # -- components ---------------------------------------------------------
 
@@ -359,8 +380,10 @@ class NearestTable:
         if k_max < 1:
             raise ValueError("k must be >= 1")
         self.n, self.k_max = view.n, int(k_max)
-        # one query per block of centers: no owner or rank array over every
-        # node is ever held, which would triple the table's size while it is built
+        # one query per _BLOCK nodes, not one over every node: the owner and
+        # rank arrays a single query returns for every node would triple the
+        # table's size while it is built (it raised calibrate_gamma's peak
+        # RSS from 39.6 to 46.0 MB)
         members, counts = [_EMPTY], [_EMPTY]
         for lo in range(0, self.n, _BLOCK):
             centers = np.arange(lo, min(lo + _BLOCK, self.n), dtype=np.int64)
@@ -581,7 +604,7 @@ def gen_power_law(n: int, exponent: float, rng_seed: int) -> Graph:
     """
     if n < 10:
         raise ValueError("n must be >= 10")
-    if exponent <= 2:
+    if not exponent > 2:  # NaN too; inf gives the degree-1 limit
         raise ValueError("exponent must be > 2")
     rng = np.random.default_rng(rng_seed)
     d_max = int(np.sqrt(n))

@@ -589,6 +589,18 @@ def test_sweep_rejects_nan_scaling_exponent(capsys):
     assert code == 1 and out == "" and err == "error: q_exp must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--topology", "powerlaw", "--n", "100", "--out", "x.txt"],
+    ["gamma", "--topology", "powerlaw", "--n", "200", "--alpha", "0.2", "--q", "0.5",
+     "--trials", "2"],
+], ids=["generate", "gamma"])
+def test_nan_power_law_exponent_is_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--exponent", "nan")
+    assert code == 1 and out == "" and err == "error: exponent must be > 2\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_snapshot_header_negative_n_exits_one(tmp_path, capsys):
     graph_path = write_path_graph(tmp_path)
     snap = tmp_path / "snap.txt"

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from hotspot.calibration import boundary_set, gamma_for_set
 from hotspot.detector import DetectorConfig, classify, multi_k_test
-from hotspot.graph import (_BLOCK, Graph, NearestTable, gen_erdos_renyi, gen_grid,
-                           leading_runs, node_array)
+from hotspot import graph
+from hotspot.graph import (_BLOCK, MAX_NODES, Graph, NearestTable, _max_batch,
+                           gen_erdos_renyi, gen_grid, leading_runs, node_array)
 from hotspot.harness import DistanceNoise, NoisyView
 
 from oracles import (interior_fraction_oracle, nn_oracle, noisy_ranking_oracle,
@@ -64,6 +65,41 @@ def test_kernel_over_many_blocks_matches_oracle():
         assert lists == [r[:k] for r in ranked]
     lists = per_center(*g.neighborhoods(centers, 3, "ball"), centers.size)
     assert lists == [g.ball_members(i, 3) for i in centers.tolist()]
+
+
+def _layout_queries(g, centers):
+    noisy = NoisyView(g, DistanceNoise(flip_prob=0.3, magnitude=2), seed=3)
+    return ([g.neighborhoods(centers, k, "nn") for k in (1, 6, 40)]
+            + [g.neighborhoods(centers, 3, "ball"), noisy.neighborhoods(centers, 6, "nn"),
+               noisy.neighborhoods(centers, 3, "ball")])
+
+
+@pytest.mark.parametrize("pairs", [1, 2**40])
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_batch_layout_does_not_change_output(monkeypatch, pairs, block):
+    # about 750 centers of mixed degree: the batches come in unequal sizes
+    g = gen_erdos_renyi(1500, 2.5 / 1500, 8)
+    centers = np.sort(np.random.default_rng(2).choice(g.n, 750, replace=False))
+    want = _layout_queries(g, centers)
+    monkeypatch.setattr(graph, "_PAIRS", pairs)
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    for w, h in zip(want, _layout_queries(g, centers)):
+        for a, b in zip(w, h):
+            assert b.dtype == a.dtype and np.array_equal(b, a)
+
+
+def test_batch_cap_holds_for_any_noise_magnitude():
+    # magnitude past every true distance: nothing shifts, yet the slack is
+    # 10**17, so a batch cap derived from it would be 0 and never advance
+    g = gen_grid(2, 8)
+    view = NoisyView(g, DistanceNoise(flip_prob=1.0, magnitude=10**17), seed=1)
+    centers = np.arange(g.n)
+    for size, mode in ((5, "nn"), (g.n, "nn"), (3, "ball")):
+        for w, h in zip(g.neighborhoods(centers, size, mode),
+                        view.neighborhoods(centers, size, mode)):
+            assert np.array_equal(h, w)
+    cap = _max_batch(MAX_NODES)
+    assert cap >= 1 and cap * 2 * MAX_NODES * MAX_NODES < 2**63
 
 
 def test_kernel_validation():

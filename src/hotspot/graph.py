@@ -53,16 +53,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def isin_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
-    """Boolean mask: which of ``values`` occur in the ascending array
-    ``sorted_values``."""
-    if sorted_values.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = sorted_values.searchsorted(values)
-    np.minimum(pos, sorted_values.size - 1, out=pos)
-    return sorted_values[pos] == values
-
-
 def node_array(nodes) -> np.ndarray:
     """Distinct node ids from any iterable, as an ascending int64 array."""
     if not isinstance(nodes, np.ndarray):
@@ -71,9 +61,11 @@ def node_array(nodes) -> np.ndarray:
 
 
 def _centers_of(centers, n: int) -> np.ndarray:
-    """Ascending node ids as an int64 array, checked against a graph of n
-    nodes."""
+    """Ascending distinct node ids as an int64 array, checked against a graph
+    of n nodes."""
     centers = np.asarray(centers, dtype=np.int64)
+    if np.any(centers[1:] <= centers[:-1]):
+        raise ValueError("centers must be ascending and distinct")
     if centers.size and (centers[0] < 0 or centers[-1] >= n):
         bad = centers[0] if centers[0] < 0 else centers[-1]
         raise ValueError(f"node id {bad} out of range for a graph of {n} nodes")
@@ -83,7 +75,7 @@ def _centers_of(centers, n: int) -> np.ndarray:
 def _max_batch(n: int) -> int:
     """The most centers one batch of Graph.neighborhoods may hold on a graph
     of n nodes: its sort codes (owner * span + dist) * n + node stay below
-    2**63 for any span <= 2n."""
+    2**63 for any span <= 2n, and so do its BFS codes (owner * n + node) << 1."""
     return (2**63 - 1) // max(2 * n * n, 1)
 
 
@@ -218,12 +210,12 @@ class Graph:
                       perceive=None, slack: int = 0):
         """Canonical neighborhoods of many centers in one batched BFS.
 
-        ``centers`` is a sorted array of distinct node ids. Returns int64
-        arrays (owner, member, rank), sorted by owner then rank: member is
-        the rank-th (0-based) member of centers[owner]'s neighborhood. A
-        center's members come in (perceived distance, id) order; mode "nn"
-        keeps the first ``size`` of them, mode "ball" every one perceived
-        within ``size`` hops. The center is never a member.
+        ``centers`` is an ascending array of distinct node ids (checked).
+        Returns int64 arrays (owner, member, rank), sorted by owner then
+        rank: member is the rank-th (0-based) member of centers[owner]'s
+        neighborhood. A center's members come in (perceived distance, id)
+        order; mode "nn" keeps the first ``size`` of them, mode "ball" every
+        one perceived within ``size`` hops. The center is never a member.
 
         Without ``perceive`` the perceived distance is the hop distance.
         ``perceive(observers, targets, d)`` maps pairs at hop distance d to
@@ -236,9 +228,11 @@ class Graph:
         _BLOCK centers, and each later one as many as expand about _PAIRS
         pairs at the previous batch's rate per center (at least 1, at most
         _max_batch). Each batch runs one level-synchronous BFS over (center,
-        node) pairs. A level expands the current shell through the CSR arrays
-        and keeps the pairs in neither the previous nor the current shell: in
-        an undirected graph those are exactly the unvisited ones.
+        node) pairs. The first shell is the centers' CSR rows, distinct and
+        free of the centers. A deeper level expands the current shell, and
+        one sort of tagged codes keeps the distinct candidates in neither
+        the previous nor the current shell: in an undirected graph those are
+        exactly the unvisited pairs.
         """
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
@@ -274,8 +268,16 @@ class Graph:
             ends = deg.cumsum()
             expanded += int(ends[-1])
             gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
-            new = sorted_unique((shell - nodes).repeat(deg) + indices[gather])
-            new = new[~(isin_sorted(new, prev) | isin_sorted(new, shell))]
+            new = (shell - nodes).repeat(deg) + indices[gather]
+            if depth > 1:
+                # codes key << 1 (shell pairs) and key << 1 | 1 (candidates):
+                # once sorted, a candidate is new if its predecessor's key differs
+                code = np.concatenate([prev, shell, new]) << 1
+                code[prev.size + shell.size:] |= 1
+                code.sort()
+                keep = (code & 1).astype(bool)
+                keep[1:] &= np.diff(code) > 1
+                new = code[keep] >> 1
             owner = new // n
             dist = (np.full(new.size, depth, dtype=np.int64) if perceive is None
                     else perceive(centers[owner], new - owner * n, depth))
@@ -290,7 +292,9 @@ class Graph:
                 settled = pending_dist <= depth - slack
                 found += np.bincount(pending_owner[settled], minlength=centers.size)
                 pending_owner, pending_dist = pending_owner[~settled], pending_dist[~settled]
-                shell = new[found[owner] < size]
+                # a settled center stays settled: its pairs leave both shells
+                active = found < size
+                shell, prev = new[active[owner]], prev[active[prev // n]]
         key, dist = np.concatenate(keys), np.concatenate(dists)
         if not nearest:
             key, dist = key[dist <= size], dist[dist <= size]

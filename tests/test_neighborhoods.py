@@ -67,6 +67,82 @@ def test_kernel_over_many_blocks_matches_oracle():
     assert lists == [g.ball_members(i, 3) for i in centers.tolist()]
 
 
+def _wheel(rim):
+    """Hub 0 joined to every node of the cycle 1..rim."""
+    return Graph.from_edges(rim + 1, [(0, i) for i in range(1, rim + 1)]
+                            + [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+    Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)]),
+    _wheel(6),
+], ids=["K5", "C7", "wheel"])
+def test_candidates_in_the_current_shell_are_dropped(g):
+    # an edge inside a shell (any edge of K5, a wheel's rim, the far edge
+    # of an odd cycle) leads the expansion of that shell back into it
+    centers = np.arange(g.n)
+    for k in range(1, g.n + 1):
+        assert per_center(*g.neighborhoods(centers, k, "nn"), g.n) == [
+            nn_oracle(g, i, k) for i in range(g.n)]
+    for l in range(4):
+        assert per_center(*g.neighborhoods(centers, l, "ball"), g.n) == [
+            g.ball_members(i, l) for i in range(g.n)]
+
+
+def test_centers_settling_at_different_depths_share_a_batch():
+    # a star (hub 0, leaves 1..8) and the path 9..40: with K = 3 the hub
+    # settles at depth 1, its leaves at depth 2 and the path's end at depth
+    # 3, so the shells of settled centers drop out while the others go on
+    g = Graph.from_edges(41, [(0, i) for i in range(1, 9)]
+                         + [(i, i + 1) for i in range(9, 40)])
+    centers = np.array([0, *range(1, 9), 40])
+    for k in range(1, 13):
+        assert per_center(*g.neighborhoods(centers, k, "nn"), centers.size) == [
+            nn_oracle(g, i, k) for i in centers.tolist()]
+    for l in range(6):
+        assert per_center(*g.neighborhoods(centers, l, "ball"), centers.size) == [
+            g.ball_members(i, l) for i in centers.tolist()]
+
+
+def test_batch_of_isolated_centers():
+    g = Graph.from_edges(6, [(4, 5)])
+    centers = np.arange(4)
+    for size, mode in ((1, "nn"), (3, "nn"), (0, "ball"), (2, "ball")):
+        assert all(a.size == 0 for a in g.neighborhoods(centers, size, mode))
+        assert g._neighborhood_block(centers, size, mode == "nn", None, 0)[3] == 0
+
+
+@pytest.mark.parametrize("shape, centers, size, mode, expanded", [
+    # path 0..9, K = 3: center 0 reads rows 0, 1, 2 (1 + 2 + 2 pairs);
+    # center 5 reads row 5, then rows 4 and 6, and is settled (2 + 4)
+    ("path", [0], 3, "nn", 5),
+    ("path", [5], 3, "nn", 6),
+    ("path", [0, 5], 3, "nn", 11),
+    ("path", [0], 2, "ball", 3),  # a ball of radius 2 reads two levels
+    # star, hub 0 and leaves 1..5: a leaf reads its row, then the hub's
+    ("star", [1, 2], 3, "nn", 2 * (1 + 5)),
+    ("star", [0], 3, "nn", 5),  # the hub is settled by its own row
+    ("star", [0], 2, "ball", 5 + 5),
+])
+def test_expanded_counts_the_pairs_read(shape, centers, size, mode, expanded):
+    g = Graph.from_edges(10, [(i, i + 1) for i in range(9)]) if shape == "path" else (
+        Graph.from_edges(6, [(0, i) for i in range(1, 6)]))
+    block = g._neighborhood_block(np.array(centers), size, mode == "nn", None, 0)
+    assert block[3] == expanded
+
+
+@pytest.mark.parametrize("centers", [[0, 9, 3], [0, -1, 2], [3, 3, 4]],
+                         ids=["unsorted", "negative", "repeated"])
+@pytest.mark.parametrize("table", [False, True], ids=["graph", "table"])
+def test_centers_must_be_ascending_and_distinct(centers, table):
+    # each passes a check of the first and last id only
+    g = gen_grid(1, 6)
+    view = NearestTable(g, 3) if table else g
+    with pytest.raises(ValueError, match="centers must be ascending and distinct"):
+        view.neighborhoods(np.array(centers), 2, "nn")
+
+
 def _layout_queries(g, centers):
     noisy = NoisyView(g, DistanceNoise(flip_prob=0.3, magnitude=2), seed=3)
     return ([g.neighborhoods(centers, k, "nn") for k in (1, 6, 40)]

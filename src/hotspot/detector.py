@@ -121,6 +121,13 @@ def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
     missing = [k for k in k_range if k not in null_expectations]
     if missing:
         raise ValueError(f"null_expectations missing K values {missing}")
+    if not (math.isfinite(deviation_factor) and deviation_factor >= 0):
+        raise ValueError(f"deviation_factor must be finite and >= 0, got {deviation_factor}")
+    expectations = {k: float(null_expectations[k]) for k in k_range}
+    for k, expected in expectations.items():
+        if not (math.isfinite(expected) and expected >= 0):
+            raise ValueError(f"null expectation for K={k} must be finite and >= 0, "
+                             f"got {expected}")
     centers = node_array(reporting)
     lengths, _ = leading_runs(view, centers, k_range[-1], centers)
     counts = {k: int(np.count_nonzero(lengths >= k)) for k in k_range}
@@ -128,7 +135,7 @@ def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
     fired = False
     details = []
     for k in k_range:
-        expected = float(null_expectations[k])
+        expected = expectations[k]
         band = deviation_factor * math.sqrt(expected)
         excess = abs(counts[k] - expected) - band
         details.append(f"K={k}:count={counts[k]},expected={expected:.6g}")
@@ -138,7 +145,7 @@ def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
             worst_excess, worst_k = excess, k
     label = EPIDEMIC if fired else UNIFORM
     return Verdict(label=label, hotspot_count=counts[worst_k],
-                   threshold=float(null_expectations[worst_k]),
+                   threshold=expectations[worst_k],
                    mode=NN, k_or_l=worst_k,
                    note="multi-k " + " ".join(details))
 

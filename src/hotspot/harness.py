@@ -21,6 +21,7 @@ from .graph import (BALL, NN, Graph, gen_erdos_renyi, gen_grid, gen_power_law,
                     gen_tree, load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
+# splitmix64 is unused here: perfbench/tracing.py patches it on this module
 from .seeds import derive_seed, splitmix64, splitmix64_array
 
 SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
@@ -74,14 +75,15 @@ class TopologySpec:
         if self._graph is not None:
             return self._graph
         if self.kind == "er":
-            p = self.p if self.p is not None else 2.0 / self.n
+            # the default p is 2/n; n < 1 is left to the generator's check
+            p = self.p if self.p is not None else 2.0 / self.n if self.n else 0.0
             g = gen_erdos_renyi(self.n, p, seed)
         elif self.kind == "grid":
-            g = gen_grid(self.dim or 2, self.side)
+            g = gen_grid(2 if self.dim is None else self.dim, self.side)
         elif self.kind == "tree":
             g = gen_tree(self.degree, self.depth)
         elif self.kind == "powerlaw":
-            g = gen_power_law(self.n, self.exponent or 2.5, seed)
+            g = gen_power_law(self.n, 2.5 if self.exponent is None else self.exponent, seed)
         else:
             g = load_edge_list(self.path, compact=self.compact)
         if self.giant:
@@ -134,6 +136,8 @@ class DistanceNoise:
     def __post_init__(self):
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError("flip_prob must be in [0, 1]")
+        if not isinstance(self.magnitude, (int, np.integer)):
+            raise ValueError(f"magnitude must be an integer, got {self.magnitude!r}")
         if self.magnitude < 1:
             raise ValueError("magnitude must be >= 1")
 
@@ -155,17 +159,9 @@ class NoisyView:
         self._seed = int(seed)
         self.n = g.n
 
-    def _perceived(self, observer: int, target: int, true_d: int) -> int:
-        mag = self._noise.magnitude
-        if true_d <= mag:
-            return true_d
-        h = splitmix64(splitmix64(self._seed ^ (observer & 0xFFFFFFFFFFFFFFFF)) ^ target)
-        if (h >> 11) / 9007199254740992.0 >= self._noise.flip_prob:  # 2**53
-            return true_d
-        return true_d + (mag if h & 1 else -mag)
-
     def _perceive(self, observers: np.ndarray, targets: np.ndarray, true_d: int) -> np.ndarray:
-        """_perceived for arrays of pairs at one true distance."""
+        """Perceived distances of the pairs (observers[i], targets[i]) at true
+        distance true_d, by DistanceNoise's rule keyed by (seed, observer, target)."""
         mag = self._noise.magnitude
         if true_d <= mag:
             return np.full(targets.size, true_d, dtype=np.int64)

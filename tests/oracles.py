@@ -58,12 +58,15 @@ def tree_level_offsets(degree: int, depth: int) -> list[int]:
     return offsets
 
 
-def hop_distances(g: Graph, src: int) -> dict[int, int]:
-    """Plain queue BFS returning hop distance to every reachable node."""
+def hop_distances(g: Graph, src: int, max_depth: int | None = None) -> dict[int, int]:
+    """Plain queue BFS returning hop distance to every node reachable from
+    src, or only to those within ``max_depth`` hops."""
     dist = {src: 0}
     queue = deque([src])
     while queue:
         v = queue.popleft()
+        if dist[v] == max_depth:
+            continue
         for w in g.neighbors(v).tolist():
             if w not in dist:
                 dist[w] = dist[v] + 1
@@ -79,8 +82,10 @@ def nn_oracle(g: Graph, i: int, k: int) -> list[int]:
 
 
 def ball_oracle(g: Graph, i: int, l: int) -> list[int]:
-    dist = hop_distances(g, i)
-    return sorted(v for v, d in dist.items() if 0 < d <= l)
+    """Nodes at hop distance 1..l from i, sorted by (distance, id); the BFS
+    stops at depth l."""
+    dist = hop_distances(g, i, max_depth=l)
+    return [v for _, v in sorted((d, v) for v, d in dist.items() if v != i)]
 
 
 def components_oracle(g: Graph) -> list[list[int]]:

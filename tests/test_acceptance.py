@@ -30,7 +30,7 @@ from hotspot.scenario import (EPIDEMIC, UNIFORM, ScenarioParams,
                               generate_uniform_null, make_epidemic_snapshot)
 from hotspot.seeds import derive_seed
 
-from oracles import hotspot_count_oracle, random_graph, tree_level_offsets
+from oracles import ball_oracle, hotspot_count_oracle, random_graph, tree_level_offsets
 
 MASTER = 2024
 
@@ -141,7 +141,7 @@ def fig6_runs():
         null = generate_uniform_null(g, probs.p, derive_seed(root, "n"))
         for snap, label in ((epi, EPIDEMIC), (null, UNIFORM)):
             rep = set(snap.reporting.tolist())  # a set: the loops below test membership
-            per_node = [sum(1 for v in g.ball_members(i, 3) if v in rep)
+            per_node = [sum(1 for v in ball_oracle(g, i, 3) if v in rep)
                         for i in sorted(rep)]
             data["ball3"][label].append(per_node)
             data["nn_counts"][label].append(
@@ -217,12 +217,12 @@ def test_criterion_05_error_decay_with_n():
             snap, _ = make_epidemic_snapshot(g, params, derive_seed(root, "e"))
             rep = set(snap.reporting.tolist())  # a set: the loops below test membership
             count = sum(1 for i in rep
-                        if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 2)
+                        if sum(1 for v in ball_oracle(g, i, 2) if v in rep) >= 2)
             t2 += not count > 0.5
             snap = generate_uniform_null(g, p_null, derive_seed(root, "n"))
             rep = set(snap.reporting.tolist())
             count = sum(1 for i in rep
-                        if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 2)
+                        if sum(1 for v in ball_oracle(g, i, 2) if v in rep) >= 2)
             t1 += count > 0.5
         errors.append((t1 / trials + t2 / trials) / 2)
     inversions = sum(1 for a, b in zip(errors, errors[1:]) if b > a)
@@ -253,12 +253,12 @@ def test_criterion_06_multiseed_robustness():
             snap, _ = make_epidemic_snapshot(g, params, derive_seed(root, "e"))
             rep = set(snap.reporting.tolist())  # a set: the loops below test membership
             count = sum(1 for i in rep
-                        if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 1)
+                        if sum(1 for v in ball_oracle(g, i, 2) if v in rep) >= 1)
             t2 += not count > 50
             snap = generate_uniform_null(g, p_null, derive_seed(root, "n"))
             rep = set(snap.reporting.tolist())
             count = sum(1 for i in rep
-                        if sum(1 for v in g.ball_members(i, 2) if v in rep) >= 1)
+                        if sum(1 for v in ball_oracle(g, i, 2) if v in rep) >= 1)
             t1 += count > 50
         means.append((t1 / trials + t2 / trials) / 2)
     drift = max(means) - min(means)

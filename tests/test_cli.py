@@ -615,3 +615,34 @@ def test_config_line_without_key_names_the_line(tmp_path, capsys):
     cfg.write_text("topology=grid\n=5\n")
     code, out, err = run(capsys, "sweep", "--config", str(cfg))
     assert code == 1 and out == "" and err == f"error: {cfg}: line 2: expected key=value\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["generate", "--topology", "er", "--n", "0", "--out", "x.txt"], "n must be >= 1"),
+    (["gamma", "--topology", "er", "--n", "0", "--alpha", "0.1"], "n must be >= 1"),
+    (["sweep", "--topology", "er", "--n", "0", "--values", "0.5", "--trials", "2"],
+     "epidemic trial 0 at t=0.5: n must be >= 1"),
+], ids=["generate", "gamma", "sweep"])
+def test_er_with_zero_nodes_exits_one_with_the_generator_message(
+        tmp_path, monkeypatch, capsys, argv, error):
+    # the default p = 2/n must not divide by zero before the generator's check
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {error}\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_grid_dim_zero_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "generate", "--topology", "grid", "--side", "3",
+                         "--dim", "0", "--out", "x.txt")
+    assert code == 1 and out == "" and err == "error: dim must be >= 1\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_power_law_exponent_zero_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "generate", "--topology", "powerlaw", "--n", "100",
+                         "--exponent", "0", "--out", "x.txt")
+    assert code == 1 and out == "" and err == "error: exponent must be > 2\n"
+    assert not (tmp_path / "x.txt").exists()

@@ -311,6 +311,21 @@ def test_multi_k_validation():
         multi_k_test(g, set(), [1, 2], {1: 0.0}, 4.0)
 
 
+@pytest.mark.parametrize("factor", [math.nan, -1.0, math.inf])
+def test_multi_k_rejects_a_bad_deviation_factor(factor):
+    # NaN would always read "uniform", and a negative factor always "epidemic"
+    with pytest.raises(ValueError, match=f"must be finite and >= 0, got {factor}"):
+        multi_k_test(path_graph(30), {3, 4}, [1, 2], {1: 1.0, 2: 1.0}, factor)
+
+
+@pytest.mark.parametrize("expected", [math.nan, -0.5, math.inf])
+def test_multi_k_rejects_a_bad_expectation(expected):
+    # NaN would always read "epidemic", a negative one has no square root,
+    # and an infinite one could never fire
+    with pytest.raises(ValueError, match=f"K=2 must be finite and >= 0, got {expected}"):
+        multi_k_test(path_graph(30), {3, 4}, [1, 2], {1: 1.0, 2: expected}, 4.0)
+
+
 def test_multi_k_fires_on_planted_clique():
     # ten mutually adjacent reporters in an otherwise silent sparse graph
     base = gen_erdos_renyi(2000, 2 / 2000, 8)

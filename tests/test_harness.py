@@ -18,7 +18,8 @@ from hotspot.harness import (SWEEP_CSV_HEADER, DistanceNoise, ExperimentSpec,
                              run_trial, spec_from_mapping, threshold_sweep)
 from hotspot.scenario import EPIDEMIC, UNIFORM
 
-from oracles import noisy_ranking_oracle, random_graph
+from oracles import (ball_oracle, nn_oracle, noisy_ranking_oracle, perceived_oracle,
+                     random_graph)
 
 
 def path_graph(n):
@@ -229,9 +230,9 @@ def test_noisy_view_zero_flip_matches_exact_queries():
     view = NoisyView(g, DistanceNoise(flip_prob=0.0, magnitude=2), seed=9)
     for node in range(0, 200, 17):
         for k in (1, 3, 6):
-            assert view.nn_members(node, k) == g.nn_members(node, k)
+            assert view.nn_members(node, k) == nn_oracle(g, node, k)
         for l in (1, 2, 3):
-            assert view.ball_members(node, l) == g.ball_members(node, l)
+            assert view.ball_members(node, l) == ball_oracle(g, node, l)
 
 
 def test_noisy_view_is_deterministic_per_seed():
@@ -248,16 +249,13 @@ def test_noisy_view_is_deterministic_per_seed():
 
 
 def test_noisy_view_asymmetric_misperception():
-    g = path_graph(40)
-    view = NoisyView(g, DistanceNoise(flip_prob=0.5, magnitude=1), seed=2)
+    view = NoisyView(path_graph(40), DistanceNoise(flip_prob=0.5, magnitude=1), seed=2)
     asymmetric = 0
-    for i in range(40):
-        for j in range(40):
-            d = abs(i - j)
-            if d <= 1:
-                continue
-            if (view._perceived(i, j, d) != d) != (view._perceived(j, i, d) != d):
-                asymmetric += 1
+    for d in range(2, 40):
+        near, far = np.arange(40 - d), np.arange(d, 40)
+        there = view._perceive(near, far, d) != d
+        back = view._perceive(far, near, d) != d
+        asymmetric += int(np.count_nonzero(there != back))
     assert asymmetric > 0
 
 
@@ -268,14 +266,15 @@ def test_noisy_view_pair_rule_is_the_same_for_arrays(seed):
     observers, targets = (a.ravel() for a in np.meshgrid(np.arange(60), np.arange(60)))
     for d in (1, 2, 3, 4, 9):
         assert view._perceive(observers, targets, d).tolist() == [
-            view._perceived(o, t, d) for o, t in zip(observers.tolist(), targets.tolist())]
+            perceived_oracle(seed, 0.5, 2, o, t, d)
+            for o, t in zip(observers.tolist(), targets.tolist())]
 
 
 def test_noisy_view_saturated_noise_changes_neighborhoods():
     g = path_graph(40)
     view = NoisyView(g, DistanceNoise(flip_prob=1.0, magnitude=2), seed=0)
     # every distance > 2 is shifted by +-2; some node's nn set must differ
-    changed = any(view.nn_members(i, 6) != g.nn_members(i, 6) for i in range(40))
+    changed = any(view.nn_members(i, 6) != nn_oracle(g, i, 6) for i in range(40))
     assert changed
     # membership beyond perceived radius l is impossible: perceived >= d - 2
     for i in range(0, 40, 7):
@@ -313,6 +312,14 @@ def test_noise_validation():
         DistanceNoise(flip_prob=1.5)
     with pytest.raises(ValueError):
         DistanceNoise(flip_prob=0.5, magnitude=0)
+    assert DistanceNoise(flip_prob=0.5, magnitude=np.int64(2)).magnitude == 2
+
+
+@pytest.mark.parametrize("magnitude", [1.5, 2.0, float("nan")])
+def test_noise_rejects_a_non_integer_magnitude(magnitude):
+    # the kernel's int64 arithmetic cannot take a float magnitude
+    with pytest.raises(ValueError, match=f"magnitude must be an integer, got {magnitude!r}"):
+        DistanceNoise(flip_prob=0.5, magnitude=magnitude)
 
 
 def test_noise_sweep_resolution():

@@ -1,5 +1,5 @@
 """The batched neighborhood kernel (Graph.neighborhoods) and its consumers
-against the single-node queries and the brute-force oracles."""
+against the brute-force oracles."""
 
 import re
 
@@ -15,8 +15,8 @@ from hotspot.graph import (_BLOCK, MAX_NODES, Graph, NearestTable, _max_batch,
                            gen_erdos_renyi, gen_grid, leading_runs, node_array)
 from hotspot.harness import DistanceNoise, NoisyView
 
-from oracles import (interior_fraction_oracle, nn_oracle, noisy_ranking_oracle,
-                     prefix_length_oracle, random_graph)
+from oracles import (ball_oracle, interior_fraction_oracle, nn_oracle,
+                     noisy_ranking_oracle, prefix_length_oracle, random_graph)
 
 
 @st.composite
@@ -51,9 +51,9 @@ def test_kernel_matches_single_node_queries(g, k, l):
     # k often exceeds the component; l = 0 gives empty balls
     centers = np.arange(g.n)
     assert per_center(*g.neighborhoods(centers, k, "nn"), g.n) == [
-        g.nn_members(i, k) for i in range(g.n)]
+        nn_oracle(g, i, k) for i in range(g.n)]
     assert per_center(*g.neighborhoods(centers, l, "ball"), g.n) == [
-        g.ball_members(i, l) for i in range(g.n)]
+        ball_oracle(g, i, l) for i in range(g.n)]
 
 
 def test_kernel_over_many_blocks_matches_oracle():
@@ -64,7 +64,7 @@ def test_kernel_over_many_blocks_matches_oracle():
         lists = per_center(*g.neighborhoods(centers, k, "nn"), centers.size)
         assert lists == [r[:k] for r in ranked]
     lists = per_center(*g.neighborhoods(centers, 3, "ball"), centers.size)
-    assert lists == [g.ball_members(i, 3) for i in centers.tolist()]
+    assert lists == [ball_oracle(g, i, 3) for i in centers.tolist()]
 
 
 def _wheel(rim):
@@ -87,7 +87,7 @@ def test_candidates_in_the_current_shell_are_dropped(g):
             nn_oracle(g, i, k) for i in range(g.n)]
     for l in range(4):
         assert per_center(*g.neighborhoods(centers, l, "ball"), g.n) == [
-            g.ball_members(i, l) for i in range(g.n)]
+            ball_oracle(g, i, l) for i in range(g.n)]
 
 
 def test_centers_settling_at_different_depths_share_a_batch():
@@ -102,7 +102,7 @@ def test_centers_settling_at_different_depths_share_a_batch():
             nn_oracle(g, i, k) for i in centers.tolist()]
     for l in range(6):
         assert per_center(*g.neighborhoods(centers, l, "ball"), centers.size) == [
-            g.ball_members(i, l) for i in centers.tolist()]
+            ball_oracle(g, i, l) for i in centers.tolist()]
 
 
 def test_batch_of_isolated_centers():
@@ -227,10 +227,10 @@ def test_nearest_table_validation():
 @given(graphs(), st.data(), st.integers(1, 8), st.integers(0, 4), st.integers(1, 4))
 def test_classify_indicators_match_single_node_queries(g, data, k, l, s):
     reporting = data.draw(st.sets(st.integers(0, g.n - 1)))  # may be empty
-    for cfg, members in ((DetectorConfig.nn(k=k, t=0, s=s), g.nn_members),
-                         (DetectorConfig.ball_mode(l=l, s=s, t=0), g.ball_members)):
+    for cfg, members in ((DetectorConfig.nn(k=k, t=0, s=s), nn_oracle),
+                         (DetectorConfig.ball_mode(l=l, s=s, t=0), ball_oracle)):
         verdict = classify(g, reporting, cfg, keep_indicators=True)
-        want = {i: sum(v in reporting for v in members(i, cfg.k_or_l)) >= s
+        want = {i: sum(v in reporting for v in members(g, i, cfg.k_or_l)) >= s
                 for i in sorted(reporting)}
         assert verdict.per_node == want
         assert list(verdict.per_node) == sorted(reporting)

@@ -34,8 +34,9 @@ BALL = "ball"
 _BLOCK = 256
 
 # (center, node) pairs a batch of Graph.neighborhoods aims to expand over
-# all its levels: enough work to spread a level's fixed cost of ~50 numpy
-# calls, while a batch's arrays stay near this many pairs
+# all its levels: enough work to spread the fixed cost of its numpy calls
+# (53 per plain nn level past depth 1, 39 at depth 1, and 15 to place the
+# pairs at the end), while a batch's arrays stay near this many pairs
 _PAIRS = 1 << 14
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -74,8 +75,9 @@ def _centers_of(centers, n: int) -> np.ndarray:
 
 def _max_batch(n: int) -> int:
     """The most centers one batch of Graph.neighborhoods may hold on a graph
-    of n nodes: its sort codes (owner * span + dist) * n + node stay below
-    2**63 for any span <= 2n, and so do its BFS codes (owner * n + node) << 1."""
+    of n nodes. A perceived-distance batch sorts the codes
+    (owner * span + dist) * n + node with span <= 2n, which this keeps below
+    2**63; every batch's BFS codes (owner * n + node) << 1 are smaller."""
     return (2**63 - 1) // max(2 * n * n, 1)
 
 
@@ -182,12 +184,12 @@ class Graph:
         order; mode "nn" keeps the first ``size`` of them, mode "ball" every
         one perceived within ``size`` hops. The center is never a member.
 
-        Without ``perceive`` the perceived distance is the hop distance.
-        ``perceive(observers, targets, d)`` maps pairs at hop distance d to
-        perceived distances in [1, 2n - 2] no smaller than d - ``slack``. A
-        ball then explores ``size + slack`` hops, and an nn center stops once
-        ``size`` of its members are perceived within depth - slack, as
-        nothing deeper can be perceived closer than those.
+        Without ``perceive`` the perceived distance is the hop distance and
+        ``slack`` must be 0. ``perceive(observers, targets, d)`` maps pairs
+        at hop distance d to perceived distances in [1, 2n - 2] no smaller
+        than d - ``slack``. A ball then explores ``size + slack`` hops, and
+        an nn center stops once ``size`` of its members are perceived within
+        depth - slack, as nothing deeper can be perceived closer than those.
 
         Centers go in batches sized by the work they cause: the first holds
         _BLOCK centers, and each later one as many as expand about _PAIRS
@@ -198,12 +200,23 @@ class Graph:
         one sort of tagged codes keeps the distinct candidates in neither
         the previous nor the current shell: in an undirected graph those are
         exactly the unvisited pairs.
+
+        A plain query ranks each level as the BFS finds it. A level is in
+        (center, node) order and all of it lies at one hop distance, so a
+        pair's rank is its center's members from earlier levels plus its
+        place in the center's run of the level; an nn level keeps the ranks
+        below ``size``. At the end every pair is placed by scatter at its
+        center's offset plus its rank, with no sort. Only perceived
+        distances pay one sort of (center, perceived distance, node) codes
+        over all of a batch's pairs.
         """
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
         nearest = mode == NN
         if size < (1 if nearest else 0):
             raise ValueError("k must be >= 1" if nearest else "radius must be >= 0")
+        if slack and perceive is None:
+            raise ValueError("slack needs a perceive function")
         centers = _centers_of(centers, self.n)
         cap = _max_batch(self.n)
         owners, members, ranks = [_EMPTY], [_EMPTY], [_EMPTY]
@@ -222,14 +235,16 @@ class Graph:
         n, indptr, indices = self.n, self._indptr, self._indices
         shell = np.arange(centers.size, dtype=np.int64) * n + centers  # keys owner*n + node
         prev = _EMPTY
-        found = np.zeros(centers.size, dtype=np.int64)  # nn: settled members per center
+        # members per center: ranked so far (plain), or settled (perceived nn)
+        found = np.zeros(centers.size, dtype=np.int64)
         pending_owner, pending_dist = _EMPTY, _EMPTY
-        keys, dists = [_EMPTY], [_EMPTY]
+        keys, tags = [_EMPTY], [_EMPTY]  # per level: keys, and ranks or perceived distances
         depth = expanded = 0
         while shell.size and (nearest or depth < size + slack):
             depth += 1
             nodes = shell % n
-            start, deg = indptr[nodes], indptr[nodes + 1] - indptr[nodes]
+            start = indptr[nodes]
+            deg = indptr[nodes + 1] - start
             ends = deg.cumsum()
             expanded += int(ends[-1])
             gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
@@ -242,35 +257,60 @@ class Graph:
                 code.sort()
                 keep = (code & 1).astype(bool)
                 keep[1:] &= np.diff(code) > 1
-                new = code[keep] >> 1
+                # flatnonzero and a gather: numpy's boolean indexing copies
+                # run by run, several times slower on masks of short runs
+                new = code[np.flatnonzero(keep)] >> 1
             owner = new // n
-            dist = (np.full(new.size, depth, dtype=np.int64) if perceive is None
-                    else perceive(centers[owner], new - owner * n, depth))
-            keys.append(new)
-            dists.append(dist)
+            if perceive is None:
+                # a level is in (owner, node) order, all at hop distance
+                # depth: a pair's rank is its center's members from earlier
+                # levels plus its place in its center's run
+                count = np.bincount(owner, minlength=centers.size)
+                rank = np.arange(new.size) + (found - count.cumsum() + count)[owner]
+                found += count
+                keep = slice(None)
+                if nearest:  # the cut at size falls inside this level only
+                    keep = np.flatnonzero(rank < size)
+                    np.minimum(found, size, out=found)
+                keys.append(new[keep])
+                tags.append(rank[keep])
+            else:
+                dist = perceive(centers[owner], new - owner * n, depth)
+                keys.append(new)
+                tags.append(dist)
+                if nearest:
+                    # a member perceived within depth - slack is settled: no
+                    # node still unexplored can be perceived closer
+                    pending_owner = np.concatenate([pending_owner, owner])
+                    pending_dist = np.concatenate([pending_dist, dist])
+                    settled = pending_dist <= depth - slack
+                    found += np.bincount(pending_owner[settled], minlength=centers.size)
+                    pending_owner, pending_dist = pending_owner[~settled], pending_dist[~settled]
             prev, shell = shell, new
             if nearest:
-                # a member perceived within depth - slack is settled: no node
-                # still unexplored can be perceived closer
-                pending_owner = np.concatenate([pending_owner, owner])
-                pending_dist = np.concatenate([pending_dist, dist])
-                settled = pending_dist <= depth - slack
-                found += np.bincount(pending_owner[settled], minlength=centers.size)
-                pending_owner, pending_dist = pending_owner[~settled], pending_dist[~settled]
                 # a settled center stays settled: its pairs leave both shells
                 active = found < size
-                shell, prev = new[active[owner]], prev[active[prev // n]]
-        key, dist = np.concatenate(keys), np.concatenate(dists)
+                shell = new[np.flatnonzero(active[owner])]
+                prev = prev[np.flatnonzero(active[prev // n])]
+        key, tag = np.concatenate(keys), np.concatenate(tags)
+        if perceive is None:
+            # no sort: each pair goes to its center's offset plus its rank
+            owner = key // n
+            at = (found.cumsum() - found)[owner] + tag
+            member, rank = np.empty_like(key), np.empty_like(tag)
+            member[at], rank[at] = key - owner * n, tag
+            owner = np.arange(centers.size, dtype=np.int64).repeat(found)
+            return owner, member, rank, expanded
         if not nearest:
-            key, dist = key[dist <= size], dist[dist <= size]
+            key, tag = key[tag <= size], tag[tag <= size]
         # one sort of (owner, perceived distance, node) codes. True distances
         # are below n, and a noisy view shifts only those above its magnitude,
         # so perceived ones lie in [1, 2n - 2] and span <= 2n: with at most
         # _max_batch(n) owners every code fits in int64
         owner = key // n
-        dist -= dist.min(initial=0)
-        span = dist.max(initial=0) + 1
-        code = (owner * span + dist) * n + (key - owner * n)
+        tag -= tag.min(initial=0)
+        span = tag.max(initial=0) + 1
+        code = (owner * span + tag) * n + (key - owner * n)
         code.sort()
         owner, member = code // n // span, code % n
         count = np.bincount(owner, minlength=centers.size)
@@ -499,6 +539,14 @@ def save_edge_list(g: Graph, path) -> None:
 # -- generators ---------------------------------------------------------------
 
 
+def check_erdos_renyi(n: int, p: float) -> None:
+    """Raise ValueError, as gen_erdos_renyi does, if G(n, p) is undefined."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+
+
 def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     """G(n, p): every unordered pair is an edge independently with prob p.
 
@@ -506,10 +554,7 @@ def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     count and then a uniform set of that many distinct pairs, which is
     distributionally identical to pair-by-pair coin flips.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+    check_erdos_renyi(n, p)
     rng = np.random.default_rng(rng_seed)
     total_pairs = n * (n - 1) // 2
     if p == 0.0 or total_pairs == 0:
@@ -567,6 +612,14 @@ def gen_tree(degree: int, depth: int) -> Graph:
     return Graph._from_pairs(n, parent, child)
 
 
+def check_power_law(n: int, exponent: float) -> None:
+    """Raise ValueError, as gen_power_law does, for a size or exponent it refuses."""
+    if n < 10:
+        raise ValueError("n must be >= 10")
+    if not exponent > 2:  # NaN too; inf gives the degree-1 limit
+        raise ValueError("exponent must be > 2")
+
+
 def gen_power_law(n: int, exponent: float, rng_seed: int) -> Graph:
     """Configuration-model graph with a truncated discrete power-law degree law.
 
@@ -575,10 +628,7 @@ def gen_power_law(n: int, exponent: float, rng_seed: int) -> Graph:
     node's degree. Self-loops and multi-edges from the stub matching are
     discarded, so realized degrees can fall slightly below their draws.
     """
-    if n < 10:
-        raise ValueError("n must be >= 10")
-    if not exponent > 2:  # NaN too; inf gives the degree-1 limit
-        raise ValueError("exponent must be > 2")
+    check_power_law(n, exponent)
     rng = np.random.default_rng(rng_seed)
     d_max = int(np.sqrt(n))
     xs = np.arange(1, d_max + 1, dtype=np.float64)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
-from .graph import (BALL, NN, Graph, gen_erdos_renyi, gen_grid, gen_power_law,
-                    gen_tree, load_edge_list)
+from .graph import (BALL, NN, Graph, check_erdos_renyi, check_power_law,
+                    gen_erdos_renyi, gen_grid, gen_power_law, gen_tree, load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
 # splitmix64 is unused here: perfbench/tracing.py patches it on this module
@@ -69,21 +69,32 @@ class TopologySpec:
         missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
         if missing:
             raise ValueError(f"topology {self.kind} needs {' and '.join(missing)}")
+        # a random kind is built anew in every trial: its generator's checks
+        # run here, so a bad size fails the spec once, not the first trial
+        if self.kind == "er":
+            check_erdos_renyi(self.n, self._p())
+        elif self.kind == "powerlaw":
+            check_power_law(self.n, self._exponent())
+
+    def _p(self) -> float:
+        # the default p is 2/n; n < 1 is left to the generator's check
+        return self.p if self.p is not None else 2.0 / self.n if self.n else 0.0
+
+    def _exponent(self) -> float:
+        return 2.5 if self.exponent is None else self.exponent
 
     def build(self, seed: int) -> Graph:
         """The graph; the seed matters only to the random kinds (er, powerlaw)."""
         if self._graph is not None:
             return self._graph
         if self.kind == "er":
-            # the default p is 2/n; n < 1 is left to the generator's check
-            p = self.p if self.p is not None else 2.0 / self.n if self.n else 0.0
-            g = gen_erdos_renyi(self.n, p, seed)
+            g = gen_erdos_renyi(self.n, self._p(), seed)
         elif self.kind == "grid":
             g = gen_grid(2 if self.dim is None else self.dim, self.side)
         elif self.kind == "tree":
             g = gen_tree(self.degree, self.depth)
         elif self.kind == "powerlaw":
-            g = gen_power_law(self.n, 2.5 if self.exponent is None else self.exponent, seed)
+            g = gen_power_law(self.n, self._exponent(), seed)
         else:
             g = load_edge_list(self.path, compact=self.compact)
         if self.giant:

@@ -621,7 +621,7 @@ def test_config_line_without_key_names_the_line(tmp_path, capsys):
     (["generate", "--topology", "er", "--n", "0", "--out", "x.txt"], "n must be >= 1"),
     (["gamma", "--topology", "er", "--n", "0", "--alpha", "0.1"], "n must be >= 1"),
     (["sweep", "--topology", "er", "--n", "0", "--values", "0.5", "--trials", "2"],
-     "epidemic trial 0 at t=0.5: n must be >= 1"),
+     "n must be >= 1"),
 ], ids=["generate", "gamma", "sweep"])
 def test_er_with_zero_nodes_exits_one_with_the_generator_message(
         tmp_path, monkeypatch, capsys, argv, error):
@@ -630,6 +630,22 @@ def test_er_with_zero_nodes_exits_one_with_the_generator_message(
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err == f"error: {error}\n"
     assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--topology", "er", "--n", "0", "--values", "0.5"], "n must be >= 1"),
+    (["--topology", "powerlaw", "--n", "5", "--values", "0.5"], "n must be >= 10"),
+    (["--topology", "powerlaw", "--n", "100", "--sweep", "n", "--values", "200,5"],
+     "n must be >= 10"),
+    (["--topology", "powerlaw", "--n", "100", "--exponent", "1.5", "--values", "0.5"],
+     "exponent must be > 2"),
+], ids=["er", "powerlaw", "powerlaw-swept-n", "powerlaw-exponent"])
+def test_bad_random_topology_is_a_spec_error_not_a_trial_failure(
+        tmp_path, monkeypatch, capsys, argv, error):
+    # the generator's own message with no trial prefix, as for a grid's side
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "sweep", *argv, "--trials", "2")
+    assert code == 1 and out == "" and err == f"error: {error}\n"
 
 
 def test_grid_dim_zero_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys):

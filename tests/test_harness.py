@@ -487,6 +487,18 @@ def test_fixed_topology_is_built_once_per_sweep_point(monkeypatch, tmp_path):
     assert len(giants) == 1
 
 
+def test_random_topology_is_checked_without_an_extra_build(monkeypatch):
+    # the generator's checks run on the spec: one graph per trial, as before
+    calls = counting(monkeypatch, harness, "gen_erdos_renyi")
+    run_sweep(small_spec(topology=TopologySpec(kind="er", n=120, giant=True),
+                         sweep_values=(0.4, 0.8), trials_per_point=3))
+    assert len(calls) == 2 * 2 * 3  # values x labels x trials
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        TopologySpec(kind="er", n=0)
+    with pytest.raises(ValueError, match=r"^n must be >= 10$"):
+        TopologySpec(kind="powerlaw", n=9)
+
+
 def test_spec_keeps_a_fixed_graph_and_a_new_spec_reads_the_file_afresh(tmp_path):
     path = tmp_path / "g.txt"
     save_edge_list(path_graph(3), path)

@@ -164,6 +164,59 @@ def test_batch_layout_does_not_change_output(monkeypatch, pairs, block):
             assert b.dtype == a.dtype and np.array_equal(b, a)
 
 
+def _hop_distance(observers, targets, d):
+    return np.full(targets.size, d, dtype=np.int64)
+
+
+_CROSS_GRAPHS = {
+    "er-giant": gen_erdos_renyi(1500, 2.5 / 1500, 8).largest_component()[0],
+    "grid": gen_grid(2, 12),
+    "star": Graph.from_edges(31, [(0, i) for i in range(1, 31)]),
+    "path": gen_grid(1, 40),
+}
+
+
+@pytest.mark.parametrize("pairs", [1, 2**40])
+@pytest.mark.parametrize("block", [1, 3, 256])
+@pytest.mark.parametrize("name", list(_CROSS_GRAPHS))
+def test_plain_assembly_matches_the_perceived_sort(monkeypatch, name, block, pairs):
+    # the hop distance as a perceived one sends the same query through the
+    # code sort: owner, member, rank and every batch's expanded count agree
+    g = _CROSS_GRAPHS[name]
+    centers = np.arange(g.n)
+    if name == "er-giant":
+        centers = np.sort(np.random.default_rng(4).choice(g.n, 300, replace=False))
+    monkeypatch.setattr(graph, "_PAIRS", pairs)
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    expanded = []
+    block_of = Graph._neighborhood_block
+
+    def spy(self, *args):
+        out = block_of(self, *args)
+        expanded.append(out[3])
+        return out
+
+    monkeypatch.setattr(Graph, "_neighborhood_block", spy)
+    for size, mode in [(k, "nn") for k in (1, 2, 6, 40)] + [(l, "ball") for l in range(4)]:
+        expanded.clear()
+        plain = g.neighborhoods(centers, size, mode)
+        plain_expanded = expanded.copy()
+        expanded.clear()
+        sorted_ = g.neighborhoods(centers, size, mode, perceive=_hop_distance, slack=0)
+        assert expanded == plain_expanded, (size, mode)
+        for a, b in zip(plain, sorted_):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (size, mode)
+
+
+@pytest.mark.parametrize("slack", [1, -1, 3])
+@pytest.mark.parametrize("mode", ["nn", "ball"])
+def test_slack_needs_a_perceive_function(mode, slack):
+    # without perceive a ball would explore past its radius and keep those members
+    g = gen_grid(1, 10)
+    with pytest.raises(ValueError, match="slack needs a perceive function"):
+        g.neighborhoods(np.array([0, 5]), 2, mode, slack=slack)
+
+
 def test_batch_cap_holds_for_any_noise_magnitude():
     # magnitude past every true distance: nothing shifts, yet the slack is
     # 10**17, so a batch cap derived from it would be 0 and never advance

@@ -92,7 +92,7 @@ def classify(view, reporting, cfg: DetectorConfig,
     # a node mask, built once the kernel has checked the ids, tests membership
     reports = np.zeros(view.n, dtype=bool)
     reports[centers] = True
-    hits = np.bincount(owner[reports[member]], minlength=centers.size)
+    hits = np.bincount(owner[np.flatnonzero(reports[member])], minlength=centers.size)
     fired = hits >= cfg.s
     count = int(np.count_nonzero(fired))
     per_node = dict(zip(centers.tolist(), fired.tolist())) if keep_indicators else None

@@ -55,10 +55,13 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def node_array(nodes) -> np.ndarray:
-    """Distinct node ids from any iterable, as an ascending int64 array."""
+    """Distinct node ids from any iterable, as a new ascending int64 array."""
     if not isinstance(nodes, np.ndarray):
         nodes = np.fromiter(nodes, dtype=np.int64)
-    return sorted_unique(nodes.astype(np.int64, copy=False))
+    nodes = nodes.astype(np.int64, copy=False)
+    if np.all(nodes[1:] > nodes[:-1]):  # already ascending and distinct
+        return nodes.copy()
+    return sorted_unique(nodes)
 
 
 def _centers_of(centers, n: int) -> np.ndarray:

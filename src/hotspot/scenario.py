@@ -149,27 +149,33 @@ def simulate_si(g: Graph, seeds, target_size: int, rng_seed: int) -> EpidemicOut
         raise ValueError("seeds must be nonempty and distinct")
     if target_size < len(seeds):
         raise ValueError("target_size must be >= number of seeds")
-    clock = _exp_clocks(np.random.default_rng(rng_seed))
-    infected_set = set(seeds)
+    is_infected = bytearray(g.n)
+    for s in seeds:
+        if s < 0 or s >= g.n:  # checked before the mark: bytearray[-1] is node n-1
+            raise ValueError(f"seed {s} out of range")
+        is_infected[s] = 1
+    # slices of memoryviews over the CSR yield Python ints with no copy and
+    # no numpy call per infected node
+    indptr, indices = memoryview(g._indptr), memoryview(g._indices)
+    clock = _exp_clocks(np.random.default_rng(rng_seed)).__next__
     infected = list(seeds)
     heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     for s in seeds:
-        if s < 0 or s >= g.n:
-            raise ValueError(f"seed {s} out of range")
-        for w in g.neighbors(s).tolist():
-            if w not in infected_set:
-                heapq.heappush(heap, (next(clock), w))
+        for w in indices[indptr[s]:indptr[s + 1]]:
+            if not is_infected[w]:
+                push(heap, (clock(), w))
     while len(infected) < target_size and heap:
-        t, v = heapq.heappop(heap)
-        if v in infected_set:
+        t, v = pop(heap)
+        if is_infected[v]:
             continue
-        infected_set.add(v)
+        is_infected[v] = 1
         infected.append(v)
         if len(infected) >= target_size:
             break
-        for w in g.neighbors(v).tolist():
-            if w not in infected_set:
-                heapq.heappush(heap, (t + next(clock), w))
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            if not is_infected[w]:
+                push(heap, (t + clock(), w))
     truncated = len(infected) < target_size
     if truncated:
         logger.debug("contagion exhausted seed components at %d/%d nodes",

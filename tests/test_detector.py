@@ -113,6 +113,17 @@ def test_classify_ball_mode():
     assert verdict.hotspot_count == 3
 
 
+def test_classify_takes_any_form_of_one_reporter_set():
+    g = gen_erdos_renyi(300, 4 / 300, 1)
+    reporting = np.flatnonzero(np.random.default_rng(2).random(g.n) < 0.3)
+    shuffled = np.random.default_rng(3).permutation(np.concatenate([reporting, reporting[::4]]))
+    cfg = DetectorConfig.nn(k=3, t=5)
+    want = classify(g, reporting, cfg, keep_indicators=True)
+    assert want.hotspot_count > 0
+    assert classify(g, reporting.tolist(), cfg, keep_indicators=True) == want
+    assert classify(g, shuffled, cfg, keep_indicators=True) == want
+
+
 def test_classify_indicator_retention_flag():
     g = path_graph(5)
     verdict = classify(g, {1, 2}, DetectorConfig.nn(k=1, t=0), keep_indicators=False)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
-                           gen_tree, load_edge_list, save_edge_list)
+                           gen_tree, load_edge_list, node_array, save_edge_list)
 
 from oracles import (ball_oracle, check_invariants, components_oracle, csr_oracle,
                      edge_list_oracle, hop_distances, largest_component_oracle, nn_oracle,
@@ -542,3 +542,15 @@ def test_components_and_subgraph():
     sub2, ids2 = g.subgraph([0, 1, 6])
     assert ids2.tolist() == [0, 1, 6]
     assert sub2.num_edges == 1 and sub2.degrees()[2] == 0
+
+
+@pytest.mark.parametrize("nodes, want", [
+    (np.array([1, 4, 9]), [1, 4, 9]),             # ascending: copied, not re-sorted
+    (np.array([4, 1, 9, 4], dtype=np.int32), [1, 4, 9]),
+    (np.array([], dtype=np.int64), []),
+    ([9, 1, 1], [1, 9]),
+])
+def test_node_array_returns_a_new_ascending_int64_array(nodes, want):
+    got = node_array(nodes)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert not np.shares_memory(got, np.asarray(nodes))

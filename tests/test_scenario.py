@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
 from hotspot.scenario import (EPIDEMIC, UNIFORM, ReportSnapshot, ScenarioParams,
@@ -10,7 +12,7 @@ from hotspot.scenario import (EPIDEMIC, UNIFORM, ReportSnapshot, ScenarioParams,
                               make_epidemic_snapshot, pick_seeds, simulate_si)
 from hotspot.seeds import derive_seed
 
-from oracles import sample_outside_oracle, simulate_si_oracle
+from oracles import random_graph, sample_outside_oracle, simulate_si_oracle
 
 
 def path_graph(n):
@@ -99,7 +101,9 @@ def test_si_deterministic():
     (gen_grid(2, 30), [0, 450], 700),
     (Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), [0], 6),  # truncated
     (path_graph(3), [1], 3),
-], ids=["er", "grid", "truncated", "path3"])
+    (gen_grid(2, 30), np.array([0, 450], dtype=np.int64), 700),  # numpy-int64 seeds
+    (Graph.from_edges(4, [(1, 2), (2, 3)]), [0], 3),  # degree-0 seed: truncated at one node
+], ids=["er", "grid", "truncated", "path3", "int64-seeds", "isolated-seed"])
 def test_si_block_clocks_match_scalar_draws(g, seeds, target):
     for seed in range(5):
         want = simulate_si_oracle(g, seeds, target, seed)
@@ -107,10 +111,25 @@ def test_si_block_clocks_match_scalar_draws(g, seeds, target):
         assert (got.infected, got.truncated) == (want.infected, want.truncated)
 
 
+@given(st.integers(0, 10_000), st.data())
+def test_si_matches_scalar_draws_on_random_graphs(seed, data):
+    rng = np.random.default_rng(seed)
+    g = random_graph(int(rng.integers(1, 15)), float(rng.uniform(0.0, 0.5)), rng)
+    seeds = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=min(3, g.n),
+                               unique=True))
+    target = data.draw(st.integers(len(seeds), g.n))
+    want = simulate_si_oracle(g, seeds, target, seed)
+    got = simulate_si(g, seeds, target, seed)
+    assert (got.infected, got.truncated) == (want.infected, want.truncated)
+
+
 def test_si_validation():
     g = path_graph(3)
     with pytest.raises(ValueError):
         simulate_si(g, [], 1, 0)
+    for bad in (-1, g.n):  # -1 would mark node n-1 if it reached the mask
+        with pytest.raises(ValueError, match="out of range"):
+            simulate_si(g, [0, bad], 2, 0)
     with pytest.raises(ValueError):
         simulate_si(g, [0, 0], 2, 0)
     with pytest.raises(ValueError):
@@ -289,6 +308,9 @@ def test_snapshot_reporting_is_a_sorted_read_only_array():
         snap.reporting[0] = 3
     assert ReportSnapshot(n=10, reporting={5, 2}, truth=UNIFORM).reporting.tolist() == [2, 5]
     assert snap != ReportSnapshot(n=10, reporting=ids, truth=UNIFORM)  # identity, no raise
+    ascending = np.array([2, 5, 7])
+    snap = ReportSnapshot(n=10, reporting=ascending, truth=UNIFORM)
+    assert not snap.reporting.flags.writeable and ascending.flags.writeable
 
 
 @pytest.mark.parametrize("n, count, n_excluded", [

@@ -31,13 +31,18 @@ BALL = "ball"
 
 # centers in the first batch of Graph.neighborhoods, and nodes per chunk of
 # a NearestTable build
-_BLOCK = 256
+_BLOCK = 512
 
 # (center, node) pairs a batch of Graph.neighborhoods aims to expand over
 # all its levels: enough work to spread the fixed cost of its numpy calls
-# (53 per plain nn level past depth 1, 39 at depth 1, and 15 to place the
-# pairs at the end), while a batch's arrays stay near this many pairs
-_PAIRS = 1 << 14
+# (53 per plain nn level past depth 1, 39 at depth 1, about 90 per NoisyView
+# nn level past its noise magnitude, and 15 to place the pairs at the end),
+# while a batch's arrays stay near this many pairs. On an
+# 8000-node ER giant a level holds about 1k pairs, so call overhead
+# dominates: 2**16 with a first batch of 512, in place of 2**14 and 256, ran
+# a noisy nn K = 6 query of 822 centers in 2 batches instead of 3, at 0.95 of
+# the time, a ball of radius 3 at 0.83 and a NearestTable(g, 9) build at 0.78
+_PAIRS = 1 << 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -188,11 +193,14 @@ class Graph:
         one perceived within ``size`` hops. The center is never a member.
 
         Without ``perceive`` the perceived distance is the hop distance and
-        ``slack`` must be 0. ``perceive(observers, targets, d)`` maps pairs
-        at hop distance d to perceived distances in [1, 2n - 2] no smaller
-        than d - ``slack``. A ball then explores ``size + slack`` hops, and
-        an nn center stops once ``size`` of its members are perceived within
-        depth - slack, as nothing deeper can be perceived closer than those.
+        ``slack`` must be 0. ``perceive(centers, owner, targets, d)`` maps
+        the pairs (centers[owner[i]], targets[i]) at hop distance d, where
+        ``centers`` is the batch's and ``owner`` indexes it, to perceived
+        distances in [1, 2n - 2] no smaller than d - ``slack``. A ball then
+        explores ``size + slack`` hops, and an nn center stops once ``size``
+        of its members are perceived within depth - slack, as nothing deeper
+        can be perceived closer than those; its pairs perceived farther away
+        are dropped before the sort.
 
         Centers go in batches sized by the work they cause: the first holds
         _BLOCK centers, and each later one as many as expand about _PAIRS
@@ -211,7 +219,7 @@ class Graph:
         below ``size``. At the end every pair is placed by scatter at its
         center's offset plus its rank, with no sort. Only perceived
         distances pay one sort of (center, perceived distance, node) codes
-        over all of a batch's pairs.
+        over the batch's pairs that can still be members.
         """
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
@@ -241,6 +249,12 @@ class Graph:
         # members per center: ranked so far (plain), or settled (perceived nn)
         found = np.zeros(centers.size, dtype=np.int64)
         pending_owner, pending_dist = _EMPTY, _EMPTY
+        if perceive is not None:
+            # the farthest perceived distance a center can keep: the radius
+            # of a ball; for nn, depth - slack at the level where the center
+            # settles, as a member perceived beyond ranks after ``size``
+            # settled ones (no bound while it is unsettled)
+            limit = np.full(centers.size, np.iinfo(np.int64).max if nearest else size)
         keys, tags = [_EMPTY], [_EMPTY]  # per level: keys, and ranks or perceived distances
         depth = expanded = 0
         while shell.size and (nearest or depth < size + slack):
@@ -278,7 +292,7 @@ class Graph:
                 keys.append(new[keep])
                 tags.append(rank[keep])
             else:
-                dist = perceive(centers[owner], new - owner * n, depth)
+                dist = perceive(centers, owner, new - owner * n, depth)
                 keys.append(new)
                 tags.append(dist)
                 if nearest:
@@ -288,7 +302,10 @@ class Graph:
                     pending_dist = np.concatenate([pending_dist, dist])
                     settled = pending_dist <= depth - slack
                     found += np.bincount(pending_owner[settled], minlength=centers.size)
-                    pending_owner, pending_dist = pending_owner[~settled], pending_dist[~settled]
+                    np.minimum(limit, depth - slack, out=limit, where=found >= size)
+                    # the rest stays pending while its center is unsettled
+                    left = np.flatnonzero(~settled & (found < size)[pending_owner])
+                    pending_owner, pending_dist = pending_owner[left], pending_dist[left]
             prev, shell = shell, new
             if nearest:
                 # a settled center stays settled: its pairs leave both shells
@@ -304,13 +321,13 @@ class Graph:
             member[at], rank[at] = key - owner * n, tag
             owner = np.arange(centers.size, dtype=np.int64).repeat(found)
             return owner, member, rank, expanded
-        if not nearest:
-            key, tag = key[tag <= size], tag[tag <= size]
+        owner = key // n
+        keep = np.flatnonzero(tag <= limit[owner])
+        key, tag, owner = key[keep], tag[keep], owner[keep]
         # one sort of (owner, perceived distance, node) codes. True distances
         # are below n, and a noisy view shifts only those above its magnitude,
         # so perceived ones lie in [1, 2n - 2] and span <= 2n: with at most
         # _max_batch(n) owners every code fits in int64
-        owner = key // n
         tag -= tag.min(initial=0)
         span = tag.max(initial=0) + 1
         code = (owner * span + tag) * n + (key - owner * n)
@@ -328,23 +345,28 @@ class Graph:
     def component_labels(self) -> np.ndarray:
         """Label of every node: the smallest node id in its component.
 
-        Min-label propagation with pointer jumping. Each round hooks, for
-        every edge (v, w), the node labels[v] onto labels[w] if that is
-        smaller, then replaces every label by its label's label until that
-        changes nothing. A label is always the id of a node in the same
-        component and never increases, so the fixed point, where labels agree
-        across every edge, is the component minimum.
+        Min-label propagation with pointer jumping over each edge once (its
+        u < v half of the CSR). Each round hooks, for every edge whose ends
+        carry different labels, the larger label onto the smaller, then
+        replaces every label by its label's label until that changes
+        nothing; edges whose ends share a label leave for good. A label is
+        always the id of a node in the same component and never increases,
+        so once no edge crosses two labels, each label is its component's
+        minimum.
         """
         labels = np.arange(self.n, dtype=np.int64)
-        src = np.repeat(labels, np.diff(self._indptr))
-        dst = self._indices
+        u = np.repeat(labels, np.diff(self._indptr))
+        keep = np.flatnonzero(u < self._indices)
+        u, v = u[keep], self._indices[keep]
         while True:
-            before = labels.copy()
-            np.minimum.at(labels, labels[src], labels[dst])
+            a, b = labels[u], labels[v]
+            cross = np.flatnonzero(a != b)
+            if not cross.size:
+                return labels
+            u, v, a, b = u[cross], v[cross], a[cross], b[cross]
+            np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
             while not np.array_equal(jumped := labels[labels], labels):
                 labels = jumped
-            if np.array_equal(labels, before):
-                return labels
 
     def largest_component(self) -> tuple["Graph", np.ndarray]:
         """Subgraph of the largest connected component.
@@ -354,7 +376,17 @@ class Graph:
         """
         labels = self.component_labels()
         biggest = np.argmax(np.bincount(labels, minlength=1))
-        return self.subgraph(np.flatnonzero(labels == biggest))
+        old_ids = np.flatnonzero(labels == biggest)
+        # a component is closed: its rows, renumbered, are the subgraph's CSR
+        # (the renumbering ascends, so each row stays sorted)
+        start = self._indptr[old_ids]
+        deg = self._indptr[old_ids + 1] - start
+        indptr = np.zeros(old_ids.size + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        remap = np.empty(self.n, dtype=np.int64)
+        remap[old_ids] = np.arange(old_ids.size)
+        gather = (start - indptr[:-1]).repeat(deg) + np.arange(indptr[-1])
+        return Graph(old_ids.size, indptr, remap[self._indices[gather]]), old_ids
 
     def subgraph(self, nodes) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``nodes`` (ids in [0, n), checked), relabeled
@@ -399,7 +431,7 @@ class NearestTable:
         # one query per _BLOCK nodes, not one over every node: the owner and
         # rank arrays a single query returns for every node would triple the
         # table's size while it is built (it raised calibrate_gamma's peak
-        # RSS from 39.6 to 46.0 MB)
+        # RSS from 39.7 to 42.8-43.1 MB)
         members, counts = [_EMPTY], [_EMPTY]
         for lo in range(0, self.n, _BLOCK):
             centers = np.arange(lo, min(lo + _BLOCK, self.n), dtype=np.int64)

@@ -170,18 +170,23 @@ class NoisyView:
         self._seed = int(seed)
         self.n = g.n
 
-    def _perceive(self, observers: np.ndarray, targets: np.ndarray, true_d: int) -> np.ndarray:
-        """Perceived distances of the pairs (observers[i], targets[i]) at true
-        distance true_d, by DistanceNoise's rule keyed by (seed, observer, target)."""
+    def _perceive(self, centers: np.ndarray, owner: np.ndarray, targets: np.ndarray,
+                  true_d: int) -> np.ndarray:
+        """Perceived distances of the pairs (centers[owner[i]], targets[i]) at
+        true distance true_d, by DistanceNoise's rule keyed by (seed,
+        observer, target)."""
         mag = self._noise.magnitude
         if true_d <= mag:
             return np.full(targets.size, true_d, dtype=np.int64)
         seed = np.uint64(self._seed & 0xFFFFFFFFFFFFFFFF)
-        h = splitmix64_array(splitmix64_array(seed ^ observers.astype(np.uint64))
-                             ^ targets.astype(np.uint64))
-        flip = (h >> np.uint64(11)) / 9007199254740992.0 < self._noise.flip_prob
-        shift = np.where(h & np.uint64(1), mag, -mag)
-        return np.where(flip, true_d + shift, true_d)
+        # the observer's half of the key, hashed once per center
+        observed = splitmix64_array(seed ^ centers.astype(np.uint64))
+        h = splitmix64_array(observed[owner] ^ targets.astype(np.uint64))
+        # (h >> 11) / 2**53 < flip_prob, scaled by a power of two: exact
+        flip = np.flatnonzero((h >> np.uint64(11)) < self._noise.flip_prob * 2.0**53)
+        dist = np.full(targets.size, true_d, dtype=np.int64)
+        dist[flip] += np.where(h[flip] & np.uint64(1), mag, -mag)
+        return dist
 
     def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
         """Graph.neighborhoods ranked by perceived distance."""

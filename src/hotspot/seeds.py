@@ -34,10 +34,14 @@ def splitmix64_array(state) -> np.ndarray:
     Bit-identical to :func:`splitmix64` on every 64-bit word. The result is
     at least one-dimensional: numpy scalars would warn on the wrap-around.
     """
-    z = np.array(state, dtype=np.uint64, ndmin=1) + np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = np.array(state, dtype=np.uint64, ndmin=1)  # a copy, updated in place
+    z += np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _token_to_int(token) -> int:

@@ -11,7 +11,7 @@ from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
 
 from oracles import (ball_oracle, check_invariants, components_oracle, csr_oracle,
                      edge_list_oracle, hop_distances, largest_component_oracle, nn_oracle,
-                     tree_level_offsets)
+                     random_graph, tree_level_offsets)
 
 
 def path_graph(n):
@@ -41,6 +41,22 @@ def clustered_graphs(draw):
                                          st.integers(start, end - 1)), max_size=size))
         start = end
     return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges if u != v])
+
+
+@st.composite
+def twin_random_graphs(draw):
+    """A random graph, alone or beside a copy of itself (every component
+    size then ties), plus isolated nodes, under a random relabeling."""
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    g = random_graph(n, draw(st.floats(0.02, 0.4)), rng)
+    edges = [(u, v) for u in range(n) for v in g.neighbors(u).tolist() if u < v]
+    copies = draw(st.integers(1, 2))
+    edges += [(u + n, v + n) for u, v in edges] if copies == 2 else []
+    total = copies * n + draw(st.integers(0, 3))
+    perm = rng.permutation(total)
+    return Graph.from_edges(total, np.asarray([(perm[u], perm[v]) for u, v in edges],
+                                              dtype=np.int64).reshape(-1, 2))
 
 
 # -- construction -------------------------------------------------------------
@@ -491,7 +507,7 @@ def test_ball_size_nondecreasing(g, i):
 
 # -- components ----------------------------------------------------------------
 
-@given(st.one_of(small_graphs(), clustered_graphs()))
+@given(st.one_of(small_graphs(), clustered_graphs(), twin_random_graphs()))
 def test_component_labels_match_dfs_oracle(g):
     labels = g.component_labels()
     assert labels.dtype == np.int64 and labels.shape == (g.n,)
@@ -499,7 +515,7 @@ def test_component_labels_match_dfs_oracle(g):
         assert labels[comp].tolist() == [comp[0]] * len(comp)
 
 
-@given(st.one_of(small_graphs(), clustered_graphs()))
+@given(st.one_of(small_graphs(), clustered_graphs(), twin_random_graphs()))
 def test_largest_component_matches_dfs_oracle(g):
     sub, old_ids = g.largest_component()
     expected = largest_component_oracle(g)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hotspot
-from hotspot import calibration, harness
+from hotspot import calibration, graph, harness
 from hotspot.detector import DetectorConfig
 from hotspot.graph import Graph, gen_erdos_renyi, save_edge_list
 from hotspot.harness import (SWEEP_CSV_HEADER, DistanceNoise, ExperimentSpec,
@@ -252,22 +252,29 @@ def test_noisy_view_asymmetric_misperception():
     view = NoisyView(path_graph(40), DistanceNoise(flip_prob=0.5, magnitude=1), seed=2)
     asymmetric = 0
     for d in range(2, 40):
-        near, far = np.arange(40 - d), np.arange(d, 40)
-        there = view._perceive(near, far, d) != d
-        back = view._perceive(far, near, d) != d
-        asymmetric += int(np.count_nonzero(there != back))
+        near, far, pair = np.arange(40 - d), np.arange(d, 40), np.arange(40 - d)
+        there = view._perceive(near, pair, far, d)
+        back = view._perceive(far, pair, near, d)
+        assert there.tolist() == [perceived_oracle(2, 0.5, 1, o, t, d)
+                                  for o, t in zip(near.tolist(), far.tolist())]
+        assert back.tolist() == [perceived_oracle(2, 0.5, 1, o, t, d)
+                                 for o, t in zip(far.tolist(), near.tolist())]
+        asymmetric += int(np.count_nonzero((there != d) != (back != d)))
     assert asymmetric > 0
 
 
 @pytest.mark.parametrize("seed", [0, 9, -5, -(2**63), 2**64 + 3, 2**70 + 12345])
 def test_noisy_view_pair_rule_is_the_same_for_arrays(seed):
-    # negative and wider-than-64-bit seeds act through their low 64 bits
+    # negative and wider-than-64-bit seeds act through their low 64 bits;
+    # each observer is hashed once and gathered per pair, in any owner order
     view = NoisyView(path_graph(2), DistanceNoise(flip_prob=0.5, magnitude=2), seed=seed)
-    observers, targets = (a.ravel() for a in np.meshgrid(np.arange(60), np.arange(60)))
+    centers = np.array([0, 3, 7, 12, 40, 59])
+    owner, targets = (a.ravel() for a in np.meshgrid(np.arange(centers.size), np.arange(60)))
+    owner = owner[::-1].copy()
+    observers = centers[owner].tolist()
     for d in (1, 2, 3, 4, 9):
-        assert view._perceive(observers, targets, d).tolist() == [
-            perceived_oracle(seed, 0.5, 2, o, t, d)
-            for o, t in zip(observers.tolist(), targets.tolist())]
+        assert view._perceive(centers, owner, targets, d).tolist() == [
+            perceived_oracle(seed, 0.5, 2, o, t, d) for o, t in zip(observers, targets.tolist())]
 
 
 def test_noisy_view_saturated_noise_changes_neighborhoods():
@@ -283,17 +290,27 @@ def test_noisy_view_saturated_noise_changes_neighborhoods():
 
 
 @pytest.mark.parametrize("flip_prob", [0.2, 1.0])
-@pytest.mark.parametrize("magnitude", [1, 2])
-def test_noisy_view_matches_full_sort_oracle(flip_prob, magnitude):
-    # ER graph with isolated nodes and small pieces besides the giant
+@pytest.mark.parametrize("magnitude", [1, 2, 3])
+def test_noisy_view_matches_full_sort_oracle(monkeypatch, flip_prob, magnitude):
+    # ER graph with isolated nodes and small pieces besides the giant; with
+    # every far pair shifted by 3, nn centers settle at many different depths
     g = gen_erdos_renyi(150, 2.5 / 150, 5)
     view = NoisyView(g, DistanceNoise(flip_prob=flip_prob, magnitude=magnitude), seed=11)
-    for i in range(0, g.n, 3):
-        ranking = noisy_ranking_oracle(g, i, 11, flip_prob, magnitude)
-        for k in (1, 2, 5, 9, 40):
-            assert view.nn_members(i, k) == [v for _, v in ranking[:k]]
-        for l in (0, 1, 2, 4):
-            assert view.ball_members(i, l) == [v for d, v in ranking if d <= l]
+    centers = np.arange(0, g.n, 3)
+    rankings = [noisy_ranking_oracle(g, i, 11, flip_prob, magnitude) for i in centers.tolist()]
+    for pairs in (1, 2**40):
+        for block in (1, 3, 512):
+            monkeypatch.setattr(graph, "_PAIRS", pairs)
+            monkeypatch.setattr(graph, "_BLOCK", block)
+            for k in (1, 2, 5, 9, 40):
+                owner, member, rank = view.neighborhoods(centers, k, "nn")
+                counts = [min(k, len(ranking)) for ranking in rankings]
+                assert owner.tolist() == [c for c, m in enumerate(counts) for _ in range(m)]
+                assert rank.tolist() == [r for m in counts for r in range(m)]
+                assert member.tolist() == [v for ranking in rankings for _, v in ranking[:k]]
+            for l in (0, 1, 2, 4):
+                assert view.neighborhoods(centers, l, "ball")[1].tolist() == [
+                    v for ranking in rankings for d, v in ranking if d <= l]
 
 
 @given(st.integers(4, 30), st.floats(0.05, 0.5), st.integers(0, 2**32),

@@ -145,13 +145,16 @@ def test_centers_must_be_ascending_and_distinct(centers, table):
 
 def _layout_queries(g, centers):
     noisy = NoisyView(g, DistanceNoise(flip_prob=0.3, magnitude=2), seed=3)
+    # every far pair shifted by 3: nn centers settle at many different depths
+    flipped = NoisyView(g, DistanceNoise(flip_prob=1.0, magnitude=3), seed=5)
     return ([g.neighborhoods(centers, k, "nn") for k in (1, 6, 40)]
             + [g.neighborhoods(centers, 3, "ball"), noisy.neighborhoods(centers, 6, "nn"),
-               noisy.neighborhoods(centers, 3, "ball")])
+               noisy.neighborhoods(centers, 3, "ball")]
+            + [flipped.neighborhoods(centers, k, "nn") for k in (1, 6, 40)])
 
 
 @pytest.mark.parametrize("pairs", [1, 2**40])
-@pytest.mark.parametrize("block", [1, 3, 256])
+@pytest.mark.parametrize("block", [1, 3, 256, 512])
 def test_batch_layout_does_not_change_output(monkeypatch, pairs, block):
     # about 750 centers of mixed degree: the batches come in unequal sizes
     g = gen_erdos_renyi(1500, 2.5 / 1500, 8)
@@ -164,7 +167,7 @@ def test_batch_layout_does_not_change_output(monkeypatch, pairs, block):
             assert b.dtype == a.dtype and np.array_equal(b, a)
 
 
-def _hop_distance(observers, targets, d):
+def _hop_distance(centers, owner, targets, d):
     return np.full(targets.size, d, dtype=np.int64)
 
 

@@ -7,12 +7,11 @@ neighborhood is unusually full of other reporters.
 """
 
 from .calibration import (ErrorBounds, GammaEntry, GammaProfile,
-                          ReportingProbabilities, boundary_set, error_bounds,
-                          estimate_gamma, gamma_analytic_tree, gamma_for_set,
-                          gamma_lower_bound, reporting_probabilities, solve_k)
+                          ReportingProbabilities, error_bounds, estimate_gamma,
+                          gamma_analytic_tree, gamma_for_set, gamma_lower_bound,
+                          reporting_probabilities, solve_k)
 from .detector import (DetectorConfig, SmallRegimeParams, Verdict, classify,
-                       multi_k_test, prescribe, select_params_dense,
-                       select_params_small)
+                       prescribe, select_params_dense, select_params_small)
 from .graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
                     load_edge_list, save_edge_list)
 from .harness import (DistanceNoise, ExperimentSpec, NoisyView, ScenarioRule,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, NearestTable, leading_runs, node_array
+from .graph import NN, Graph, NearestTable, node_array
 from .scenario import ScenarioParams, pick_seeds, simulate_si
 from .seeds import derive_seed
 
@@ -74,19 +74,6 @@ def reporting_probabilities(q: float, alpha: float, f: float) -> ReportingProbab
     return ReportingProbabilities(p_in=p_in, p=p)
 
 
-def boundary_set(g, infected, k: int) -> np.ndarray:
-    """Infected nodes whose k-nearest-neighbor set, through ``g`` (a Graph
-    or any view of one), contains an uninfected node, as an ascending int64
-    array."""
-    infected = node_array(infected)
-    if not infected.size:
-        raise ValueError("infected set must be nonempty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    runs, reached = leading_runs(g, infected, k, infected)
-    return infected[runs < reached]
-
-
 def _checked_k_values(k_values) -> list[int]:
     k_values = [int(k) for k in k_values]
     if not k_values:
@@ -100,14 +87,25 @@ def gamma_for_set(g, infected, k_values) -> list[float]:
     """Interior fraction gamma(k) = 1 - |boundary(k)|/|S| for each k, with
     neighborhoods from ``g``, a Graph or any view of one.
 
-    One outward scan per infected node serves every requested k.
+    One scan of the max(k) nearest neighbors serves every k: an infected
+    node is on the boundary (has an uninfected k-nearest neighbor) for every
+    k above the rank of its first uninfected neighbor.
     """
     infected = node_array(infected)
     if not infected.size:
         raise ValueError("infected set must be nonempty")
     k_values = _checked_k_values(k_values)
-    runs, reached = leading_runs(g, infected, max(k_values), infected)
-    stops = runs[runs < reached]  # on the boundary for every k above its stop
+    owner, member, rank = g.neighborhoods(infected, max(k_values), NN)
+    # a node mask: one gather per member, where a binary search of
+    # ``infected`` per member costs ten times more
+    inside = np.zeros(g.n, dtype=bool)
+    inside[infected] = True
+    out = np.flatnonzero(~inside[member])
+    owner, rank = owner[out], rank[out]
+    # members come by owner, then rank: keep each owner's first one outside
+    first = np.ones(owner.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    stops = rank[first]
     return [1.0 - int(np.count_nonzero(stops < k)) / infected.size for k in k_values]
 
 
@@ -179,8 +177,8 @@ class GammaProfile:
 
 
 def k_cap(n: int) -> int:
-    """Largest K the multi-K test and a default gamma(K) profile use on an
-    N-node graph: ceil(ln N), at least 1."""
+    """Largest K of a default gamma(K) profile (the ``gamma`` command's, and
+    an auto-regime sweep's) on an N-node graph: ceil(ln N), at least 1."""
     return max(1, math.ceil(math.log(max(n, 2))))
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import (GammaProfile, gamma_analytic_tree, k_cap, reporting_probabilities,
+from .calibration import (GammaProfile, gamma_analytic_tree, reporting_probabilities,
                           smallest_k)
-from .graph import BALL, NN, leading_runs, node_array
+from .graph import BALL, NN, node_array
 from .scenario import EPIDEMIC, UNIFORM
 
 logger = logging.getLogger(__name__)
@@ -100,54 +100,6 @@ def classify(view, reporting, cfg: DetectorConfig,
     return Verdict(label=label, hotspot_count=count, threshold=cfg.t,
                    mode=cfg.mode, k_or_l=cfg.k_or_l, per_node=per_node,
                    note=cfg.note)
-
-
-def multi_k_test(view, reporting, k_range, null_expectations: dict[int, float],
-                 deviation_factor: float) -> Verdict:
-    """Deviation test against the null's expected hotspot counts.
-
-    For each K in k_range the canonical indicator (s=K over the K nearest
-    neighbors) is summed over reporting nodes; the snapshot is declared a
-    contagion iff any count deviates from its supplied null expectation by
-    more than deviation_factor * sqrt(expectation). One BFS per reporting
-    node serves all K.
-    """
-    k_range = sorted(set(int(k) for k in k_range))
-    if not k_range:
-        raise ValueError("k_range must be nonempty")
-    cap = k_cap(view.n)
-    if k_range[0] < 1 or k_range[-1] > cap:
-        raise ValueError(f"k_range must lie within [1, {cap}] for n={view.n}")
-    missing = [k for k in k_range if k not in null_expectations]
-    if missing:
-        raise ValueError(f"null_expectations missing K values {missing}")
-    if not (math.isfinite(deviation_factor) and deviation_factor >= 0):
-        raise ValueError(f"deviation_factor must be finite and >= 0, got {deviation_factor}")
-    expectations = {k: float(null_expectations[k]) for k in k_range}
-    for k, expected in expectations.items():
-        if not (math.isfinite(expected) and expected >= 0):
-            raise ValueError(f"null expectation for K={k} must be finite and >= 0, "
-                             f"got {expected}")
-    centers = node_array(reporting)
-    lengths, _ = leading_runs(view, centers, k_range[-1], centers)
-    counts = {k: int(np.count_nonzero(lengths >= k)) for k in k_range}
-    worst_k, worst_excess = k_range[0], float("-inf")
-    fired = False
-    details = []
-    for k in k_range:
-        expected = expectations[k]
-        band = deviation_factor * math.sqrt(expected)
-        excess = abs(counts[k] - expected) - band
-        details.append(f"K={k}:count={counts[k]},expected={expected:.6g}")
-        if excess > 0:
-            fired = True
-        if excess > worst_excess:
-            worst_excess, worst_k = excess, k
-    label = EPIDEMIC if fired else UNIFORM
-    return Verdict(label=label, hotspot_count=counts[worst_k],
-                   threshold=expectations[worst_k],
-                   mode=NN, k_or_l=worst_k,
-                   note="multi-k " + " ".join(details))
 
 
 # -- parameter selection -------------------------------------------------------

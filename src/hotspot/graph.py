@@ -59,11 +59,23 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _int_ids(values, what: str = "node id") -> np.ndarray:
+    """``values`` (an array or any iterable) as an int64 array. Integral
+    floats pass; a fractional or non-finite float, or a boolean array (a
+    mask, not ids), raises ValueError naming it."""
+    values = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if values.dtype == bool:
+        raise ValueError(f"{what}s must be integers, got a boolean array")
+    if values.dtype.kind == "f":
+        bad = values[~np.isfinite(values) | (values != np.trunc(values))]
+        if bad.size:
+            raise ValueError(f"{what} {bad[0]} is not an integer")
+    return values.astype(np.int64, copy=False)
+
+
 def node_array(nodes) -> np.ndarray:
     """Distinct node ids from any iterable, as a new ascending int64 array."""
-    if not isinstance(nodes, np.ndarray):
-        nodes = np.fromiter(nodes, dtype=np.int64)
-    nodes = nodes.astype(np.int64, copy=False)
+    nodes = _int_ids(nodes)
     if np.all(nodes[1:] > nodes[:-1]):  # already ascending and distinct
         return nodes.copy()
     return sorted_unique(nodes)
@@ -72,7 +84,7 @@ def node_array(nodes) -> np.ndarray:
 def _centers_of(centers, n: int) -> np.ndarray:
     """Ascending distinct node ids as an int64 array, checked against a graph
     of n nodes."""
-    centers = np.asarray(centers, dtype=np.int64)
+    centers = _int_ids(centers)
     if np.any(centers[1:] <= centers[:-1]):
         raise ValueError("centers must be ascending and distinct")
     if centers.size and (centers[0] < 0 or centers[-1] >= n):
@@ -89,35 +101,16 @@ def _max_batch(n: int) -> int:
     return (2**63 - 1) // max(2 * n * n, 1)
 
 
-def leading_runs(view, centers: np.ndarray, k_max: int,
-                 marked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One scan of the ``k_max`` nearest neighbors, through ``view``, of each
-    node in the ascending array ``centers``. Returns (runs, reached): per
-    center, how many of its first neighbors are all in the ascending array
-    ``marked``, and how many neighbors the scan found (fewer than k_max when
-    the component ends first)."""
-    owner, member, rank = view.neighborhoods(centers, k_max, NN)
-    # a node mask: one gather per member, where a binary search of
-    # ``marked`` per member costs ten times more
-    ok = np.zeros(view.n, dtype=bool)
-    ok[marked] = True
-    ok = ok[member]
-    reached = np.bincount(owner, minlength=centers.size)
-    runs = reached.copy()
-    miss_owner, miss_rank = owner[~ok], rank[~ok]
-    first = np.ones(miss_owner.size, dtype=bool)
-    first[1:] = miss_owner[1:] != miss_owner[:-1]
-    runs[miss_owner[first]] = miss_rank[first]
-    return runs, reached
-
-
 class Graph:
-    """Undirected simple graph over nodes 0..n-1."""
+    """Undirected simple graph over nodes 0..n-1. Build one with
+    :meth:`from_edges`, which checks its input; the constructor trusts the
+    CSR arrays it is given and makes them read-only."""
 
     __slots__ = ("n", "_indptr", "_indices")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
+        indptr.flags.writeable = indices.flags.writeable = False
         self._indptr = indptr
         self._indices = indices
 
@@ -132,12 +125,7 @@ class Graph:
         """
         if n < 0 or n > MAX_NODES:
             raise ValueError(f"node count {n} out of supported range")
-        raw = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if raw.dtype.kind == "f":
-            bad = raw[~np.isfinite(raw) | (raw != np.trunc(raw))]
-            if bad.size:
-                raise ValueError(f"edge endpoint {bad[0]} is not an integer")
-        edges_arr = raw.astype(np.int64, copy=False)
+        edges_arr = _int_ids(edges, "edge endpoint")
         if edges_arr.size == 0:
             edges_arr = edges_arr.reshape(0, 2)
         if edges_arr.ndim != 2 or edges_arr.shape[1] != 2:
@@ -369,15 +357,15 @@ class Graph:
                 labels = jumped
 
     def largest_component(self) -> tuple["Graph", np.ndarray]:
-        """Subgraph of the largest connected component.
+        """The largest connected component as a graph of its own.
 
-        Returns (subgraph, old_ids) where old_ids[new] is the original id.
+        Returns (giant, old_ids) where old_ids[new] is the original id.
         Of equally large components, the one with the smallest node id wins.
         """
         labels = self.component_labels()
         biggest = np.argmax(np.bincount(labels, minlength=1))
         old_ids = np.flatnonzero(labels == biggest)
-        # a component is closed: its rows, renumbered, are the subgraph's CSR
+        # a component is closed: its rows, renumbered, are the giant's CSR
         # (the renumbering ascends, so each row stays sorted)
         start = self._indptr[old_ids]
         deg = self._indptr[old_ids + 1] - start
@@ -387,26 +375,6 @@ class Graph:
         remap[old_ids] = np.arange(old_ids.size)
         gather = (start - indptr[:-1]).repeat(deg) + np.arange(indptr[-1])
         return Graph(old_ids.size, indptr, remap[self._indices[gather]]), old_ids
-
-    def subgraph(self, nodes) -> tuple["Graph", np.ndarray]:
-        """Induced subgraph on ``nodes`` (ids in [0, n), checked), relabeled
-        to 0..len(nodes)-1 in ascending id order."""
-        nodes = np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes),
-                           dtype=np.int64)
-        bad = nodes[(nodes < 0) | (nodes >= self.n)]
-        if bad.size:
-            raise ValueError(f"node id {bad[0]} out of range for a graph of {self.n} nodes")
-        keep_node = np.zeros(self.n, dtype=bool)
-        keep_node[nodes] = True
-        old_ids = np.flatnonzero(keep_node)
-        remap = np.full(self.n, -1, dtype=np.int64)
-        remap[old_ids] = np.arange(old_ids.size)
-        src = np.repeat(remap, np.diff(self._indptr))
-        dst = remap[self._indices]
-        keep = (src >= 0) & (dst >= 0)
-        indptr = np.zeros(old_ids.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src[keep], minlength=old_ids.size), out=indptr[1:])
-        return Graph(old_ids.size, indptr, dst[keep]), old_ids
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
@@ -441,6 +409,7 @@ class NearestTable:
         self._member = np.concatenate(members)
         self._offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.concatenate(counts), out=self._offsets[1:])
+        self._member.flags.writeable = self._offsets.flags.writeable = False
 
     def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
         """The view's neighborhoods(centers, size, "nn") for size <= k_max."""

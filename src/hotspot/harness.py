@@ -27,8 +27,7 @@ from .seeds import derive_seed, splitmix64, splitmix64_array
 SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
                     "mean_hotspots_epi,sd_epi,mean_hotspots_null,sd_null")
 
-# trial-count conventions: figure reproduction vs CI-grade acceptance runs
-FIGURE_TRIALS = 2000
+# default trials per sweep point and label, and per auto-regime calibration
 CI_TRIALS = 200
 GAMMA_CALIBRATION_TRIALS = 50
 
@@ -540,10 +539,10 @@ def describe_defaults() -> str:
         "drawn uniformly from outside the true-reporter set",
         "disconnected graphs: contagion confined to seed components (flagged)",
         "distance noise: per ordered (observer,target) pair, stable within a trial",
-        f"multi-K test cap: K <= ceil(ln N); gamma estimation trials default "
-        f"{GAMMA_CALIBRATION_TRIALS} (auto mode)",
-        f"trial counts: {FIGURE_TRIALS} for figure reproduction, {CI_TRIALS} "
-        "for CI-grade runs",
+        "gamma profile K cap: K <= ceil(ln N) (gamma command and auto mode); "
+        f"gamma estimation trials default {GAMMA_CALIBRATION_TRIALS} (auto mode)",
+        f"trial counts: {CI_TRIALS} per sweep point and label unless --trials or trials= "
+        "is given",
         "gamma estimator: mean of per-realization interior fractions",
         "seed derivation: splitmix64 chain over (master, sweep, value, label, trial)",
         "trial failures: the first failed trial stops the sweep (exit 1)",

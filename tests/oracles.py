@@ -152,14 +152,6 @@ def interior_fraction_oracle(g: Graph, infected: set[int], k: int) -> float:
     return inside / len(infected)
 
 
-def prefix_length_oracle(members: list[int], reporting: set[int]) -> int:
-    """How many of ``members``, from the front, report without a gap."""
-    length = 0
-    while length < len(members) and members[length] in reporting:
-        length += 1
-    return length
-
-
 def random_graph(n: int, edge_prob: float, rng: np.random.Generator) -> Graph:
     """Small dense-ish random graph for oracle comparisons."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)

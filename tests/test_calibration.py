@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hotspot import calibration
 from hotspot.calibration import (GammaEntry, GammaProfile, _gamma_view,
-                                 boundary_set, error_bounds, estimate_gamma,
+                                 error_bounds, estimate_gamma,
                                  gamma_analytic_tree, gamma_for_set,
                                  gamma_lower_bound, reporting_probabilities,
                                  solve_k)
@@ -64,47 +64,54 @@ def test_infected_nodes_report_more_than_null(q, alpha, f):
 # -- boundary sets and interior fractions --------------------------------------------
 
 def test_boundary_set_path_example():
+    # the boundary is {1} at k = 1, {1, 3} at k = 2 and everything at k = 3,
+    # once node 2's third neighbor is the uninfected end node 0
     g = path_graph(5)
-    infected = {1, 2, 3}
-    assert boundary_set(g, infected, 2).tolist() == [1, 3]
-    assert gamma_for_set(g, infected, [2]) == [pytest.approx(1 / 3)]
+    assert gamma_for_set(g, {1, 2, 3}, [1, 2, 3]) == pytest.approx([2 / 3, 1 / 3, 0.0])
 
 
 def test_boundary_empty_when_everything_infected():
     g = path_graph(6)
-    assert boundary_set(g, set(range(6)), 3).size == 0
     assert gamma_for_set(g, set(range(6)), [1, 2, 3]) == [1.0, 1.0, 1.0]
 
 
 def test_boundary_single_infected_node():
     g = path_graph(4)
-    assert boundary_set(g, {2}, 1).tolist() == [2]
+    assert gamma_for_set(g, {2}, [1]) == [0.0]
     isolated = Graph.from_edges(3, [(0, 1)])
-    assert boundary_set(isolated, {2}, 1).size == 0  # no neighbor to see
+    assert gamma_for_set(isolated, {2}, [1, 5]) == [1.0, 1.0]  # no neighbor to see
 
 
 def test_boundary_monotone_in_k():
     g = gen_grid(2, 8)
     rng = np.random.default_rng(0)
     infected = {int(v) for v in rng.choice(64, size=20, replace=False)}
-    previous = set()
-    for k in range(1, 8):
-        current = set(boundary_set(g, infected, k).tolist())
-        assert previous <= current
-        assert current <= infected
-        previous = current
+    gammas = gamma_for_set(g, infected, range(1, 8))
+    assert all(a >= b for a, b in zip(gammas, gammas[1:]))
+    assert gammas[-1] < gammas[0] <= 1.0
 
 
 def test_gamma_validation():
     g = path_graph(4)
-    with pytest.raises(ValueError):
-        boundary_set(g, set(), 1)
-    with pytest.raises(ValueError):
-        boundary_set(g, {1}, 0)
+    with pytest.raises(ValueError, match="infected set must be nonempty"):
+        gamma_for_set(g, set(), [1])
     with pytest.raises(ValueError):
         gamma_for_set(g, {1}, [0])
     with pytest.raises(ValueError, match="k values must be nonempty"):
         gamma_for_set(g, {1, 2}, [])
+
+
+@pytest.mark.parametrize("infected, message", [
+    (np.array([1.5, 3.0]), "node id 1.5 is not an integer"),
+    ([2, float("nan")], "node id nan is not an integer"),
+    (np.array([False, True, True, False]), "node ids must be integers, got a boolean array"),
+], ids=["fraction", "nan", "mask"])
+def test_gamma_for_set_refuses_ids_that_are_not_integers(infected, message):
+    # [1.5, 3.0] used to be read as {1, 3}, for gamma(1) = 0.5
+    g = path_graph(4)
+    with pytest.raises(ValueError, match=message):
+        gamma_for_set(g, infected, [1])
+    assert gamma_for_set(g, np.array([1.0, 2.0]), [1, 2]) == gamma_for_set(g, {1, 2}, [1, 2])
 
 
 def test_tree_level_infection_matches_analytic_form():

@@ -29,10 +29,18 @@ def write_path_graph(tmp_path, n=5):
     return str(path)
 
 
-def test_describe(capsys):
+def test_describe(capsys, monkeypatch):
     code, out, _ = run(capsys, "describe")
     assert code == 0
     assert "log base" in out and "exit codes" in out
+    # the K cap and trial counts are read from the constants the runs use
+    monkeypatch.setattr(harness, "CI_TRIALS", 123)
+    monkeypatch.setattr(harness, "GAMMA_CALIBRATION_TRIALS", 45)
+    lines = run(capsys, "describe")[1].splitlines()
+    assert ("gamma profile K cap: K <= ceil(ln N) (gamma command and auto mode); "
+            "gamma estimation trials default 45 (auto mode)") in lines
+    assert ("trial counts: 123 per sweep point and label unless --trials or trials= "
+            "is given") in lines
 
 
 def test_generate_simulate_detect_pipeline(tmp_path, capsys):

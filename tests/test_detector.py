@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from hotspot.calibration import (GammaEntry, GammaProfile, gamma_for_set,
                                  reporting_probabilities)
 from hotspot.detector import (DetectorConfig, SmallRegimeParams, classify,
-                              multi_k_test, prescribe, select_params_dense,
-                              select_params_small)
-from hotspot.graph import Graph, gen_erdos_renyi, gen_grid, leading_runs, node_array
+                              prescribe, select_params_dense, select_params_small)
+from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
 from hotspot.scenario import EPIDEMIC, UNIFORM, generate_uniform_null, simulate_si
 
 from oracles import hotspot_count_oracle, random_graph
@@ -77,8 +76,19 @@ def test_reporters_outside_the_graph_are_rejected(bad):
         classify(g, {0, bad}, DetectorConfig.nn(k=1, t=0))
     with pytest.raises(ValueError, match=f"node id {bad} "):
         classify(g, {0, bad}, DetectorConfig.ball_mode(l=1, s=1, t=0))
-    with pytest.raises(ValueError, match=f"node id {bad} "):
-        multi_k_test(g, {0, bad}, [1, 2], {1: 0.0, 2: 0.0}, 4.0)
+
+
+@pytest.mark.parametrize("reporting, message", [
+    ([1.5, 4], "node id 1.5 is not an integer"),
+    (np.array([2.0, np.inf]), "node id inf is not an integer"),
+    (np.array([True, True, False, False, False]), "node ids must be integers, got a boolean array"),
+], ids=["fraction", "infinite", "mask"])
+def test_classify_refuses_reporters_that_are_not_integers(reporting, message):
+    # a fraction used to be truncated (1.5 scored as node 1), a mask read as the ids {0, 1}
+    g, cfg = path_graph(5), DetectorConfig.nn(k=1, t=0)
+    with pytest.raises(ValueError, match=message):
+        classify(g, reporting, cfg)
+    assert classify(g, [1.0, 2.0], cfg) == classify(g, [1, 2], cfg)
 
 
 def test_classify_empty_reporting():
@@ -288,84 +298,3 @@ def test_small_regime_fires_on_single_hotspot():
     cfg = select_params_small(SmallRegimeParams(beta=0.6))
     verdict = classify(g, {1, 2}, cfg)
     assert verdict.hotspot_count == 1 and verdict.label == EPIDEMIC
-
-
-# -- multi-K test -----------------------------------------------------------------------
-
-def test_reporting_prefix_length():
-    g = path_graph(6)
-
-    def prefix(k_max, reporting):
-        runs, reached = leading_runs(g, node_array([2]), k_max, node_array(reporting))
-        return int(runs[0]), int(reached[0])
-
-    # canonical NN order of node 2 is [1, 3, 0, 4, 5]
-    assert prefix(5, {1, 3, 0}) == (3, 5)
-    assert prefix(5, {3}) == (0, 5)
-    assert prefix(2, {1, 3, 0}) == (2, 2)  # capped at k_max
-    assert prefix(9, {0, 1, 3, 4, 5}) == (5, 5)  # the component ends first
-
-
-def test_multi_k_empty_reporting_is_uniform():
-    g = path_graph(30)
-    verdict = multi_k_test(g, set(), [1, 2], {1: 0.0, 2: 0.0}, deviation_factor=4.0)
-    assert verdict.label == UNIFORM
-
-
-def test_multi_k_validation():
-    g = path_graph(30)
-    with pytest.raises(ValueError):
-        multi_k_test(g, set(), [], {}, 4.0)
-    with pytest.raises(ValueError):
-        multi_k_test(g, set(), [99], {99: 0.0}, 4.0)
-    with pytest.raises(ValueError):
-        multi_k_test(g, set(), [1, 2], {1: 0.0}, 4.0)
-
-
-@pytest.mark.parametrize("factor", [math.nan, -1.0, math.inf])
-def test_multi_k_rejects_a_bad_deviation_factor(factor):
-    # NaN would always read "uniform", and a negative factor always "epidemic"
-    with pytest.raises(ValueError, match=f"must be finite and >= 0, got {factor}"):
-        multi_k_test(path_graph(30), {3, 4}, [1, 2], {1: 1.0, 2: 1.0}, factor)
-
-
-@pytest.mark.parametrize("expected", [math.nan, -0.5, math.inf])
-def test_multi_k_rejects_a_bad_expectation(expected):
-    # NaN would always read "epidemic", a negative one has no square root,
-    # and an infinite one could never fire
-    with pytest.raises(ValueError, match=f"K=2 must be finite and >= 0, got {expected}"):
-        multi_k_test(path_graph(30), {3, 4}, [1, 2], {1: 1.0, 2: expected}, 4.0)
-
-
-def test_multi_k_fires_on_planted_clique():
-    # ten mutually adjacent reporters in an otherwise silent sparse graph
-    base = gen_erdos_renyi(2000, 2 / 2000, 8)
-    clique_nodes = list(range(100, 110))
-    extra = [(u, v) for ui, u in enumerate(clique_nodes)
-             for v in clique_nodes[ui + 1:]]
-    existing = [(u, v) for u in range(base.n)
-                for v in base.neighbors(u).tolist() if u < v]
-    g = Graph.from_edges(2000, existing + extra)
-    reporting = set(clique_nodes)
-    p = len(reporting) / g.n
-    expectations = {k: len(reporting) * p ** k for k in (1, 2)}
-    verdict = multi_k_test(g, reporting, [1, 2], expectations, deviation_factor=4.0)
-    assert verdict.label == EPIDEMIC
-
-
-def test_multi_k_null_false_alarm_rate():
-    # on the giant component every small-K neighborhood is full-size, so the
-    # uniform null should stay within the deviation bands almost always; K
-    # beyond 2 is excluded here because its tiny expected count makes the
-    # (correlated) indicator sum visibly overdispersed vs the Poisson band
-    g, _ = gen_erdos_renyi(4000, 2 / 4000, 21).largest_component()
-    trials, alarms = 500, 0
-    p = 0.2
-    k_range = [1, 2]
-    for seed in range(trials):
-        snap = generate_uniform_null(g, p, seed)
-        expectations = {k: len(snap.reporting) * p ** k for k in k_range}
-        verdict = multi_k_test(g, snap.reporting, k_range, expectations,
-                               deviation_factor=4.0)
-        alarms += verdict.label == EPIDEMIC
-    assert alarms / trials <= 0.01

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
+from hotspot.graph import (Graph, NearestTable, gen_erdos_renyi, gen_grid, gen_power_law,
                            gen_tree, load_edge_list, node_array, save_edge_list)
 
 from oracles import (ball_oracle, check_invariants, components_oracle, csr_oracle,
@@ -82,6 +82,19 @@ def test_from_edges_rejects_non_integral_endpoints(bad):
     with pytest.raises(ValueError, match=f"edge endpoint {bad} is not an integer"):
         Graph.from_edges(3, np.array([[0, bad]]))
     assert Graph.from_edges(3, [(0.0, 2.0)]).neighbors(0).tolist() == [2]
+
+
+def test_graph_and_table_arrays_are_read_only():
+    # a write through neighbors(4) used to reach the CSR: neighborhoods([4], 2,
+    # "nn") then answered [8, 3], and node 8 is not adjacent to node 4
+    g = gen_grid(2, 3)
+    table = NearestTable(g, 3)
+    giant = g.largest_component()[0]
+    for array in (g.neighbors(4), g._indptr, g._indices, giant._indices,
+                  table._member, table._offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 8
+    assert g.neighborhoods(np.array([4]), 2, "nn")[1].tolist() == [1, 3]
 
 
 @st.composite
@@ -526,23 +539,6 @@ def test_largest_component_matches_dfs_oracle(g):
         assert old_ids[sub.neighbors(new)].tolist() == g.neighbors(old).tolist()
 
 
-@given(small_graphs(), st.data())
-def test_subgraph_keeps_exactly_the_induced_edges(g, data):
-    nodes = data.draw(st.sets(st.integers(0, g.n - 1)))
-    sub, old_ids = g.subgraph(nodes)
-    assert old_ids.tolist() == sorted(nodes)
-    for new, old in enumerate(old_ids.tolist()):
-        assert old_ids[sub.neighbors(new)].tolist() == [
-            w for w in g.neighbors(old).tolist() if w in nodes]
-
-
-@pytest.mark.parametrize("nodes, bad", [([0, -1], -1), ([0, 9], 9), ([6, 2], 6)])
-def test_subgraph_rejects_ids_outside_the_graph(nodes, bad):
-    # a boolean-mask write alone would take -1 as the last node and fail on 9
-    with pytest.raises(ValueError, match=f"node id {bad} out of range for a graph of 6 nodes"):
-        gen_grid(1, 6).subgraph(nodes)
-
-
 def test_largest_component_of_empty_graph():
     sub, old_ids = Graph.from_edges(0, []).largest_component()
     assert sub.n == 0 and sub.num_edges == 0
@@ -555,9 +551,6 @@ def test_components_and_subgraph():
     sub, old_ids = g.largest_component()
     assert old_ids.tolist() == [3, 4, 5, 7]
     assert sub.n == 4 and sub.num_edges == 4
-    sub2, ids2 = g.subgraph([0, 1, 6])
-    assert ids2.tolist() == [0, 1, 6]
-    assert sub2.num_edges == 1 and sub2.degrees()[2] == 0
 
 
 @pytest.mark.parametrize("nodes, want", [
@@ -570,3 +563,14 @@ def test_node_array_returns_a_new_ascending_int64_array(nodes, want):
     got = node_array(nodes)
     assert got.dtype == np.int64 and got.tolist() == want
     assert not np.shares_memory(got, np.asarray(nodes))
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([3, 1.5], "node id 1.5 is not an integer"),
+    (np.array([-math.inf]), "node id -inf is not an integer"),
+    (np.array([True, False]), "node ids must be integers, got a boolean array"),
+], ids=["fraction", "infinite", "mask"])
+def test_node_array_refuses_ids_that_are_not_integers(nodes, message):
+    with pytest.raises(ValueError, match=message):
+        node_array(nodes)
+    assert node_array([3.0, 1.0]).tolist() == [1, 3]

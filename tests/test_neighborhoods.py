@@ -1,22 +1,20 @@
 """The batched neighborhood kernel (Graph.neighborhoods) and its consumers
 against the brute-force oracles."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotspot.calibration import boundary_set, gamma_for_set
-from hotspot.detector import DetectorConfig, classify, multi_k_test
+from hotspot.calibration import gamma_for_set
+from hotspot.detector import DetectorConfig, classify
 from hotspot import graph
 from hotspot.graph import (_BLOCK, MAX_NODES, Graph, NearestTable, _max_batch,
-                           gen_erdos_renyi, gen_grid, leading_runs, node_array)
+                           gen_erdos_renyi, gen_grid)
 from hotspot.harness import DistanceNoise, NoisyView
 
 from oracles import (ball_oracle, interior_fraction_oracle, nn_oracle,
-                     noisy_ranking_oracle, prefix_length_oracle, random_graph)
+                     noisy_ranking_oracle, random_graph)
 
 
 @st.composite
@@ -130,6 +128,24 @@ def test_expanded_counts_the_pairs_read(shape, centers, size, mode, expanded):
         Graph.from_edges(6, [(0, i) for i in range(1, 6)]))
     block = g._neighborhood_block(np.array(centers), size, mode == "nn", None, 0)
     assert block[3] == expanded
+
+
+@pytest.mark.parametrize("centers, message", [
+    (np.array([4.7]), "node id 4.7 is not an integer"),
+    (np.array([1.0, np.nan]), "node id nan is not an integer"),
+    (np.array([False, True, False, True, False, False]),
+     "node ids must be integers, got a boolean array"),
+], ids=["fraction", "nan", "mask"])
+@pytest.mark.parametrize("table", [False, True], ids=["graph", "table"])
+def test_centers_must_be_integers(centers, message, table):
+    # [4.7] used to answer for node 4
+    g = gen_grid(2, 3)
+    view = NearestTable(g, 3) if table else g
+    with pytest.raises(ValueError, match=message):
+        view.neighborhoods(centers, 2, "nn")
+    for got, want in zip(view.neighborhoods(np.array([1.0, 4.0]), 2, "nn"),
+                         view.neighborhoods(np.array([1, 4]), 2, "nn")):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("centers", [[0, 9, 3], [0, -1, 2], [3, 3, 4]],
@@ -313,23 +329,6 @@ def test_noisy_classify_matches_full_sort_oracle(g, data, seed, flip_prob, magni
 def test_gamma_and_boundary_match_interior_fraction_oracle(g, data, k_values):
     infected = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
     gammas = gamma_for_set(g, infected, k_values)
+    assert gamma_for_set(NearestTable(g, max(k_values)), infected, k_values) == gammas
     for k, got in zip(k_values, gammas):
         assert got == pytest.approx(interior_fraction_oracle(g, infected, k), abs=1e-12)
-        boundary = boundary_set(g, infected, k)
-        assert boundary.tolist() == [i for i in sorted(infected)
-                                     if not all(v in infected for v in nn_oracle(g, i, k))]
-        assert got == pytest.approx(1 - len(boundary) / len(infected), abs=1e-12)
-
-
-@given(graphs(), st.data())
-def test_multi_k_counts_match_per_node_prefix_lengths(g, data):
-    reporting = data.draw(st.sets(st.integers(0, g.n - 1)))
-    k_cap = max(1, int(np.ceil(np.log(max(g.n, 2)))))
-    k_range = list(range(1, k_cap + 1))
-    verdict = multi_k_test(g, reporting, k_range, {k: 1.0 for k in k_range}, 4.0)
-    counts = {int(k): int(c) for k, c in re.findall(r"K=(\d+):count=(\d+)", verdict.note)}
-    centers = node_array(reporting)
-    lengths = leading_runs(g, centers, k_cap, centers)[0].tolist()
-    assert lengths == [prefix_length_oracle(nn_oracle(g, i, k_cap), reporting)
-                       for i in sorted(reporting)]
-    assert counts == {k: sum(length >= k for length in lengths) for k in k_range}

@@ -10,8 +10,8 @@ from .calibration import (ErrorBounds, GammaEntry, GammaProfile,
                           ReportingProbabilities, error_bounds, estimate_gamma,
                           gamma_analytic_tree, gamma_for_set, gamma_lower_bound,
                           reporting_probabilities, solve_k)
-from .detector import (DetectorConfig, SmallRegimeParams, Verdict, classify,
-                       prescribe, select_params_dense, select_params_small)
+from .detector import (DetectorConfig, Verdict, classify, prescribe,
+                       select_params_dense, select_params_small)
 from .graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
                     load_edge_list, save_edge_list)
 from .harness import (DistanceNoise, ExperimentSpec, NoisyView, ScenarioRule,

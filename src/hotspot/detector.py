@@ -178,7 +178,7 @@ def prescribe(graph_n: int, n_reporting: int, regime: str = "auto", *,
                 raise ValueError("deriving beta needs a graph of at least 2 nodes")
             beta = 1.0 - math.log(max(n_reporting, 2)) / math.log(graph_n)
             beta = min(max(beta, 1e-6), 1.0 - 1e-6)
-        cfg = select_params_small(SmallRegimeParams(beta=beta, rho=rho, mu=mu))
+        cfg = select_params_small(beta, rho, mu)
     elif regime == "dense":
         if q is None or alpha is None:
             raise ValueError("dense regime needs q and alpha")
@@ -192,42 +192,21 @@ def prescribe(graph_n: int, n_reporting: int, regime: str = "auto", *,
     return replace(cfg, note=note + cfg.note)
 
 
-@dataclass(frozen=True)
-class SmallRegimeParams:
-    """Small-infection exponents: reporting count N^(1-beta), true-reporter
-    count N^rho, true-reporting probability N^(-mu)."""
-
-    beta: float
-    rho: float | None = None
-    mu: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-
-    @property
-    def k(self) -> int:
-        return max(1, math.ceil(1.0 / self.beta) - 1)
-
-    @property
-    def feasible(self) -> bool | None:
-        """Whether the sufficient condition K*mu <= rho holds (None if unknown)."""
-        if self.rho is None or self.mu is None:
-            return None
-        return self.k * self.mu <= self.rho
-
-
-def select_params_small(params: SmallRegimeParams) -> DetectorConfig:
-    """Small-infection prescription: K = max(1, ceil(1/beta) - 1).
-
-    The rule declares a contagion on the presence of any hotspot, i.e.
-    count >= 1, encoded as threshold t = 0.5 under the strict-> decision.
-    """
-    feas = params.feasible
+def select_params_small(beta: float, rho: float | None = None,
+                        mu: float | None = None) -> DetectorConfig:
+    """Small-infection prescription for N^(1-beta) reporters, N^rho true
+    reporters and true-reporting probability N^(-mu): K = max(1,
+    ceil(1/beta) - 1) and t = 0.5, so that under the strict-> decision any
+    hotspot (count >= 1) declares a contagion. The note says whether the
+    sufficient condition K*mu <= rho holds (unknown without rho and mu)."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must be in (0, 1)")
+    k = max(1, math.ceil(1.0 / beta) - 1)
+    feas = None if rho is None or mu is None else k * mu <= rho
     feas_txt = "unknown" if feas is None else str(feas).lower()
-    note = (f"small regime: K={params.k} t=0.5 beta={params.beta:.6g}, fires on "
+    note = (f"small regime: K={k} t=0.5 beta={beta:.6g}, fires on "
             f"any hotspot (count >= 1); feasible(K*mu<=rho)={feas_txt}")
     if feas is False:
         logger.warning("small-regime sufficient condition K*mu <= rho violated "
-                       "(K=%d, mu=%s, rho=%s)", params.k, params.mu, params.rho)
-    return DetectorConfig.nn(k=params.k, t=0.5, note=note)
+                       "(K=%d, mu=%s, rho=%s)", k, mu, rho)
+    return DetectorConfig.nn(k=k, t=0.5, note=note)

@@ -102,19 +102,26 @@ def _max_batch(n: int) -> int:
 
 
 class Graph:
-    """Undirected simple graph over nodes 0..n-1. Build one with
-    :meth:`from_edges`, which checks its input; the constructor trusts the
-    CSR arrays it is given and makes them read-only."""
+    """Immutable undirected simple graph over nodes 0..n-1: build one with
+    :meth:`from_edges`, a generator or :func:`load_edge_list`."""
 
-    __slots__ = ("n", "_indptr", "_indices")
+    __slots__ = ("_n", "_indptr", "_indices")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
-        self.n = int(n)
-        indptr.flags.writeable = indices.flags.writeable = False
-        self._indptr = indptr
-        self._indices = indices
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Graph with Graph.from_edges, gen_erdos_renyi, gen_grid, "
+                        "gen_tree, gen_power_law or load_edge_list")
+
+    n = property(lambda self: self._n)
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """The graph on CSR arrays its caller built valid; they become read-only."""
+        g = object.__new__(cls)
+        g._n, g._indptr, g._indices = int(n), indptr, indices
+        indptr.flags.writeable = indices.flags.writeable = False
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -137,14 +144,14 @@ class Graph:
     @classmethod
     def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
         """The graph on the pairs (u[i], v[i]) of two int64 arrays, given in
-        either direction; repeats and self-loops are dropped. Every graph is
-        built here: one sort of the keys u*n + v orders each row's neighbors."""
+        either direction; repeats and self-loops are dropped. Every graph but a
+        component is built here: one sort of the keys u*n + v orders each row."""
         keep = u != v
         u, v = u[keep], v[keep]
         keys = sorted_unique(np.concatenate([u * n + v, v * n + u]))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return cls(n, indptr, keys % n)
+        return cls._from_csr(n, indptr, keys % n)
 
     # -- basic queries -----------------------------------------------------
 
@@ -374,7 +381,7 @@ class Graph:
         remap = np.empty(self.n, dtype=np.int64)
         remap[old_ids] = np.arange(old_ids.size)
         gather = (start - indptr[:-1]).repeat(deg) + np.arange(indptr[-1])
-        return Graph(old_ids.size, indptr, remap[self._indices[gather]]), old_ids
+        return Graph._from_csr(old_ids.size, indptr, remap[self._indices[gather]]), old_ids
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"

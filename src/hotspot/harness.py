@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,8 +31,11 @@ SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
 CI_TRIALS = 200
 GAMMA_CALIBRATION_TRIALS = 50
 
+# the fields each kind reads, besides kind and giant: required, then optional
 _REQUIRED_FIELDS = {"er": ("n",), "powerlaw": ("n",), "grid": ("side",),
                     "tree": ("degree", "depth"), "file": ("path",)}
+_OPTIONAL_FIELDS = {"er": ("p",), "powerlaw": ("exponent",), "grid": ("dim",),
+                    "tree": (), "file": ("compact",)}
 _FIXED_KINDS = ("grid", "tree", "file")
 
 
@@ -68,6 +71,11 @@ class TopologySpec:
         missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
         if missing:
             raise ValueError(f"topology {self.kind} needs {' and '.join(missing)}")
+        reads = ("kind", "giant", *_REQUIRED_FIELDS[self.kind], *_OPTIONAL_FIELDS[self.kind])
+        unused = [f.name for f in fields(self)
+                  if f.init and f.name not in reads and getattr(self, f.name) != f.default]
+        if unused:
+            raise ValueError(f"topology {self.kind} does not use {' or '.join(unused)}")
         # a random kind is built anew in every trial: its generator's checks
         # run here, so a bad size fails the spec once, not the first trial
         if self.kind == "er":
@@ -161,13 +169,14 @@ class NoisyView:
     distance; nearest-neighbor sets re-rank by (perceived distance, id).
     """
 
-    __slots__ = ("_g", "_noise", "_seed", "n")
+    __slots__ = ("_g", "_noise", "_seed")
 
     def __init__(self, g: Graph, noise: DistanceNoise, seed: int):
         self._g = g
         self._noise = noise
         self._seed = int(seed)
-        self.n = g.n
+
+    n = property(lambda self: self._g.n)
 
     def _perceive(self, centers: np.ndarray, owner: np.ndarray, targets: np.ndarray,
                   true_d: int) -> np.ndarray:
@@ -290,8 +299,10 @@ def _prepare_point(spec: ExperimentSpec, value) -> _Point:
             derive_seed(spec.master_seed, spec.sweep_name, value, "graph"))
     if not auto:
         return point
+    params = point.scenario.for_n(graph.n)
+    calibration.reporting_probabilities(params.q, params.alpha, params.f)  # before any growth
     gamma = calibration.estimate_gamma(
-        graph, point.scenario.for_n(graph.n), range(1, calibration.k_cap(graph.n) + 1),
+        graph, params, range(1, calibration.k_cap(graph.n) + 1),
         GAMMA_CALIBRATION_TRIALS,
         derive_seed(spec.master_seed, spec.sweep_name, value, "calibration"))
     return replace(point, gamma=gamma)
@@ -311,10 +322,11 @@ def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
     graph = point.topology.build(derive_seed(root, "graph"))
     params = point.scenario.for_n(graph.n)
     params.validate_for(graph.n)
+    # both labels need the matched null: without one, fail before any growth
+    p_null = calibration.reporting_probabilities(params.q, params.alpha, params.f).p
     if label == EPIDEMIC:
         snapshot, _ = make_epidemic_snapshot(graph, params, derive_seed(root, "scenario"))
     elif label == UNIFORM:
-        p_null = calibration.reporting_probabilities(params.q, params.alpha, params.f).p
         snapshot = generate_uniform_null(graph, p_null, derive_seed(root, "scenario"))
     else:
         raise ValueError(f"unknown scenario label {label!r}")

@@ -79,7 +79,7 @@ class EpidemicOutcome:
 
 @dataclass(eq=False)
 class ReportSnapshot:
-    """One observed snapshot: the reporting node ids, normalised to a sorted,
+    """One observed snapshot: the reporting ids in [0, n) as a sorted,
     distinct, read-only int64 array, and the label the harness scores against."""
 
     n: int
@@ -89,6 +89,10 @@ class ReportSnapshot:
     def __post_init__(self):
         self.reporting = node_array(self.reporting)
         self.reporting.flags.writeable = False
+        ids = self.reporting
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"reporting node {bad} out of range for n={self.n}")
 
     def to_text(self) -> str:
         lines = [f"truth={self.truth} n={self.n}", *map(str, self.reporting.tolist())]

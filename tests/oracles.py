@@ -39,15 +39,27 @@ def csr_oracle(n: int, edges) -> tuple[np.ndarray, np.ndarray, int, int]:
     return indptr, dst[order], int(keys.size - uniq.size), int(loops.sum())
 
 
-def check_invariants(g: Graph) -> None:
-    """Raise if adjacency is not simple, symmetric and sorted."""
-    for i in range(g.n):
-        row = g.neighbors(i)
-        if row.size and (np.any(np.diff(row) <= 0) or np.any(row == i)):
-            raise AssertionError(f"adjacency of node {i} not sorted/simple")
-        for j in row.tolist():
-            if i not in g.neighbors(j):
-                raise AssertionError(f"edge {i}-{j} not symmetric")
+def csr_invariants(g: Graph) -> None:
+    """Raise unless g holds a valid CSR: indptr has n + 1 int64 entries,
+    starts at 0, never decreases and ends at indices.size; every index lies
+    in [0, n); each row strictly ascends without its own node; and every
+    edge (i, j) comes with (j, i)."""
+    indptr, indices, n = g._indptr, g._indices, g.n
+    if indptr.dtype != np.int64 or indptr.shape != (n + 1,):
+        raise AssertionError(f"indptr {indptr.dtype} {indptr.shape} for n={n}")
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise AssertionError(f"indptr not offsets into {indices.size} indices")
+    if indices.dtype != np.int64 or np.any((indices < 0) | (indices >= n)):
+        raise AssertionError(f"indices not int64 ids in [0, {n})")
+    pairs = set()
+    for i in range(n):
+        row = indices[indptr[i]:indptr[i + 1]].tolist()
+        if row != sorted(set(row)) or i in row:
+            raise AssertionError(f"row of node {i} not strictly ascending without {i}: {row}")
+        pairs.update((i, j) for j in row)
+    for i, j in pairs:
+        if (j, i) not in pairs:
+            raise AssertionError(f"edge {i}-{j} not symmetric")
 
 
 def tree_level_offsets(degree: int, depth: int) -> list[int]:

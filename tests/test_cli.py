@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import hotspot
-from hotspot import harness
+from hotspot import calibration, harness, scenario
 from hotspot.calibration import GammaProfile
 from hotspot.cli import main
 from hotspot.graph import Graph, save_edge_list
@@ -372,6 +372,44 @@ def test_missing_topology_fields_exit_one_without_traceback(tmp_path, argv):
     assert done.returncode == 1
     assert done.stderr.startswith("error: topology ") and "needs" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["sweep", "--topology", "grid", "--side", "10", "--alpha", "0.2", "--q", "0.5",
+      "--sweep", "n", "--values", "50,100", "--trials", "2"], "grid does not use n"),
+    (["sweep", "--topology", "er", "--n", "100", "--sweep", "side", "--values", "4,6",
+      "--trials", "2"], "er does not use side"),
+    (["generate", "--topology", "er", "--n", "50", "--compact", "--out", "x.txt"],
+     "er does not use compact"),
+])
+def test_topology_fields_a_kind_does_not_read_exit_one(tmp_path, argv, unused):
+    # each used to run, ignoring the field: a grid swept over n gave rows
+    # that differed only by seed
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hotspot.__file__))}
+    done = subprocess.run([sys.executable, "-m", "hotspot.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: topology {unused}\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--values", "0"], "error: epidemic trial 0 at t=0: alpha must be in (0, 1)\n"),
+    (["--detector", "auto", "--sweep", "q", "--values", "0.5"],
+     "error: alpha must be in (0, 1)\n"),
+])
+def test_sweep_without_a_matched_null_fails_before_any_contagion(capsys, monkeypatch,
+                                                                 flags, message):
+    # alpha = 1 leaves no matched null; every epidemic trial, and an auto
+    # point's gamma calibration, used to grow its contagions first
+    grown = []
+    for module in (scenario, calibration):
+        monkeypatch.setattr(module, "simulate_si", lambda *args, real=module.simulate_si:
+                            grown.append(args) or real(*args))
+    code, out, err = run(capsys, "sweep", "--topology", "grid", "--side", "10",
+                         "--alpha", "1.0", "--q", "0.5", "--trials", "3", *flags)
+    assert (code, out, err) == (1, "", message)
+    assert grown == []
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in EXPERIMENTS.glob("*.cfg")))

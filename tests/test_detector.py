@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from hotspot.calibration import (GammaEntry, GammaProfile, gamma_for_set,
                                  reporting_probabilities)
-from hotspot.detector import (DetectorConfig, SmallRegimeParams, classify,
-                              prescribe, select_params_dense, select_params_small)
+from hotspot.detector import (DetectorConfig, classify, prescribe, select_params_dense,
+                              select_params_small)
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
 from hotspot.scenario import EPIDEMIC, UNIFORM, generate_uniform_null, simulate_si
 
@@ -277,24 +278,30 @@ def test_prescribe_one_rule_for_every_caller():
 
 
 def test_select_small_examples():
-    assert select_params_small(SmallRegimeParams(beta=0.6)).k_or_l == 1
-    assert select_params_small(SmallRegimeParams(beta=0.25)).k_or_l == 3
-    assert select_params_small(SmallRegimeParams(beta=0.99)).k_or_l == 1
-    cfg = select_params_small(SmallRegimeParams(beta=0.6))
+    assert select_params_small(0.6).k_or_l == 1
+    assert select_params_small(0.25).k_or_l == 3
+    assert select_params_small(0.99).k_or_l == 1
+    cfg = select_params_small(0.6)
     assert cfg.t == 0.5 and cfg.s == 1
     assert "any hotspot" in cfg.note
 
 
-def test_small_regime_feasibility_flag():
-    assert SmallRegimeParams(beta=0.6, rho=0.3, mu=0.2).feasible is True
-    assert SmallRegimeParams(beta=0.6, rho=0.1, mu=0.2).feasible is False
-    assert SmallRegimeParams(beta=0.6).feasible is None
-    with pytest.raises(ValueError):
-        SmallRegimeParams(beta=1.0)
+def test_small_regime_feasibility_flag(caplog):
+    assert select_params_small(0.6, rho=0.3, mu=0.2).note.endswith(
+        "feasible(K*mu<=rho)=true")
+    with caplog.at_level(logging.WARNING):
+        assert select_params_small(0.6, rho=0.1, mu=0.2).note.endswith(
+            "feasible(K*mu<=rho)=false")
+    assert "K*mu <= rho violated (K=1, mu=0.2, rho=0.1)" in caplog.text
+    assert select_params_small(0.6).note.endswith("feasible(K*mu<=rho)=unknown")
+    assert select_params_small(0.6, rho=0.3).note.endswith("feasible(K*mu<=rho)=unknown")
+    for beta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="beta must be in"):
+            select_params_small(beta)
 
 
 def test_small_regime_fires_on_single_hotspot():
     g = path_graph(4)
-    cfg = select_params_small(SmallRegimeParams(beta=0.6))
+    cfg = select_params_small(0.6)
     verdict = classify(g, {1, 2}, cfg)
     assert verdict.hotspot_count == 1 and verdict.label == EPIDEMIC

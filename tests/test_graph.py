@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from hotspot.graph import (Graph, NearestTable, gen_erdos_renyi, gen_grid, gen_power_law,
                            gen_tree, load_edge_list, node_array, save_edge_list)
+from hotspot.harness import DistanceNoise, NoisyView
 
-from oracles import (ball_oracle, check_invariants, components_oracle, csr_oracle,
+from oracles import (ball_oracle, csr_invariants, components_oracle, csr_oracle,
                      edge_list_oracle, hop_distances, largest_component_oracle, nn_oracle,
                      random_graph, tree_level_offsets)
 
@@ -66,7 +67,20 @@ def test_from_edges_builds_sorted_symmetric_adjacency():
     assert g.n == 4 and g.num_edges == 3
     assert g.neighbors(0).tolist() == [1, 2]
     assert g.neighbors(1).tolist() == [0, 3]
-    check_invariants(g)
+    csr_invariants(g)
+
+
+def test_graph_has_no_public_constructor_and_a_read_only_n():
+    # an unchecked CSR (index 5 of a 3-node graph) used to build, and a
+    # written n sent classify past the arrays' ends
+    with pytest.raises(TypeError, match="Graph.from_edges"):
+        Graph(3, np.array([0, 1, 2, 3]), np.array([1, 2, 5]))
+    g = path_graph(3)
+    view = NoisyView(g, DistanceNoise(flip_prob=0.1), 0)
+    for obj in (g, view):
+        with pytest.raises(AttributeError):
+            obj.n = 10
+    assert g.n == view.n == 3
 
 
 def test_from_edges_rejects_out_of_range():
@@ -116,6 +130,7 @@ def messy_edges(draw):
 def test_from_edges_matches_csr_oracle(case):
     n, edges = case
     g = Graph.from_edges(n, edges)
+    csr_invariants(g)
     indptr, indices, _, _ = csr_oracle(n, edges)
     for got, want in ((g._indptr, indptr), (g._indices, indices)):
         assert got.dtype == want.dtype == np.int64
@@ -224,6 +239,7 @@ def load_outcome(load, path, compact):
     logging.getLogger().addHandler(handler)
     try:
         g = load(path, compact=compact)
+        csr_invariants(g)
         return (g.n, g._indptr.dtype, g._indptr.tolist(), g._indices.dtype,
                 g._indices.tolist(), handler.messages)
     except ValueError as exc:
@@ -346,7 +362,7 @@ def test_erdos_renyi_deterministic_and_seed_sensitive():
     c = gen_erdos_renyi(3000, 2 / 3000, 43)
     assert np.array_equal(a._indices, b._indices)
     assert not np.array_equal(a._indices, c._indices)
-    check_invariants(a)
+    csr_invariants(a)
 
 
 def test_erdos_renyi_mean_edge_count():
@@ -363,7 +379,7 @@ def test_erdos_renyi_dense_path_matches_probability():
     g = gen_erdos_renyi(400, 0.05, 7)
     expected = 400 * 399 / 2 * 0.05
     assert abs(g.num_edges - expected) < 4 * math.sqrt(expected)
-    check_invariants(g)
+    csr_invariants(g)
 
 
 def test_grid_shapes():
@@ -398,9 +414,25 @@ def test_tree_counts_and_structure():
 
 def test_power_law_small_graph_is_simple():
     g = gen_power_law(10, 3.0, seed_ok := 3)
-    check_invariants(g)
+    csr_invariants(g)
     assert g.n == 10
     assert int(g.degrees().min()) >= 1, f"seed {seed_ok} left an isolated node"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_erdos_renyi(500, 0.01, 3),     # dense path: one draw per pair
+    lambda: gen_erdos_renyi(5000, 3 / 5000, 3),  # sparse path: sampled pairs
+    lambda: gen_erdos_renyi(30, 1.0, 0),
+    lambda: gen_erdos_renyi(30, 0.0, 0),
+    lambda: gen_grid(1, 9),
+    lambda: gen_grid(2, 7),
+    lambda: gen_grid(3, 5),
+    lambda: gen_tree(3, 4),
+    lambda: gen_power_law(2000, 2.2, 8),
+], ids=["er-dense", "er-sparse", "er-complete", "er-empty", "grid-1d", "grid-2d",
+        "grid-3d", "tree", "powerlaw"])
+def test_generators_build_valid_csr(build):
+    csr_invariants(build())
 
 
 def test_power_law_deterministic():
@@ -534,7 +566,7 @@ def test_largest_component_matches_dfs_oracle(g):
     expected = largest_component_oracle(g)
     assert old_ids.dtype == np.int64 and old_ids.tolist() == expected
     assert sub.n == len(expected)
-    check_invariants(sub)
+    csr_invariants(sub)
     for new, old in enumerate(expected):
         assert old_ids[sub.neighbors(new)].tolist() == g.neighbors(old).tolist()
 

@@ -424,6 +424,28 @@ def test_topology_spec_requires_its_kinds_fields(fields, missing):
         TopologySpec(**fields)
 
 
+@pytest.mark.parametrize("fields, unused", [
+    ({"kind": "grid", "side": 10, "n": 50}, "n"),
+    ({"kind": "er", "n": 50, "side": 4}, "side"),
+    ({"kind": "er", "n": 50, "compact": True}, "compact"),
+    ({"kind": "powerlaw", "n": 50, "p": 0.0}, "p"),
+    ({"kind": "tree", "degree": 2, "depth": 3, "dim": 2, "p": 0.1}, "p or dim"),
+    ({"kind": "file", "path": "g.txt", "exponent": 2.5}, "exponent"),
+])
+def test_topology_spec_refuses_fields_its_kind_does_not_read(fields, unused):
+    with pytest.raises(ValueError, match=f"^topology {fields['kind']} does not use {unused}$"):
+        TopologySpec(**fields)
+
+
+def test_topology_spec_takes_its_kinds_optional_fields_and_giant():
+    for fields in ({"kind": "er", "n": 50, "p": 0.1}, {"kind": "powerlaw", "n": 50, "exponent": 3.0},
+                   {"kind": "grid", "side": 4, "dim": 3}, {"kind": "tree", "degree": 2, "depth": 3},
+                   {"kind": "file", "path": "g.txt", "compact": True}):
+        assert TopologySpec(**fields, giant=True).giant
+    with pytest.raises(ValueError, match="^topology grid does not use n$"):
+        spec_from_mapping({"topology": "grid", "side": "10", "sweep": "n", "values": "50,100"})
+
+
 def test_topology_spec_rejects_unknown_kind_and_accepts_a_swept_field():
     with pytest.raises(ValueError, match="unknown topology kind 'ring'"):
         TopologySpec(kind="ring", n=10)

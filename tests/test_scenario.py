@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
-from hotspot.scenario import (EPIDEMIC, UNIFORM, ReportSnapshot, ScenarioParams,
+from hotspot.scenario import (EPIDEMIC, UNIFORM, EpidemicOutcome, ReportSnapshot, ScenarioParams,
                               _sample_outside, apply_reporting, generate_uniform_null,
                               make_epidemic_snapshot, pick_seeds, simulate_si)
 from hotspot.seeds import derive_seed
@@ -291,6 +291,24 @@ def test_snapshot_rejects_malformed():
         ReportSnapshot.from_text("truth=epidemic n=10\n12\n")
     with pytest.raises(ValueError, match="out of range"):  # ids stop at int64
         ReportSnapshot.from_text(f"truth=uniform n={2 ** 70}\n{2 ** 64}\n")
+
+
+@pytest.mark.parametrize("n, reporting, bad", [
+    (3, [5, -1], -1), (3, [0, 3], 3), (0, [0], 0), (10, np.array([9, 10, 2]), 10),
+])
+def test_snapshot_refuses_ids_outside_its_graph(n, reporting, bad):
+    # such a snapshot used to build, and its to_text wrote a file that
+    # from_text refused
+    with pytest.raises(ValueError, match=f"^reporting node {bad} out of range for n={n}$"):
+        ReportSnapshot(n=n, reporting=reporting, truth=EPIDEMIC)
+    assert ReportSnapshot(n=n, reporting=[], truth=UNIFORM).reporting.size == 0
+
+
+def test_reporting_refuses_an_outcome_outside_the_graph():
+    g = path_graph(3)
+    outcome = EpidemicOutcome(seeds=[0], infected=[0, 7])
+    with pytest.raises(ValueError, match="reporting node 7 out of range for n=3"):
+        apply_reporting(outcome, g, q=1.0, f=0.0, rng_seed=0)
 
 
 @pytest.mark.parametrize("node", ["\u00b2", "\u0661"])  # superscript two, Arabic-Indic one

@@ -168,6 +168,8 @@ class GammaProfile:
                         raise ValueError(f"{where}: expected {kind}, got {text!r}") from None
                     if not allowed(value):
                         raise ValueError(f"{where}: expected {expected}, got {text!r}")
+                    if column == "K" and value in (e.k for e in entries):
+                        raise ValueError(f"{where}: repeats K={value}")
                     values.append(value)
                 entries.append(GammaEntry(*values))
                 topology = row.get("topology", "") or topology

@@ -42,9 +42,12 @@ def _seed(args) -> int:
     return harness.cast_value(f"HOTSPOT_SEED={seed!r}", seed, int)
 
 
-def _add_topology_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", choices=["er", "grid", "tree", "powerlaw", "file"],
-                   help="graph family")
+def _add_topology_flags(p: argparse.ArgumentParser, graph: bool = True) -> None:
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--topology", choices=["er", "grid", "tree", "powerlaw", "file"],
+                        help="graph family")
+    if graph:
+        source.add_argument("--graph", help="edge-list file (instead of --topology)")
     p.add_argument("--n", type=int, help="node count (er, powerlaw)")
     p.add_argument("--p", type=float, help="edge probability (er; default 2/n)")
     p.add_argument("--dim", type=int, help="grid dimension (default 2)")
@@ -209,12 +212,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a generated graph as an edge list")
-    _add_topology_flags(p_gen)
+    _add_topology_flags(p_gen, graph=False)
     p_gen.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="write a labeled reporting snapshot")
     _add_topology_flags(p_sim)
-    p_sim.add_argument("--graph", help="edge-list file (instead of --topology)")
     p_sim.add_argument("--scenario", choices=["epidemic", "null"], default="epidemic")
     p_sim.add_argument("--alpha", type=float, default=0.1)
     p_sim.add_argument("--q", type=float, default=1.0)
@@ -252,7 +254,6 @@ def build_parser() -> _Parser:
 
     p_gam = sub.add_parser("gamma", help="estimate the interior fraction by simulation")
     _add_topology_flags(p_gam)
-    p_gam.add_argument("--graph")
     p_gam.add_argument("--alpha", type=float, required=True)
     p_gam.add_argument("--q", type=float, default=1.0)
     p_gam.add_argument("--f", type=float, default=0.0)
@@ -276,7 +277,6 @@ def build_parser() -> _Parser:
         p_sw.add_argument("--config", help="flat key=value experiment file; "
                           "flags given with it override its keys")
         _add_topology_flags(p_sw)
-        p_sw.add_argument("--graph", help="edge-list file topology")
         p_sw.add_argument("--alpha", type=float)
         p_sw.add_argument("--q", type=float)
         p_sw.add_argument("--f", type=float)

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import io
 import logging
+from dataclasses import dataclass
 
 import numpy as np
+
+from .seeds import splitmix64_array
 
 logger = logging.getLogger(__name__)
 
@@ -176,26 +179,15 @@ class Graph:
     def ball_members(self, i: int, l: int) -> list[int]:
         return self.neighborhoods(np.array([i]), l, BALL)[1].tolist()
 
-    def neighborhoods(self, centers: np.ndarray, size: int, mode: str,
-                      perceive=None, slack: int = 0):
+    def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
         """Canonical neighborhoods of many centers in one batched BFS.
 
         ``centers`` is an ascending array of distinct node ids (checked).
         Returns int64 arrays (owner, member, rank), sorted by owner then
         rank: member is the rank-th (0-based) member of centers[owner]'s
-        neighborhood. A center's members come in (perceived distance, id)
-        order; mode "nn" keeps the first ``size`` of them, mode "ball" every
-        one perceived within ``size`` hops. The center is never a member.
-
-        Without ``perceive`` the perceived distance is the hop distance and
-        ``slack`` must be 0. ``perceive(centers, owner, targets, d)`` maps
-        the pairs (centers[owner[i]], targets[i]) at hop distance d, where
-        ``centers`` is the batch's and ``owner`` indexes it, to perceived
-        distances in [1, 2n - 2] no smaller than d - ``slack``. A ball then
-        explores ``size + slack`` hops, and an nn center stops once ``size``
-        of its members are perceived within depth - slack, as nothing deeper
-        can be perceived closer than those; its pairs perceived farther away
-        are dropped before the sort.
+        neighborhood. A center's members come in (hop distance, id) order;
+        mode "nn" keeps the first ``size`` of them, mode "ball" every one
+        within ``size`` hops. The center is never a member.
 
         Centers go in batches sized by the work they cause: the first holds
         _BLOCK centers, and each later one as many as expand about _PAIRS
@@ -212,24 +204,29 @@ class Graph:
         pair's rank is its center's members from earlier levels plus its
         place in the center's run of the level; an nn level keeps the ranks
         below ``size``. At the end every pair is placed by scatter at its
-        center's offset plus its rank, with no sort. Only perceived
-        distances pay one sort of (center, perceived distance, node) codes
-        over the batch's pairs that can still be members.
+        center's offset plus its rank, with no sort. Only a NoisyView's
+        perceived distances pay one sort of (center, perceived distance,
+        node) codes over the batch's pairs that can still be members.
         """
+        return self._scan(centers, size, mode, None)
+
+    def _scan(self, centers, size: int, mode: str, noisy: NoisyView | None):
+        """neighborhoods by hop distance, or by ``noisy``'s perceived one, never
+        below the hop distance less the noise magnitude (the slack): a ball
+        explores ``size + slack`` hops, and an nn center stops once ``size``
+        of its members are perceived within depth - slack."""
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
         nearest = mode == NN
         if size < (1 if nearest else 0):
             raise ValueError("k must be >= 1" if nearest else "radius must be >= 0")
-        if slack and perceive is None:
-            raise ValueError("slack needs a perceive function")
         centers = _centers_of(centers, self.n)
         cap = _max_batch(self.n)
         owners, members, ranks = [_EMPTY], [_EMPTY], [_EMPTY]
         lo, block = 0, min(_BLOCK, cap)
         while lo < centers.size:
             owner, member, rank, expanded = self._neighborhood_block(
-                centers[lo:lo + block], size, nearest, perceive, slack)
+                centers[lo:lo + block], size, nearest, noisy)
             owners.append(owner + lo)
             members.append(member)
             ranks.append(rank)
@@ -237,14 +234,16 @@ class Graph:
             block = min(max(_PAIRS * block // max(expanded, 1), 1), cap)
         return np.concatenate(owners), np.concatenate(members), np.concatenate(ranks)
 
-    def _neighborhood_block(self, centers, size, nearest, perceive, slack):
+    def _neighborhood_block(self, centers, size, nearest, noisy):
         n, indptr, indices = self.n, self._indptr, self._indices
+        slack = 0 if noisy is None else noisy._noise.magnitude
         shell = np.arange(centers.size, dtype=np.int64) * n + centers  # keys owner*n + node
         prev = _EMPTY
         # members per center: ranked so far (plain), or settled (perceived nn)
         found = np.zeros(centers.size, dtype=np.int64)
         pending_owner, pending_dist = _EMPTY, _EMPTY
-        if perceive is not None:
+        if noisy is not None:
+            observed = noisy._observers(centers)  # hashed once per batch
             # the farthest perceived distance a center can keep: the radius
             # of a ball; for nn, depth - slack at the level where the center
             # settles, as a member perceived beyond ranks after ``size``
@@ -273,7 +272,7 @@ class Graph:
                 # run by run, several times slower on masks of short runs
                 new = code[np.flatnonzero(keep)] >> 1
             owner = new // n
-            if perceive is None:
+            if noisy is None:
                 # a level is in (owner, node) order, all at hop distance
                 # depth: a pair's rank is its center's members from earlier
                 # levels plus its place in its center's run
@@ -287,7 +286,7 @@ class Graph:
                 keys.append(new[keep])
                 tags.append(rank[keep])
             else:
-                dist = perceive(centers, owner, new - owner * n, depth)
+                dist = noisy._perceive(observed, owner, new - owner * n, depth)
                 keys.append(new)
                 tags.append(dist)
                 if nearest:
@@ -308,7 +307,7 @@ class Graph:
                 shell = new[np.flatnonzero(active[owner])]
                 prev = prev[np.flatnonzero(active[prev // n])]
         key, tag = np.concatenate(keys), np.concatenate(tags)
-        if perceive is None:
+        if noisy is None:
             # no sort: each pair goes to its center's offset plus its rank
             owner = key // n
             at = (found.cumsum() - found)[owner] + tag
@@ -387,6 +386,72 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
+@dataclass(frozen=True)
+class DistanceNoise:
+    """Misestimated inter-node distances: each ordered (observer, target)
+    pair with true distance > magnitude is shifted by +-magnitude with
+    probability flip_prob (sign equiprobable)."""
+
+    flip_prob: float
+    magnitude: int = 1
+
+    def __post_init__(self):
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ValueError("flip_prob must be in [0, 1]")
+        if not isinstance(self.magnitude, (int, np.integer)):
+            raise ValueError(f"magnitude must be an integer, got {self.magnitude!r}")
+        if self.magnitude < 1:
+            raise ValueError("magnitude must be >= 1")
+
+
+class NoisyView:
+    """Neighborhood queries through an observer-dependent distance error.
+
+    The perturbation of a pair is a pure function of (seed, observer,
+    target): re-querying never re-rolls, and observer i can misjudge its
+    distance to j while j judges i correctly. Membership uses perceived
+    distance; nearest-neighbor sets re-rank by (perceived distance, id).
+    """
+
+    __slots__ = ("_g", "_noise", "_seed")
+
+    def __init__(self, g: Graph, noise: DistanceNoise, seed: int):
+        self._g = g
+        self._noise = noise
+        self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)  # keys by its low 64 bits
+
+    n = property(lambda self: self._g.n)
+
+    def _observers(self, centers: np.ndarray) -> np.ndarray:
+        """The observer half of each center's pair keys, hashed once per batch."""
+        return splitmix64_array(self._seed ^ centers.astype(np.uint64))
+
+    def _perceive(self, observed: np.ndarray, owner: np.ndarray, targets: np.ndarray,
+                  true_d: int) -> np.ndarray:
+        """Perceived distances of the pairs (centers[owner[i]], targets[i]) at
+        true distance true_d, where observed = _observers(centers), by
+        DistanceNoise's rule keyed by (seed, observer, target)."""
+        mag = self._noise.magnitude
+        if true_d <= mag:
+            return np.full(targets.size, true_d, dtype=np.int64)
+        h = splitmix64_array(observed[owner] ^ targets.astype(np.uint64))
+        # (h >> 11) / 2**53 < flip_prob, scaled by a power of two: exact
+        flip = np.flatnonzero((h >> np.uint64(11)) < self._noise.flip_prob * 2.0**53)
+        dist = np.full(targets.size, true_d, dtype=np.int64)
+        dist[flip] += np.where(h[flip] & np.uint64(1), mag, -mag)
+        return dist
+
+    def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
+        """Graph.neighborhoods ranked by perceived distance."""
+        return self._g._scan(centers, size, mode, self)
+
+    def ball_members(self, i: int, l: int) -> list[int]:
+        return self.neighborhoods(np.array([i]), l, BALL)[1].tolist()
+
+    def nn_members(self, i: int, k: int) -> list[int]:
+        return self.neighborhoods(np.array([i]), k, NN)[1].tolist()
+
+
 class NearestTable:
     """The ``k_max`` nearest neighbors of every node of a view, scanned
     once, as a view itself: ``neighborhoods`` answers "nn" queries of any
@@ -397,12 +462,12 @@ class NearestTable:
     i's component ends first. A table costs about 8 * n * k_max bytes.
     """
 
-    __slots__ = ("n", "k_max", "_member", "_offsets")
+    __slots__ = ("_n", "_k_max", "_member", "_offsets")
 
     def __init__(self, view, k_max: int):
         if k_max < 1:
             raise ValueError("k must be >= 1")
-        self.n, self.k_max = view.n, int(k_max)
+        self._n, self._k_max = view.n, int(k_max)
         # one query per _BLOCK nodes, not one over every node: the owner and
         # rank arrays a single query returns for every node would triple the
         # table's size while it is built (it raised calibrate_gamma's peak
@@ -417,6 +482,9 @@ class NearestTable:
         self._offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.concatenate(counts), out=self._offsets[1:])
         self._member.flags.writeable = self._offsets.flags.writeable = False
+
+    n = property(lambda self: self._n)
+    k_max = property(lambda self: self._k_max)
 
     def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
         """The view's neighborhoods(centers, size, "nn") for size <= k_max."""

@@ -13,16 +13,14 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
-from .graph import (BALL, NN, Graph, check_erdos_renyi, check_power_law,
+from .graph import (DistanceNoise, Graph, NoisyView, check_erdos_renyi, check_power_law,
                     gen_erdos_renyi, gen_grid, gen_power_law, gen_tree, load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
 # splitmix64 is unused here: perfbench/tracing.py patches it on this module
-from .seeds import derive_seed, splitmix64, splitmix64_array
+from .seeds import derive_seed, splitmix64
 
 SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
                     "mean_hotspots_epi,sd_epi,mean_hotspots_null,sd_null")
@@ -140,72 +138,6 @@ class ScenarioRule:
             f=self.f * n ** self.f_exp,
             num_seeds=self.num_seeds,
         )
-
-
-@dataclass(frozen=True)
-class DistanceNoise:
-    """Misestimated inter-node distances: each ordered (observer, target)
-    pair with true distance > magnitude is shifted by +-magnitude with
-    probability flip_prob (sign equiprobable)."""
-
-    flip_prob: float
-    magnitude: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.flip_prob <= 1.0:
-            raise ValueError("flip_prob must be in [0, 1]")
-        if not isinstance(self.magnitude, (int, np.integer)):
-            raise ValueError(f"magnitude must be an integer, got {self.magnitude!r}")
-        if self.magnitude < 1:
-            raise ValueError("magnitude must be >= 1")
-
-
-class NoisyView:
-    """Neighborhood queries through an observer-dependent distance error.
-
-    The perturbation of a pair is a pure function of (seed, observer,
-    target): re-querying never re-rolls, and observer i can misjudge its
-    distance to j while j judges i correctly. Membership uses perceived
-    distance; nearest-neighbor sets re-rank by (perceived distance, id).
-    """
-
-    __slots__ = ("_g", "_noise", "_seed")
-
-    def __init__(self, g: Graph, noise: DistanceNoise, seed: int):
-        self._g = g
-        self._noise = noise
-        self._seed = int(seed)
-
-    n = property(lambda self: self._g.n)
-
-    def _perceive(self, centers: np.ndarray, owner: np.ndarray, targets: np.ndarray,
-                  true_d: int) -> np.ndarray:
-        """Perceived distances of the pairs (centers[owner[i]], targets[i]) at
-        true distance true_d, by DistanceNoise's rule keyed by (seed,
-        observer, target)."""
-        mag = self._noise.magnitude
-        if true_d <= mag:
-            return np.full(targets.size, true_d, dtype=np.int64)
-        seed = np.uint64(self._seed & 0xFFFFFFFFFFFFFFFF)
-        # the observer's half of the key, hashed once per center
-        observed = splitmix64_array(seed ^ centers.astype(np.uint64))
-        h = splitmix64_array(observed[owner] ^ targets.astype(np.uint64))
-        # (h >> 11) / 2**53 < flip_prob, scaled by a power of two: exact
-        flip = np.flatnonzero((h >> np.uint64(11)) < self._noise.flip_prob * 2.0**53)
-        dist = np.full(targets.size, true_d, dtype=np.int64)
-        dist[flip] += np.where(h[flip] & np.uint64(1), mag, -mag)
-        return dist
-
-    def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
-        """Graph.neighborhoods ranked by perceived distance."""
-        return self._g.neighborhoods(centers, size, mode, perceive=self._perceive,
-                                     slack=self._noise.magnitude)
-
-    def ball_members(self, i: int, l: int) -> list[int]:
-        return self.neighborhoods(np.array([i]), l, BALL)[1].tolist()
-
-    def nn_members(self, i: int, k: int) -> list[int]:
-        return self.neighborhoods(np.array([i]), k, NN)[1].tolist()
 
 
 @dataclass(frozen=True)
@@ -379,10 +311,13 @@ class SweepResult:
 def _point_outcomes(spec: ExperimentSpec, value):
     """All trial verdicts for one sweep point, keyed by scenario label.
 
-    The first trial that fails stops the sweep with a ValueError naming the
-    trial, so every row's rates are over exactly trials_per_point trials.
+    A point that cannot be prepared, or its first failed trial, stops the
+    sweep with a ValueError naming it: every row counts trials_per_point trials.
     """
-    point = _prepare_point(spec, value)
+    try:
+        point = _prepare_point(spec, value)
+    except ValueError as exc:
+        raise ValueError(f"sweep point {spec.sweep_name}={value!r}: {exc}") from exc
     per_label: dict[str, list] = {EPIDEMIC: [], UNIFORM: []}
     for label in (EPIDEMIC, UNIFORM):
         for trial in range(spec.trials_per_point):

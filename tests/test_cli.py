@@ -396,7 +396,7 @@ def test_topology_fields_a_kind_does_not_read_exit_one(tmp_path, argv, unused):
 @pytest.mark.parametrize("flags, message", [
     (["--values", "0"], "error: epidemic trial 0 at t=0: alpha must be in (0, 1)\n"),
     (["--detector", "auto", "--sweep", "q", "--values", "0.5"],
-     "error: alpha must be in (0, 1)\n"),
+     "error: sweep point q=0.5: alpha must be in (0, 1)\n"),
 ])
 def test_sweep_without_a_matched_null_fails_before_any_contagion(capsys, monkeypatch,
                                                                  flags, message):
@@ -471,6 +471,30 @@ def test_missing_graph_file_fails_the_sweep_once_without_traceback(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == "error: [Errno 2] No such file or directory: 'missing.txt'\n"
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "er", "--n", "7"],
+    ["sweep", "--topology", "grid", "--values", "0", "--trials", "1"],
+    ["gamma", "--topology", "tree", "--alpha", "0.5", "--trials", "1"],
+], ids=["simulate", "sweep", "gamma"])
+def test_graph_and_topology_together_are_refused(tmp_path, capsys, argv):
+    # simulate used to blame an er field on the file; sweep and gamma ran on the file
+    graph_path = write_path_graph(tmp_path, 6)
+    code, out, err = run(capsys, argv[0], "--graph", graph_path, *argv[1:])
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, out) == (1, "") and len(errors) == 1
+    assert "--graph" in errors[0] and "--topology" in errors[0]
+
+
+def test_graph_overrides_a_config_topology(tmp_path, capsys):
+    # flags override keys: only the two flags together are refused
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology=grid\nalpha=0.5\nvalues=0\ntrials=1\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg),
+                         "--graph", write_path_graph(tmp_path, 6))
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("0,1,")
 
 
 @pytest.mark.parametrize("mode", ["nn", "ball"])
@@ -563,8 +587,10 @@ def test_detect_rejects_empty_neighborhood_naming_its_flag(tmp_path, capsys, siz
      "line 2: column 'stderr': expected a finite number >= 0, got 'inf'"),
     ("K,gamma,stderr,trials\n1,0.9,0.01,0\n",
      "line 2: column 'trials': expected an integer >= 1, got '0'"),
+    ("K,gamma,stderr,trials\n2,0.9,0.01,10\n1,0.5,0.01,10\n2,0.1,0.01,10\n",
+     "line 4: column 'K': repeats K=2"),
 ], ids=["missing-column", "bad-value", "k-zero", "gamma-negative", "gamma-nan",
-        "gamma-above-one", "stderr-negative", "stderr-inf", "trials-zero"])
+        "gamma-above-one", "stderr-negative", "stderr-inf", "trials-zero", "k-repeated"])
 def test_detect_bad_gamma_profile_names_file_line_and_column(tmp_path, capsys, csv_text,
                                                              error):
     graph_path = write_path_graph(tmp_path, 40)
@@ -682,7 +708,7 @@ def test_er_with_zero_nodes_exits_one_with_the_generator_message(
     (["--topology", "er", "--n", "0", "--values", "0.5"], "n must be >= 1"),
     (["--topology", "powerlaw", "--n", "5", "--values", "0.5"], "n must be >= 10"),
     (["--topology", "powerlaw", "--n", "100", "--sweep", "n", "--values", "200,5"],
-     "n must be >= 10"),
+     "sweep point n=5: n must be >= 10"),
     (["--topology", "powerlaw", "--n", "100", "--exponent", "1.5", "--values", "0.5"],
      "exponent must be > 2"),
 ], ids=["er", "powerlaw", "powerlaw-swept-n", "powerlaw-exponent"])

@@ -253,8 +253,8 @@ def test_noisy_view_asymmetric_misperception():
     asymmetric = 0
     for d in range(2, 40):
         near, far, pair = np.arange(40 - d), np.arange(d, 40), np.arange(40 - d)
-        there = view._perceive(near, pair, far, d)
-        back = view._perceive(far, pair, near, d)
+        there = view._perceive(view._observers(near), pair, far, d)
+        back = view._perceive(view._observers(far), pair, near, d)
         assert there.tolist() == [perceived_oracle(2, 0.5, 1, o, t, d)
                                   for o, t in zip(near.tolist(), far.tolist())]
         assert back.tolist() == [perceived_oracle(2, 0.5, 1, o, t, d)
@@ -273,7 +273,7 @@ def test_noisy_view_pair_rule_is_the_same_for_arrays(seed):
     owner = owner[::-1].copy()
     observers = centers[owner].tolist()
     for d in (1, 2, 3, 4, 9):
-        assert view._perceive(centers, owner, targets, d).tolist() == [
+        assert view._perceive(view._observers(centers), owner, targets, d).tolist() == [
             perceived_oracle(seed, 0.5, 2, o, t, d) for o, t in zip(observers, targets.tolist())]
 
 

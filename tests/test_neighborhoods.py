@@ -1,6 +1,8 @@
 """The batched neighborhood kernel (Graph.neighborhoods) and its consumers
 against the brute-force oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from hotspot.calibration import gamma_for_set
 from hotspot.detector import DetectorConfig, classify
-from hotspot import graph
+from hotspot import graph, harness
 from hotspot.graph import (_BLOCK, MAX_NODES, Graph, NearestTable, _max_batch,
                            gen_erdos_renyi, gen_grid)
 from hotspot.harness import DistanceNoise, NoisyView
@@ -108,7 +110,7 @@ def test_batch_of_isolated_centers():
     centers = np.arange(4)
     for size, mode in ((1, "nn"), (3, "nn"), (0, "ball"), (2, "ball")):
         assert all(a.size == 0 for a in g.neighborhoods(centers, size, mode))
-        assert g._neighborhood_block(centers, size, mode == "nn", None, 0)[3] == 0
+        assert g._neighborhood_block(centers, size, mode == "nn", None)[3] == 0
 
 
 @pytest.mark.parametrize("shape, centers, size, mode, expanded", [
@@ -126,7 +128,7 @@ def test_batch_of_isolated_centers():
 def test_expanded_counts_the_pairs_read(shape, centers, size, mode, expanded):
     g = Graph.from_edges(10, [(i, i + 1) for i in range(9)]) if shape == "path" else (
         Graph.from_edges(6, [(0, i) for i in range(1, 6)]))
-    block = g._neighborhood_block(np.array(centers), size, mode == "nn", None, 0)
+    block = g._neighborhood_block(np.array(centers), size, mode == "nn", None)
     assert block[3] == expanded
 
 
@@ -183,10 +185,6 @@ def test_batch_layout_does_not_change_output(monkeypatch, pairs, block):
             assert b.dtype == a.dtype and np.array_equal(b, a)
 
 
-def _hop_distance(centers, owner, targets, d):
-    return np.full(targets.size, d, dtype=np.int64)
-
-
 _CROSS_GRAPHS = {
     "er-giant": gen_erdos_renyi(1500, 2.5 / 1500, 8).largest_component()[0],
     "grid": gen_grid(2, 12),
@@ -199,41 +197,47 @@ _CROSS_GRAPHS = {
 @pytest.mark.parametrize("block", [1, 3, 256])
 @pytest.mark.parametrize("name", list(_CROSS_GRAPHS))
 def test_plain_assembly_matches_the_perceived_sort(monkeypatch, name, block, pairs):
-    # the hop distance as a perceived one sends the same query through the
-    # code sort: owner, member, rank and every batch's expanded count agree
+    # a noisy view that never flips perceives every hop distance as it is,
+    # but sends the query through the code sort and the settling depth
     g = _CROSS_GRAPHS[name]
     centers = np.arange(g.n)
     if name == "er-giant":
         centers = np.sort(np.random.default_rng(4).choice(g.n, 300, replace=False))
     monkeypatch.setattr(graph, "_PAIRS", pairs)
     monkeypatch.setattr(graph, "_BLOCK", block)
-    expanded = []
-    block_of = Graph._neighborhood_block
-
-    def spy(self, *args):
-        out = block_of(self, *args)
-        expanded.append(out[3])
-        return out
-
-    monkeypatch.setattr(Graph, "_neighborhood_block", spy)
-    for size, mode in [(k, "nn") for k in (1, 2, 6, 40)] + [(l, "ball") for l in range(4)]:
-        expanded.clear()
-        plain = g.neighborhoods(centers, size, mode)
-        plain_expanded = expanded.copy()
-        expanded.clear()
-        sorted_ = g.neighborhoods(centers, size, mode, perceive=_hop_distance, slack=0)
-        assert expanded == plain_expanded, (size, mode)
-        for a, b in zip(plain, sorted_):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (size, mode)
+    for magnitude in (1, 3):
+        view = NoisyView(g, DistanceNoise(0.0, magnitude), seed=7)
+        for size, mode in [(k, "nn") for k in (1, 2, 6, 40)] + [(l, "ball") for l in range(4)]:
+            for a, b in zip(g.neighborhoods(centers, size, mode),
+                            view.neighborhoods(centers, size, mode)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (magnitude, size, mode)
 
 
-@pytest.mark.parametrize("slack", [1, -1, 3])
-@pytest.mark.parametrize("mode", ["nn", "ball"])
-def test_slack_needs_a_perceive_function(mode, slack):
-    # without perceive a ball would explore past its radius and keep those members
-    g = gen_grid(1, 10)
-    with pytest.raises(ValueError, match="slack needs a perceive function"):
-        g.neighborhoods(np.array([0, 5]), 2, mode, slack=slack)
+@pytest.mark.parametrize("pairs", [1, 2**40])
+@pytest.mark.parametrize("block", [1, 3, 512])
+def test_observers_are_hashed_once_per_batch(monkeypatch, block, pairs):
+    g = gen_erdos_renyi(1500, 2.5 / 1500, 8)
+    centers = np.sort(np.random.default_rng(2).choice(g.n, 200, replace=False))
+    view = NoisyView(g, DistanceNoise(flip_prob=0.3, magnitude=2), seed=3)
+    monkeypatch.setattr(graph, "_PAIRS", pairs)
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    calls = []
+    block_of, observers_of = Graph._neighborhood_block, NoisyView._observers
+    monkeypatch.setattr(Graph, "_neighborhood_block", lambda self, batch, *args: (
+        calls.append(("batch", batch.tolist())) or block_of(self, batch, *args)))
+    monkeypatch.setattr(NoisyView, "_observers", lambda self, batch: (
+        calls.append(("hash", batch.tolist())) or observers_of(self, batch)))
+    for size, mode in ((1, "nn"), (6, "nn"), (0, "ball"), (3, "ball")):
+        calls.clear()
+        view.neighborhoods(centers, size, mode)
+        batches = [batch for what, batch in calls if what == "batch"]
+        assert calls == [(what, batch) for batch in batches for what in ("batch", "hash")]
+        assert sum(batches, []) == centers.tolist()
+        if block == 1 and pairs == 1:
+            assert len(batches) == centers.size
+    calls.clear()
+    g.neighborhoods(centers, 6, "nn")
+    assert calls and all(what == "batch" for what, _ in calls)
 
 
 def test_batch_cap_holds_for_any_noise_magnitude():
@@ -294,6 +298,23 @@ def test_nearest_table_validation():
         table.neighborhoods(np.array([3, 25]), 1, "nn")
     with pytest.raises(ValueError, match="k must be >= 1"):
         NearestTable(gen_grid(2, 5), 0)
+
+
+@pytest.mark.parametrize("attr", ["n", "k_max"])
+def test_nearest_table_sizes_are_read_only(attr):
+    # k_max = 5 on a table of K = 2 used to answer 2 members to a query of 5
+    table = NearestTable(gen_grid(2, 4), 2)
+    with pytest.raises(AttributeError):
+        setattr(table, attr, 5)
+    assert (table.n, table.k_max) == (16, 2)
+
+
+def test_noisy_view_lives_beside_the_kernel():
+    # the kernel reads a view's noise itself: it takes no distance function
+    assert harness.NoisyView is graph.NoisyView
+    assert harness.DistanceNoise is graph.DistanceNoise
+    assert list(inspect.signature(Graph.neighborhoods).parameters) == [
+        "self", "centers", "size", "mode"]
 
 
 @given(graphs(), st.data(), st.integers(1, 8), st.integers(0, 4), st.integers(1, 4))

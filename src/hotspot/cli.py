@@ -176,8 +176,12 @@ _NOT_CONFIG_KEYS = ("command", "config", "graph", "out", "t_values")
 
 
 def _spec_from_args(args) -> "harness.ExperimentSpec":
-    """The --config mapping, overlaid by every flag given, then by --graph."""
+    """The --config mapping less the keys a --graph or --topology kind does
+    not read (the flag replaces its graph), overlaid by every flag given."""
     raw = harness.read_mapping(args.config) if args.config else {}
+    if args.graph or args.topology:
+        for f in harness.unread_fields("file" if args.graph else args.topology):
+            raw.pop(f.name, None)
     raw.update((key, str(val)) for key, val in vars(args).items()
                if key not in _NOT_CONFIG_KEYS and val is not None and val is not False)
     if args.graph:
@@ -245,9 +249,10 @@ def build_parser() -> _Parser:
                        help="small-regime exponent (default: 1 - log max(|R|,2)/log N)")
     p_det.add_argument("--rho", type=float)
     p_det.add_argument("--mu", type=float)
-    p_det.add_argument("--gamma", type=float, help="explicit interior fraction")
-    p_det.add_argument("--gamma-profile", help="gamma profile CSV from the gamma command")
-    p_det.add_argument("--gamma-fallback", action="store_true",
+    gamma = p_det.add_mutually_exclusive_group()
+    gamma.add_argument("--gamma", type=float, help="explicit interior fraction")
+    gamma.add_argument("--gamma-profile", help="gamma profile CSV from the gamma command")
+    gamma.add_argument("--gamma-fallback", action="store_true",
                        help="use the 1/|S| lower bound for gamma")
     p_det.add_argument("--family", choices=["general", "grid", "tree"], default="general")
     p_det.add_argument("--log-base", type=float, default=None)

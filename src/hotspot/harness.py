@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
-from .graph import (DistanceNoise, Graph, NoisyView, check_erdos_renyi, check_power_law,
-                    gen_erdos_renyi, gen_grid, gen_power_law, gen_tree, load_edge_list)
+from .graph import (BALL, NN, DistanceNoise, Graph, NoisyView, check_erdos_renyi,
+                    check_power_law, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
+                    load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
 # splitmix64 is unused here: perfbench/tracing.py patches it on this module
@@ -69,9 +70,7 @@ class TopologySpec:
         missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
         if missing:
             raise ValueError(f"topology {self.kind} needs {' and '.join(missing)}")
-        reads = ("kind", "giant", *_REQUIRED_FIELDS[self.kind], *_OPTIONAL_FIELDS[self.kind])
-        unused = [f.name for f in fields(self)
-                  if f.init and f.name not in reads and getattr(self, f.name) != f.default]
+        unused = [f.name for f in unread_fields(self.kind) if getattr(self, f.name) != f.default]
         if unused:
             raise ValueError(f"topology {self.kind} does not use {' or '.join(unused)}")
         # a random kind is built anew in every trial: its generator's checks
@@ -107,6 +106,12 @@ class TopologySpec:
         if self.kind in _FIXED_KINDS:
             object.__setattr__(self, "_graph", g)
         return g
+
+
+def unread_fields(kind: str) -> list:
+    """The TopologySpec fields, as dataclass fields, that ``kind`` does not read."""
+    reads = ("kind", "giant", *_REQUIRED_FIELDS[kind], *_OPTIONAL_FIELDS[kind])
+    return [f for f in fields(TopologySpec) if f.init and f.name not in reads]
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,10 @@ class ExperimentSpec:
         part, _, cast = _SWEEPS[self.sweep_name]
         if isinstance(self.detector, str) and part == "detector":
             raise ValueError("cannot sweep a detector field with detector='auto'")
+        swept_mode = {"k": NN, "l": BALL}.get(self.sweep_name)
+        if swept_mode and swept_mode != self.detector.mode:
+            raise ValueError(f"cannot sweep {self.sweep_name} with a "
+                             f"{self.detector.mode} detector")
         for value in self.sweep_values:  # kept as given: seed tokens and CSV labels
             try:
                 ok = cast(value) == value
@@ -201,55 +210,40 @@ _SWEEPS = {
 }
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One sweep value's experiment, prepared once for all of its trials."""
-
-    topology: TopologySpec
-    scenario: ScenarioRule
-    detector: DetectorConfig | str
-    noise: DistanceNoise | None
-    gamma: calibration.GammaProfile | None = None
-
-
-def _prepare_point(spec: ExperimentSpec, value) -> _Point:
-    """Set the swept field to ``value`` and build a fixed kind's graph, so a
-    graph that cannot be built fails the point once, before any trial. With
-    detector="auto", also estimate gamma(K) for K = 1..ceil(ln N) on the
-    graph built from the sweep-point seed, so every trial of the point sees
-    the same calibration whatever ran before it."""
+def _prepare_point(spec: ExperimentSpec, value):
+    """(spec, gamma): the spec with the swept field set to ``value``, and a
+    fixed kind's graph built now, so a graph that cannot be built fails the
+    point once, before any trial. gamma is None unless detector="auto": then
+    gamma(K), K = 1..ceil(ln N), on the graph of the sweep-point seed, so
+    every trial sees the same calibration whatever ran before it."""
     part, name, cast = _SWEEPS[spec.sweep_name]
-    parts = dict(topology=spec.topology, scenario=spec.scenario,
-                 detector=spec.detector, noise=spec.noise)
-    if parts[part] is None:  # a noise field swept without a base noise
-        parts[part] = DistanceNoise(flip_prob=0.0)
-    parts[part] = replace(parts[part], **{name: cast(value)})
-    point = _Point(**parts)
+    base = getattr(spec, part)
+    if base is None:  # a noise field swept without a base noise
+        base = DistanceNoise(flip_prob=0.0)
+    point = replace(spec, **{part: replace(base, **{name: cast(value)})})
     auto = isinstance(point.detector, str)
     if auto or point.topology.kind in _FIXED_KINDS:
         graph = point.topology.build(
             derive_seed(spec.master_seed, spec.sweep_name, value, "graph"))
     if not auto:
-        return point
+        return point, None
     params = point.scenario.for_n(graph.n)
     calibration.reporting_probabilities(params.q, params.alpha, params.f)  # before any growth
-    gamma = calibration.estimate_gamma(
+    return point, calibration.estimate_gamma(
         graph, params, range(1, calibration.k_cap(graph.n) + 1),
         GAMMA_CALIBRATION_TRIALS,
         derive_seed(spec.master_seed, spec.sweep_name, value, "calibration"))
-    return replace(point, gamma=gamma)
 
 
 def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
-              point: _Point | None = None):
+              point: tuple | None = None):
     """Run one labeled trial; returns (Verdict, truth). Deterministic in
     (master_seed, sweep name+value, label, trial_index).
 
-    ``point`` is the prepared sweep point, which run_sweep makes once per
-    value; a standalone call prepares its own.
+    ``point`` is the prepared sweep point, the (spec, gamma) pair that
+    run_sweep makes once per value; a standalone call prepares its own.
     """
-    if point is None:
-        point = _prepare_point(spec, sweep_value)
+    point, gamma = point or _prepare_point(spec, sweep_value)
     root = derive_seed(spec.master_seed, spec.sweep_name, sweep_value, label, trial_index)
     graph = point.topology.build(derive_seed(root, "graph"))
     params = point.scenario.for_n(graph.n)
@@ -267,7 +261,7 @@ def run_trial(spec: ExperimentSpec, sweep_value, label: str, trial_index: int,
         view = NoisyView(graph, point.noise, derive_seed(root, "noise"))
     if isinstance(point.detector, str):
         cfg = prescribe(graph.n, len(snapshot.reporting), q=params.q,
-                        alpha=params.alpha, f=params.f, gamma=point.gamma)
+                        alpha=params.alpha, f=params.f, gamma=gamma)
     else:
         cfg = point.detector
     # Python ints: perfbench's noisy check masks these ids as uint64 (np.int64 overflows)

@@ -62,10 +62,6 @@ class ScenarioParams:
             raise ValueError(
                 f"target infection size {self.target_size(n)} smaller than "
                 f"num_seeds={self.num_seeds}")
-        if (self.f + 1.0) * self.q * self.alpha > 1.0:
-            raise ValueError(
-                "(f+1)*q*alpha > 1: matched null reporting probability "
-                "would not be a probability")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 import hotspot
 from hotspot import calibration, harness, scenario
 from hotspot.calibration import GammaProfile
-from hotspot.cli import main
+from hotspot.cli import _NOT_CONFIG_KEYS, build_parser, main
 from hotspot.graph import Graph, save_edge_list
 from hotspot.harness import SWEEP_CSV_HEADER, read_mapping, spec_from_mapping
 from hotspot.scenario import ReportSnapshot
@@ -495,6 +496,93 @@ def test_graph_overrides_a_config_topology(tmp_path, capsys):
                          "--graph", write_path_graph(tmp_path, 6))
     assert code == 0, err
     assert out.splitlines()[1].startswith("0,1,")
+
+
+@pytest.mark.parametrize("config, flags", [
+    ("noise_robustness.cfg", ["--graph", "GRAPH", "--values", "0.1"]),
+    ("separability.cfg", ["--topology", "grid", "--side", "20", "--values", "1"]),
+])
+def test_graph_flags_replace_the_config_graph(tmp_path, capsys, config, flags):
+    # each config sets n, which the new kind does not read: both used to exit 1
+    flags = [write_path_graph(tmp_path, 30) if f == "GRAPH" else f for f in flags]
+    code, out, err = run(capsys, "sweep", "--config", str(EXPERIMENTS / config),
+                         "--trials", "1", *flags)
+    assert code == 0, err
+    assert out.splitlines()[1].startswith(f"{flags[-1]},1,")
+
+
+def test_topology_flag_keeps_the_config_fields_its_kind_reads(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology=er\nn=200\np=0.02\ngiant=true\nalpha=0.2\nq=0.6\n"
+                   "sweep=q\nvalues=0.6\ntrials=2\nseed=3\n")
+    code, overlaid, err = run(capsys, "sweep", "--config", str(cfg), "--topology", "powerlaw")
+    assert code == 0, err
+    # n and giant are kept, p (read only by er) is dropped
+    assert run(capsys, "sweep", "--topology", "powerlaw", "--n", "200", "--giant",
+               "--alpha", "0.2", "--q", "0.6", "--sweep", "q", "--values", "0.6",
+               "--trials", "2", "--seed", "3")[1] == overlaid
+
+
+def test_graph_flag_does_not_drop_a_swept_field_its_kind_does_not_read(tmp_path, capsys):
+    code, out, err = run(capsys, "sweep", "--config", str(EXPERIMENTS / "error_decay.cfg"),
+                         "--graph", write_path_graph(tmp_path, 30), "--trials", "1")
+    assert (code, out, err) == (1, "", "error: topology file does not use n\n")
+
+
+@pytest.mark.parametrize("flags", [["--detector", "ball", "--l", "2", "--sweep", "k"],
+                                   ["--detector", "nn", "--k", "2", "--sweep", "l"]])
+def test_k_or_l_sweep_against_the_detector_mode_exits_one(capsys, flags):
+    # a ball detector swept over k used to run, labelling radius rows by k
+    code, out, err = run(capsys, "sweep", "--topology", "grid", "--side", "10",
+                         "--alpha", "0.2", "--q", "0.6", "--s", "1", "--t", "5", *flags,
+                         "--values", "1,3", "--trials", "2")
+    mode, swept = flags[1], flags[-1]
+    assert (code, out, err) == (1, "", f"error: cannot sweep {swept} with a {mode} detector\n")
+
+
+def test_detect_takes_one_gamma_source(tmp_path, capsys):
+    # with both flags the profile used to win silently
+    graph_path = write_path_graph(tmp_path, 40)
+    profile = tmp_path / "gamma.csv"
+    profile.write_text("K,gamma,stderr,trials,topology\n1,0.5,0.01,10,\n")
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=40\n1\n2\n3\n")
+    code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap),
+                         "--regime", "dense", "--q", "0.5", "--alpha", "0.1",
+                         "--gamma", "0.01", "--gamma-profile", str(profile))
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, out) == (1, "") and len(errors) == 1
+    assert set(re.findall(r"--gamma[\w-]*", errors[0])) == {"--gamma", "--gamma-profile"}
+
+
+def test_runs_that_build_no_matched_null_accept_an_infeasible_one(tmp_path, capsys):
+    # (f+1)*q*alpha = 1.5 > 1: gamma(K) and the epidemic never read the null
+    flags = ["--topology", "grid", "--side", "10", "--alpha", "0.5", "--q", "1", "--f", "2"]
+    assert run(capsys, "gamma", *flags, "--trials", "2")[0] == 0
+    assert run(capsys, "simulate", *flags, "--scenario", "epidemic")[0] == 0
+    code, out, err = run(capsys, "simulate", *flags, "--scenario", "null")
+    assert (code, out) == (1, "") and err.startswith("error: (f+1)*q*alpha = 1.5 > 1: ")
+
+
+def test_fixed_and_auto_sweeps_report_one_infeasible_null_message(capsys):
+    flags = ["--topology", "grid", "--side", "10", "--alpha", "0.5", "--q", "1", "--f", "2",
+             "--trials", "2", "--sweep", "q", "--values", "1"]
+    _, _, fixed = run(capsys, "sweep", *flags, "--detector", "nn")
+    _, _, auto = run(capsys, "sweep", *flags, "--detector", "auto")
+    message = ("(f+1)*q*alpha = 1.5 > 1: the matched null would need a reporting "
+               "probability above one; reduce f, q or alpha\n")
+    assert fixed == "error: epidemic trial 0 at q=1: " + message
+    assert auto == "error: sweep point q=1: " + message
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["threshold-sweep", "--t-values", "0"]])
+def test_every_sweep_flag_is_a_config_key(argv):
+    # _spec_from_args passes each such flag to spec_from_mapping as its key
+    keys = set(vars(build_parser().parse_args(argv))) - set(_NOT_CONFIG_KEYS)
+    for key in sorted(keys):
+        with pytest.raises(ValueError) as caught:
+            spec_from_mapping({key: "1", "bogus": "1"})
+        assert str(caught.value) == "unknown config key(s): bogus", key
 
 
 @pytest.mark.parametrize("mode", ["nn", "ball"])

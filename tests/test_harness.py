@@ -471,6 +471,19 @@ def test_unknown_or_auto_detector_sweeps_are_rejected_up_front():
         small_spec(detector="auto", sweep_name="k")
 
 
+@pytest.mark.parametrize("detector, sweep_name", [
+    (DetectorConfig.ball_mode(l=2, s=1, t=5), "k"),
+    (DetectorConfig.nn(k=2, t=5), "l"),
+])
+def test_k_and_l_sweeps_must_match_the_detector_mode(detector, sweep_name):
+    # a ball detector swept over k used to sweep its radius under k's label
+    with pytest.raises(ValueError, match=f"^cannot sweep {sweep_name} with a "
+                                         f"{detector.mode} detector$"):
+        small_spec(detector=detector, sweep_name=sweep_name, sweep_values=(1, 3))
+    other = "l" if sweep_name == "k" else "k"
+    assert small_spec(detector=detector, sweep_name=other, sweep_values=(1, 3))
+
+
 @pytest.mark.parametrize("key, text", [("side", "abc"), ("alpha", "x1")])
 def test_spec_from_mapping_names_the_key_of_a_bad_number(key, text):
     raw = {"topology": "grid", "side": "8", "sweep": "q", "values": "0.5", key: text}
@@ -484,10 +497,10 @@ def test_spec_from_mapping_names_the_key_of_a_bad_number(key, text):
     ("alpha", "x", "sweep alpha: value 'x' is not a number"),
 ])
 def test_sweep_values_that_do_not_cast_exactly_are_rejected_up_front(name, value, message):
-    grid = TopologySpec(kind="grid", side=8)
+    grid = dict(topology=TopologySpec(kind="grid", side=8), detector=DetectorConfig.nn(k=2, t=0))
     with pytest.raises(ValueError, match=message):
-        small_spec(topology=grid, sweep_name=name, sweep_values=(value,))
-    spec = small_spec(topology=grid, sweep_name=name, sweep_values=(2, 3.0))
+        small_spec(**grid, sweep_name=name, sweep_values=(value,))
+    spec = small_spec(**grid, sweep_name=name, sweep_values=(2, 3.0))
     assert spec.sweep_values == (2, 3.0)  # kept as given: seed tokens and CSV labels
 
 

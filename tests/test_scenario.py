@@ -35,9 +35,6 @@ def test_params_validation():
     params = ScenarioParams(alpha=0.01, q=0.5, f=1.0, num_seeds=5)
     with pytest.raises(ValueError, match="num_seeds"):
         params.validate_for(100)  # target 1 < 5 seeds
-    infeasible = ScenarioParams(alpha=0.9, q=0.9, f=10.0)
-    with pytest.raises(ValueError, match="probability"):
-        infeasible.validate_for(100)
 
 
 def test_target_size_rounds_up():

@@ -123,6 +123,12 @@ def _auto_detect_config(args, g, reporting) -> DetectorConfig:
 
 
 def _cmd_detect(args) -> int:
+    prescribed = (args.regime or args.gamma_profile or args.gamma is not None
+                  or args.gamma_fallback)
+    unused = harness.unread_sizes("auto" if prescribed else args.mode, vars(args))
+    if unused:
+        raise ValueError(f"{'--regime' if prescribed else '--mode ' + args.mode} "
+                         f"does not use --{unused[0]}")
     g = load_edge_list(args.graph, compact=args.compact)
     snap = ReportSnapshot.load(args.snapshot)
     if snap.n != g.n:
@@ -130,7 +136,7 @@ def _cmd_detect(args) -> int:
     if snap.reporting.size and snap.reporting[-1] >= g.n:
         raise ValueError(f"reporting node {snap.reporting[-1]} out of range "
                          f"for a graph of {g.n} nodes")
-    if args.regime or args.gamma_profile or args.gamma is not None or args.gamma_fallback:
+    if prescribed:
         args.regime = args.regime or "auto"
         cfg = _auto_detect_config(args, g, snap.reporting)
     else:
@@ -176,12 +182,15 @@ _NOT_CONFIG_KEYS = ("command", "config", "graph", "out", "t_values")
 
 
 def _spec_from_args(args) -> "harness.ExperimentSpec":
-    """The --config mapping less the keys a --graph or --topology kind does
-    not read (the flag replaces its graph), overlaid by every flag given."""
+    """The --config mapping less the keys a --graph, --topology or --detector
+    kind does not read (the flag replaces that part), overlaid by every flag given."""
     raw = harness.read_mapping(args.config) if args.config else {}
     if args.graph or args.topology:
         for f in harness.unread_fields("file" if args.graph else args.topology):
             raw.pop(f.name, None)
+    if args.detector:
+        for key in harness.unread_sizes(args.detector, raw):
+            raw.pop(key)
     raw.update((key, str(val)) for key, val in vars(args).items()
                if key not in _NOT_CONFIG_KEYS and val is not None and val is not False)
     if args.graph:

@@ -147,8 +147,9 @@ class Graph:
     @classmethod
     def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
         """The graph on the pairs (u[i], v[i]) of two int64 arrays, given in
-        either direction; repeats and self-loops are dropped. Every graph but a
-        component is built here: one sort of the keys u*n + v orders each row."""
+        either direction; repeats and self-loops are dropped. Every graph but
+        largest_component's is built here, an ER giant from its sampled pairs
+        too: one sort of the keys u*n + v orders each row."""
         keep = u != v
         u, v = u[keep], v[keep]
         keys = sorted_unique(np.concatenate([u * n + v, v * n + u]))
@@ -337,30 +338,11 @@ class Graph:
     # -- components ---------------------------------------------------------
 
     def component_labels(self) -> np.ndarray:
-        """Label of every node: the smallest node id in its component.
-
-        Min-label propagation with pointer jumping over each edge once (its
-        u < v half of the CSR). Each round hooks, for every edge whose ends
-        carry different labels, the larger label onto the smaller, then
-        replaces every label by its label's label until that changes
-        nothing; edges whose ends share a label leave for good. A label is
-        always the id of a node in the same component and never increases,
-        so once no edge crosses two labels, each label is its component's
-        minimum.
-        """
-        labels = np.arange(self.n, dtype=np.int64)
-        u = np.repeat(labels, np.diff(self._indptr))
+        """Label of every node: the smallest node id in its component
+        (:func:`_pair_labels` over each edge once, its u < v half of the CSR)."""
+        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
         keep = np.flatnonzero(u < self._indices)
-        u, v = u[keep], self._indices[keep]
-        while True:
-            a, b = labels[u], labels[v]
-            cross = np.flatnonzero(a != b)
-            if not cross.size:
-                return labels
-            u, v, a, b = u[cross], v[cross], a[cross], b[cross]
-            np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-            while not np.array_equal(jumped := labels[labels], labels):
-                labels = jumped
+        return _pair_labels(self.n, u[keep], self._indices[keep])
 
     def largest_component(self) -> tuple["Graph", np.ndarray]:
         """The largest connected component as a graph of its own.
@@ -384,6 +366,43 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def _pair_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label of every node of the graph on nodes 0..n-1 and the pairs
+    (u[i], v[i]): the smallest node id in its component.
+
+    Min-label propagation with pointer jumping. Each round hooks, for every
+    pair whose ends carry different labels, the larger label onto the
+    smaller, then replaces every label by its label's label until that
+    changes nothing; pairs whose ends share a label (self-loops and repeats
+    at once) leave for good. A label is always the id of a node in the same
+    component and never increases, so once no pair crosses two labels, each
+    label is its component's minimum.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        a, b = labels[u], labels[v]
+        cross = np.flatnonzero(a != b)
+        if not cross.size:
+            return labels
+        u, v, a, b = u[cross], v[cross], a[cross], b[cross]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+
+
+def _giant_of_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """:meth:`Graph.largest_component` of the graph on the pairs (u[i], v[i]),
+    cut from the pairs without building that graph: the pairs inside the
+    giant, renumbered, go to one :meth:`Graph._from_pairs`."""
+    labels = _pair_labels(n, u, v)
+    biggest = np.argmax(np.bincount(labels, minlength=1))
+    old_ids = np.flatnonzero(labels == biggest)
+    keep = np.flatnonzero(labels[u] == biggest)  # a pair with one end inside has both
+    remap = np.empty(n, dtype=np.int64)
+    remap[old_ids] = np.arange(old_ids.size)
+    return Graph._from_pairs(old_ids.size, remap[u[keep]], remap[v[keep]]), old_ids
 
 
 @dataclass(frozen=True)
@@ -633,18 +652,23 @@ def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     count and then a uniform set of that many distinct pairs, which is
     distributionally identical to pair-by-pair coin flips.
     """
+    return Graph._from_pairs(n, *_erdos_renyi_pairs(n, p, rng_seed))
+
+
+def _erdos_renyi_pairs(n: int, p: float, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (u, v), u < v, that gen_erdos_renyi(n, p, rng_seed) builds."""
     check_erdos_renyi(n, p)
     rng = np.random.default_rng(rng_seed)
     total_pairs = n * (n - 1) // 2
     if p == 0.0 or total_pairs == 0:
-        return Graph._from_pairs(n, _EMPTY, _EMPTY)
+        return _EMPTY, _EMPTY
     if p == 1.0:
         if n > 20_000:
             raise ValueError("complete graph this large is not supported")
-        return Graph._from_pairs(n, *np.triu_indices(n, k=1))
+        return np.triu_indices(n, k=1)
     if n <= 2000:
         # one draw per cell; the cells above the diagonal are the pairs
-        return Graph._from_pairs(n, *divmod(np.flatnonzero(np.triu(rng.random((n, n)) < p, 1)), n))
+        return divmod(np.flatnonzero(np.triu(rng.random((n, n)) < p, 1)), n)
     m = int(rng.binomial(total_pairs, p))
     keys = np.empty(0, dtype=np.int64)
     while keys.size < m:
@@ -655,7 +679,7 @@ def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
         keys = sorted_unique(np.concatenate([keys, (lo * n + hi)[lo < hi]]))
     if keys.size > m:
         keys = rng.choice(keys, size=m, replace=False)
-    return Graph._from_pairs(n, keys // n, keys % n)
+    return keys // n, keys % n
 
 
 def gen_grid(dim: int, side: int) -> Graph:

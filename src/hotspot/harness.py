@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
-from .graph import (BALL, NN, DistanceNoise, Graph, NoisyView, check_erdos_renyi,
-                    check_power_law, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
-                    load_edge_list)
+from .graph import (BALL, NN, DistanceNoise, Graph, NoisyView, _erdos_renyi_pairs,
+                    _giant_of_pairs, check_erdos_renyi, check_power_law, gen_erdos_renyi,
+                    gen_grid, gen_power_law, gen_tree, load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
 # splitmix64 is unused here: perfbench/tracing.py patches it on this module
@@ -45,6 +45,8 @@ class TopologySpec:
     With ``giant=True`` the experiment runs on the largest connected
     component, so contagions always have room to reach their target size
     (sparse random graphs leave a fifth of the nodes in dust components).
+    An er giant is cut straight from the sampled edge pairs: the whole graph
+    is never built.
 
     A fixed kind (grid, tree, file) is built on the first ``build`` and
     kept by the spec, so every trial that shares the spec shares one graph;
@@ -91,6 +93,8 @@ class TopologySpec:
         """The graph; the seed matters only to the random kinds (er, powerlaw)."""
         if self._graph is not None:
             return self._graph
+        if self.kind == "er" and self.giant:
+            return _giant_of_pairs(self.n, *_erdos_renyi_pairs(self.n, self._p(), seed))[0]
         if self.kind == "er":
             g = gen_erdos_renyi(self.n, self._p(), seed)
         elif self.kind == "grid":
@@ -112,6 +116,15 @@ def unread_fields(kind: str) -> list:
     """The TopologySpec fields, as dataclass fields, that ``kind`` does not read."""
     reads = ("kind", "giant", *_REQUIRED_FIELDS[kind], *_OPTIONAL_FIELDS[kind])
     return [f for f in fields(TopologySpec) if f.init and f.name not in reads]
+
+
+# the sizes a detector kind does not read (auto prescribes its own K)
+_UNREAD_SIZES = {"nn": ("l",), "ball": ("k",), "auto": ("k", "l")}
+
+
+def unread_sizes(kind: str, given: dict) -> list[str]:
+    """The sizes, k and l, set in ``given`` that detector ``kind`` does not read."""
+    return [key for key in _UNREAD_SIZES[kind] if given.get(key) is not None]
 
 
 @dataclass(frozen=True)
@@ -441,11 +454,14 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
         alpha_exp=get("alpha_exp", float, 0.0), q_exp=get("q_exp", float, 0.0),
         f_exp=get("f_exp", float, 0.0))
     det_kind = raw.pop("detector", "nn")
+    unused = unread_sizes(det_kind, raw) if det_kind in _UNREAD_SIZES else []
     k, l, s, t = get("k", int, 1), get("l", int, 2), get("s", int), get("t", float, 0.0)
     magnitude, flip_prob = get("noise_d", int, 1), get("noise_prob", float)
     trials, seed = get("trials", int, CI_TRIALS), get("seed", int, 0)
     if raw:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(raw))}")
+    if unused:
+        raise ValueError(f"detector {det_kind} does not use {' or '.join(unused)}")
     if det_kind == "auto":
         detector: DetectorConfig | str = "auto"
     elif det_kind == "nn":

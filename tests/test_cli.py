@@ -10,7 +10,7 @@ import hotspot
 from hotspot import calibration, harness, scenario
 from hotspot.calibration import GammaProfile
 from hotspot.cli import _NOT_CONFIG_KEYS, build_parser, main
-from hotspot.graph import Graph, save_edge_list
+from hotspot.graph import Graph, gen_erdos_renyi, save_edge_list
 from hotspot.harness import SWEEP_CSV_HEADER, read_mapping, spec_from_mapping
 from hotspot.scenario import ReportSnapshot
 
@@ -301,7 +301,7 @@ def test_sweep_flags_override_config_keys(tmp_path, capsys):
     assert [line.split(",")[:2] for line in overlaid.splitlines()[1:]] == [
         ["0.5", "2"], ["0.7", "2"]]
     code, direct, _ = run(capsys, "sweep", "--topology", "er", "--n", "150", "--giant",
-                          "--alpha", "0.2", "--q", "0.6", "--f", "0.5", "--l", "2",
+                          "--alpha", "0.2", "--q", "0.6", "--f", "0.5",
                           "--s", "1", "--sweep", "q", *flags)
     assert code == 0 and overlaid == direct
 
@@ -822,3 +822,55 @@ def test_power_law_exponent_zero_is_rejected_not_defaulted(tmp_path, monkeypatch
                          "--exponent", "0", "--out", "x.txt")
     assert code == 1 and out == "" and err == "error: exponent must be > 2\n"
     assert not (tmp_path / "x.txt").exists()
+
+
+def test_generated_er_giant_is_the_built_graphs_giant(tmp_path, capsys):
+    out = tmp_path / "giant.txt"
+    code, _, err = run(capsys, "generate", "--topology", "er", "--n", "3000", "--giant",
+                       "--seed", "4", "--out", str(out))
+    assert code == 0, err
+    want = tmp_path / "want.txt"
+    save_edge_list(gen_erdos_renyi(3000, 2 / 3000, 4).largest_component()[0], want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--detector", "ball", "--k", "5"], "detector ball does not use k"),
+    (["--detector", "nn", "--l", "3"], "detector nn does not use l"),
+    (["--detector", "auto", "--k", "2", "--l", "3"], "detector auto does not use k or l"),
+], ids=["ball-k", "nn-l", "auto"])
+def test_sweep_refuses_a_detector_size_its_mode_does_not_read(capsys, flags, error):
+    code, out, err = run(capsys, "sweep", "--topology", "grid", "--side", "10",
+                         "--alpha", "0.2", "--q", "0.6", *flags, "--s", "1", "--t", "5",
+                         "--trials", "2", "--values", "0")
+    assert code == 1 and out == "" and err == f"error: {error}\n"
+
+
+def test_detector_flag_drops_the_config_size_its_kind_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology=grid\nside=8\nalpha=0.2\nq=0.6\ndetector=nn\nk=3\n"
+                   "s=1\nt=2\nvalues=0\ntrials=2\n")
+    code, overlaid, err = run(capsys, "sweep", "--config", str(cfg), "--detector", "ball")
+    assert code == 0, err
+    code, direct, _ = run(capsys, "sweep", "--topology", "grid", "--side", "8",
+                          "--alpha", "0.2", "--q", "0.6", "--detector", "ball", "--s", "1",
+                          "--t", "2", "--values", "0", "--trials", "2")
+    assert code == 0 and overlaid == direct
+    # a config that names the other size for its own kind is refused
+    cfg.write_text(cfg.read_text().replace("detector=nn", "detector=ball"))
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == "" and err == "error: detector ball does not use k\n"
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--mode", "ball", "--k", "7"], "--mode ball does not use --k"),
+    (["--l", "2"], "--mode nn does not use --l"),
+    (["--regime", "dense", "--q", "0.5", "--alpha", "0.1", "--gamma", "0.5", "--k", "2"],
+     "--regime does not use --k"),
+], ids=["ball-k", "nn-l", "regime-k"])
+def test_detect_refuses_a_size_its_mode_does_not_read(tmp_path, capsys, flags, error):
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
+    code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 6),
+                         "--snapshot", str(snap), *flags)
+    assert code == 1 and out == "" and err == f"error: {error}\n"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotspot.graph import (Graph, NearestTable, gen_erdos_renyi, gen_grid, gen_power_law,
-                           gen_tree, load_edge_list, node_array, save_edge_list)
+from hotspot.graph import (Graph, NearestTable, _erdos_renyi_pairs, _giant_of_pairs,
+                           _pair_labels, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
+                           load_edge_list, node_array, save_edge_list)
 from hotspot.harness import DistanceNoise, NoisyView
 
 from oracles import (ball_oracle, csr_invariants, components_oracle, csr_oracle,
@@ -569,6 +570,41 @@ def test_largest_component_matches_dfs_oracle(g):
     csr_invariants(sub)
     for new, old in enumerate(expected):
         assert old_ids[sub.neighbors(new)].tolist() == g.neighbors(old).tolist()
+
+
+@given(messy_edges())
+def test_pair_labels_match_dfs_oracle_on_raw_pairs(case):
+    # self-loops, repeats and reversed pairs go in as they are
+    n, edges = case
+    labels = _pair_labels(n, edges[:, 0], edges[:, 1])
+    assert labels.dtype == np.int64 and labels.shape == (n,)
+    for comp in components_oracle(Graph.from_edges(n, edges)):
+        assert labels[comp].tolist() == [comp[0]] * len(comp)
+    if n:
+        sub, old_ids = _giant_of_pairs(n, edges[:, 0], edges[:, 1])
+        want, want_ids = Graph.from_edges(n, edges).largest_component()
+        assert np.array_equal(old_ids, want_ids)
+        assert np.array_equal(sub._indptr, want._indptr)
+        assert np.array_equal(sub._indices, want._indices)
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (1500, 2 / 1500, 7),  # dense branch: one draw per cell
+    (3000, 2 / 3000, 4),  # sparse branch: a binomial count of distinct pairs
+    (50, 0.0, 2),
+    (1, 0.5, 1),
+    (30, 1.0, 3),
+    (12, 0.12, 87),  # components {1, 6, 8, 9} and {2, 3, 4, 5} tie; 1 wins
+])
+def test_giant_cut_from_pairs_equals_the_built_graphs_giant(n, p, seed):
+    want, want_ids = gen_erdos_renyi(n, p, seed).largest_component()
+    got, old_ids = _giant_of_pairs(n, *_erdos_renyi_pairs(n, p, seed))
+    csr_invariants(got)
+    for a, b in ((got._indptr, want._indptr), (got._indices, want._indices),
+                 (old_ids, want_ids)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if seed == 87:
+        assert old_ids.tolist() == [1, 6, 8, 9]
 
 
 def test_largest_component_of_empty_graph():

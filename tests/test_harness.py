@@ -540,8 +540,8 @@ def test_fixed_topology_is_built_once_per_sweep_point(monkeypatch, tmp_path):
 
 
 def test_random_topology_is_checked_without_an_extra_build(monkeypatch):
-    # the generator's checks run on the spec: one graph per trial, as before
-    calls = counting(monkeypatch, harness, "gen_erdos_renyi")
+    # the generator's checks run on the spec: one sample per trial, as before
+    calls = counting(monkeypatch, harness, "_erdos_renyi_pairs")
     run_sweep(small_spec(topology=TopologySpec(kind="er", n=120, giant=True),
                          sweep_values=(0.4, 0.8), trials_per_point=3))
     assert len(calls) == 2 * 2 * 3  # values x labels x trials

@@ -125,9 +125,11 @@ def _auto_detect_config(args, g, reporting) -> DetectorConfig:
 def _cmd_detect(args) -> int:
     prescribed = (args.regime or args.gamma_profile or args.gamma is not None
                   or args.gamma_fallback)
-    unused = harness.unread_sizes("auto" if prescribed else args.mode, vars(args))
+    mode = args.mode or "nn"
+    unused = (["mode"] if prescribed and args.mode else []) + harness.unread_detector_keys(
+        "auto" if prescribed else mode, vars(args))
     if unused:
-        raise ValueError(f"{'--regime' if prescribed else '--mode ' + args.mode} "
+        raise ValueError(f"{'--regime' if prescribed else '--mode ' + mode} "
                          f"does not use --{unused[0]}")
     g = load_edge_list(args.graph, compact=args.compact)
     snap = ReportSnapshot.load(args.snapshot)
@@ -140,11 +142,11 @@ def _cmd_detect(args) -> int:
         args.regime = args.regime or "auto"
         cfg = _auto_detect_config(args, g, snap.reporting)
     else:
-        if args.mode == "nn":
-            cfg = DetectorConfig.nn(k=args.k if args.k is not None else 1, t=args.t, s=args.s)
+        t = 0.0 if args.t is None else args.t
+        if mode == "nn":
+            cfg = DetectorConfig.nn(k=args.k if args.k is not None else 1, t=t, s=args.s)
         else:
-            cfg = DetectorConfig.ball_mode(l=args.l if args.l is not None else 2, t=args.t,
-                                           s=args.s)
+            cfg = DetectorConfig.ball_mode(l=args.l if args.l is not None else 2, t=t, s=args.s)
     verdict = detector.classify(g, snap.reporting, cfg)
     truth = snap.truth if snap.truth in (EPIDEMIC, UNIFORM) else None
     if args.header:
@@ -189,7 +191,7 @@ def _spec_from_args(args) -> "harness.ExperimentSpec":
         for f in harness.unread_fields("file" if args.graph else args.topology):
             raw.pop(f.name, None)
     if args.detector:
-        for key in harness.unread_sizes(args.detector, raw):
+        for key in harness.unread_detector_keys(args.detector, raw):
             raw.pop(key)
     raw.update((key, str(val)) for key, val in vars(args).items()
                if key not in _NOT_CONFIG_KEYS and val is not None and val is not False)
@@ -243,11 +245,11 @@ def build_parser() -> _Parser:
     p_det.add_argument("--graph", required=True)
     p_det.add_argument("--snapshot", required=True)
     p_det.add_argument("--compact", action="store_true")
-    p_det.add_argument("--mode", choices=["nn", "ball"], default="nn")
+    p_det.add_argument("--mode", choices=["nn", "ball"], help="default nn")
     p_det.add_argument("--k", type=int)
     p_det.add_argument("--l", type=int)
     p_det.add_argument("--s", type=int)
-    p_det.add_argument("--t", type=float, default=0.0)
+    p_det.add_argument("--t", type=float, help="default 0")
     p_det.add_argument("--header", action="store_true", help="print the CSV header line")
     p_det.add_argument("--regime", choices=["dense", "small", "auto"],
                        help="derive K and T from calibration instead of --k/--t")

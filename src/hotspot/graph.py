@@ -38,7 +38,7 @@ _BLOCK = 512
 
 # (center, node) pairs a batch of Graph.neighborhoods aims to expand over
 # all its levels: enough work to spread the fixed cost of its numpy calls
-# (53 per plain nn level past depth 1, 39 at depth 1, about 90 per NoisyView
+# (53 per plain nn level past depth 1, 27 at depth 1, about 90 per NoisyView
 # nn level past its noise magnitude, and 15 to place the pairs at the end),
 # while a batch's arrays stay near this many pairs. On an
 # 8000-node ER giant a level holds about 1k pairs, so call overhead
@@ -194,11 +194,13 @@ class Graph:
         _BLOCK centers, and each later one as many as expand about _PAIRS
         pairs at the previous batch's rate per center (at least 1, at most
         _max_batch). Each batch runs one level-synchronous BFS over (center,
-        node) pairs. The first shell is the centers' CSR rows, distinct and
-        free of the centers. A deeper level expands the current shell, and
-        one sort of tagged codes keeps the distinct candidates in neither
-        the previous nor the current shell: in an undirected graph those are
-        exactly the unvisited pairs.
+        node) pairs. Depth 1 is read from the centers' CSR rows, sorted,
+        distinct and free of the centers, so a rank there is a place in a
+        row: a plain nn center reads its row's first ``size`` entries only,
+        and one with ``size`` neighbors is settled by them. A deeper level
+        expands the current shell, and one sort of tagged codes keeps the
+        distinct candidates in neither the previous nor the current shell:
+        in an undirected graph those are exactly the unvisited pairs.
 
         A plain query ranks each level as the BFS finds it. A level is in
         (center, node) order and all of it lies at one hop distance, so a
@@ -238,11 +240,18 @@ class Graph:
     def _neighborhood_block(self, centers, size, nearest, noisy):
         n, indptr, indices = self.n, self._indptr, self._indices
         slack = 0 if noisy is None else noisy._noise.magnitude
-        shell = np.arange(centers.size, dtype=np.int64) * n + centers  # keys owner*n + node
-        prev = _EMPTY
-        # members per center: ranked so far (plain), or settled (perceived nn)
-        found = np.zeros(centers.size, dtype=np.int64)
-        pending_owner, pending_dist = _EMPTY, _EMPTY
+        # depth 1 is a prefix of each center's row, ranked by place (a plain
+        # ball of radius 0 reads none); found counts the members ranked so far
+        start = indptr[centers]
+        deg = indptr[centers + 1] - start
+        found = np.minimum(deg, size) if noisy is None and (nearest or not size) else deg
+        ends = found.cumsum()
+        expanded = int(ends[-1])
+        owner = np.arange(centers.size, dtype=np.int64).repeat(found)
+        rank = np.arange(expanded) - (ends - found).repeat(found)
+        shell = owner * n + indices[start.repeat(found) + rank]  # keys owner*n + node
+        prev = np.arange(centers.size, dtype=np.int64) * n + centers
+        keys, tags = [shell], [rank]  # per level: keys, and ranks or perceived distances
         if noisy is not None:
             observed = noisy._observers(centers)  # hashed once per batch
             # the farthest perceived distance a center can keep: the radius
@@ -250,8 +259,13 @@ class Graph:
             # settles, as a member perceived beyond ranks after ``size``
             # settled ones (no bound while it is unsettled)
             limit = np.full(centers.size, np.iinfo(np.int64).max if nearest else size)
-        keys, tags = [_EMPTY], [_EMPTY]  # per level: keys, and ranks or perceived distances
-        depth = expanded = 0
+            # members settled per center: none at depth 1 <= slack, all pending
+            found, pending_owner = np.zeros(centers.size, dtype=np.int64), owner
+            tags[0] = pending_dist = np.ones(expanded, dtype=np.int64)  # perceived as 1
+        elif nearest:  # a center with ``size`` members leaves both shells
+            active = found < size
+            shell, prev = shell[np.flatnonzero(active[owner])], prev[np.flatnonzero(active)]
+        depth = 1
         while shell.size and (nearest or depth < size + slack):
             depth += 1
             nodes = shell % n
@@ -261,17 +275,16 @@ class Graph:
             expanded += int(ends[-1])
             gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
             new = (shell - nodes).repeat(deg) + indices[gather]
-            if depth > 1:
-                # codes key << 1 (shell pairs) and key << 1 | 1 (candidates):
-                # once sorted, a candidate is new if its predecessor's key differs
-                code = np.concatenate([prev, shell, new]) << 1
-                code[prev.size + shell.size:] |= 1
-                code.sort()
-                keep = (code & 1).astype(bool)
-                keep[1:] &= np.diff(code) > 1
-                # flatnonzero and a gather: numpy's boolean indexing copies
-                # run by run, several times slower on masks of short runs
-                new = code[np.flatnonzero(keep)] >> 1
+            # codes key << 1 (shell pairs) and key << 1 | 1 (candidates):
+            # once sorted, a candidate is new if its predecessor's key differs
+            code = np.concatenate([prev, shell, new]) << 1
+            code[prev.size + shell.size:] |= 1
+            code.sort()
+            keep = (code & 1).astype(bool)
+            keep[1:] &= np.diff(code) > 1
+            # flatnonzero and a gather: numpy's boolean indexing copies
+            # run by run, several times slower on masks of short runs
+            new = code[np.flatnonzero(keep)] >> 1
             owner = new // n
             if noisy is None:
                 # a level is in (owner, node) order, all at hop distance

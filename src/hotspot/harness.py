@@ -118,13 +118,13 @@ def unread_fields(kind: str) -> list:
     return [f for f in fields(TopologySpec) if f.init and f.name not in reads]
 
 
-# the sizes a detector kind does not read (auto prescribes its own K)
-_UNREAD_SIZES = {"nn": ("l",), "ball": ("k",), "auto": ("k", "l")}
+# the detector keys a kind does not read (auto prescribes its own K, s and T)
+_UNREAD_KEYS = {"nn": ("l",), "ball": ("k",), "auto": ("k", "l", "s", "t")}
 
 
-def unread_sizes(kind: str, given: dict) -> list[str]:
-    """The sizes, k and l, set in ``given`` that detector ``kind`` does not read."""
-    return [key for key in _UNREAD_SIZES[kind] if given.get(key) is not None]
+def unread_detector_keys(kind: str, given: dict) -> list[str]:
+    """The keys among k, l, s and t set in ``given`` that ``kind`` does not read."""
+    return [key for key in _UNREAD_KEYS[kind] if given.get(key) is not None]
 
 
 @dataclass(frozen=True)
@@ -454,7 +454,7 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
         alpha_exp=get("alpha_exp", float, 0.0), q_exp=get("q_exp", float, 0.0),
         f_exp=get("f_exp", float, 0.0))
     det_kind = raw.pop("detector", "nn")
-    unused = unread_sizes(det_kind, raw) if det_kind in _UNREAD_SIZES else []
+    unused = unread_detector_keys(det_kind, raw) if det_kind in _UNREAD_KEYS else []
     k, l, s, t = get("k", int, 1), get("l", int, 2), get("s", int), get("t", float, 0.0)
     magnitude, flip_prob = get("noise_d", int, 1), get("noise_prob", float)
     trials, seed = get("trials", int, CI_TRIALS), get("seed", int, 0)

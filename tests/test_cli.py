@@ -837,7 +837,8 @@ def test_generated_er_giant_is_the_built_graphs_giant(tmp_path, capsys):
 @pytest.mark.parametrize("flags, error", [
     (["--detector", "ball", "--k", "5"], "detector ball does not use k"),
     (["--detector", "nn", "--l", "3"], "detector nn does not use l"),
-    (["--detector", "auto", "--k", "2", "--l", "3"], "detector auto does not use k or l"),
+    (["--detector", "auto", "--k", "2", "--l", "3"],
+     "detector auto does not use k or l or s or t"),
 ], ids=["ball-k", "nn-l", "auto"])
 def test_sweep_refuses_a_detector_size_its_mode_does_not_read(capsys, flags, error):
     code, out, err = run(capsys, "sweep", "--topology", "grid", "--side", "10",
@@ -867,10 +868,30 @@ def test_detector_flag_drops_the_config_size_its_kind_does_not_read(tmp_path, ca
     (["--l", "2"], "--mode nn does not use --l"),
     (["--regime", "dense", "--q", "0.5", "--alpha", "0.1", "--gamma", "0.5", "--k", "2"],
      "--regime does not use --k"),
-], ids=["ball-k", "nn-l", "regime-k"])
+    # --mode, --s and --t used to be dropped under a prescription
+    (["--regime", "small", "--mode", "ball"], "--regime does not use --mode"),
+    (["--gamma", "0.5", "--s", "9"], "--regime does not use --s"),
+    (["--regime", "auto", "--t", "99"], "--regime does not use --t"),
+], ids=["ball-k", "nn-l", "regime-k", "regime-mode", "regime-s", "regime-t"])
 def test_detect_refuses_a_size_its_mode_does_not_read(tmp_path, capsys, flags, error):
     snap = tmp_path / "snap.txt"
     snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
     code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 6),
                          "--snapshot", str(snap), *flags)
     assert code == 1 and out == "" and err == f"error: {error}\n"
+
+
+def test_detector_auto_drops_the_configs_s_and_t_and_refuses_them_as_its_own(tmp_path, capsys):
+    # both used to be read and then dropped for auto: the CSV was the same
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology=grid\nside=10\nalpha=0.2\nq=0.6\ndetector=nn\nk=3\n"
+                   "s=3\nt=7\nsweep=q\nvalues=0.6\ntrials=2\n")
+    code, overlaid, err = run(capsys, "sweep", "--config", str(cfg), "--detector", "auto")
+    assert code == 0, err
+    code, direct, _ = run(capsys, "sweep", "--topology", "grid", "--side", "10",
+                          "--alpha", "0.2", "--q", "0.6", "--detector", "auto",
+                          "--sweep", "q", "--values", "0.6", "--trials", "2")
+    assert code == 0 and overlaid == direct
+    cfg.write_text(cfg.read_text().replace("detector=nn\nk=3\n", "detector=auto\n"))
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: detector auto does not use s or t\n")

@@ -12,7 +12,7 @@ from hotspot.calibration import gamma_for_set
 from hotspot.detector import DetectorConfig, classify
 from hotspot import graph, harness
 from hotspot.graph import (_BLOCK, MAX_NODES, Graph, NearestTable, _max_batch,
-                           gen_erdos_renyi, gen_grid)
+                           gen_erdos_renyi, gen_grid, gen_power_law)
 from hotspot.harness import DistanceNoise, NoisyView
 
 from oracles import (ball_oracle, interior_fraction_oracle, nn_oracle,
@@ -122,7 +122,11 @@ def test_batch_of_isolated_centers():
     ("path", [0], 2, "ball", 3),  # a ball of radius 2 reads two levels
     # star, hub 0 and leaves 1..5: a leaf reads its row, then the hub's
     ("star", [1, 2], 3, "nn", 2 * (1 + 5)),
-    ("star", [0], 3, "nn", 5),  # the hub is settled by its own row
+    # the hub reads K entries of its row of 5 for K up to 5, then the leaves'
+    ("star", [0], 1, "nn", 1),
+    ("star", [0], 3, "nn", 3),
+    ("star", [0], 5, "nn", 5),
+    ("star", [0], 6, "nn", 5 + 5),
     ("star", [0], 2, "ball", 5 + 5),
 ])
 def test_expanded_counts_the_pairs_read(shape, centers, size, mode, expanded):
@@ -130,6 +134,40 @@ def test_expanded_counts_the_pairs_read(shape, centers, size, mode, expanded):
         Graph.from_edges(6, [(0, i) for i in range(1, 6)]))
     block = g._neighborhood_block(np.array(centers), size, mode == "nn", None)
     assert block[3] == expanded
+
+
+_ROW_GRAPHS = {
+    # hub 0 of degree 6 with its leaves, the path 7..14 and the isolated
+    # nodes 15..17: with K = 5, 6 and 7, centers settled by a row's prefix,
+    # by a whole row, only deeper, or never, all in one batch
+    "star-path-isolated": Graph.from_edges(
+        18, [(0, i) for i in range(1, 7)] + [(i, i + 1) for i in range(7, 14)]),
+    "power-law": gen_power_law(200, 2.2, 5),  # hubs of degree up to 14
+}
+
+
+@pytest.mark.parametrize("pairs, block", [(2**16, 512), (1, 1), (1, 3), (2**40, 2)])
+@pytest.mark.parametrize("name", list(_ROW_GRAPHS))
+def test_first_level_read_from_rows_matches_oracles(monkeypatch, name, pairs, block):
+    g = _ROW_GRAPHS[name]
+    monkeypatch.setattr(graph, "_PAIRS", pairs)
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    centers = np.arange(g.n)
+    for k in (1, 2, 5, 6, 7, 40):
+        assert per_center(*g.neighborhoods(centers, k, "nn"), g.n) == [
+            nn_oracle(g, i, k) for i in range(g.n)], k
+    for l in range(3):
+        assert per_center(*g.neighborhoods(centers, l, "ball"), g.n) == [
+            ball_oracle(g, i, l) for i in range(g.n)], l
+    for flip_prob, magnitude in ((0.5, 1), (1.0, 2)):
+        view = NoisyView(g, DistanceNoise(flip_prob, magnitude), seed=11)
+        ranked = [noisy_ranking_oracle(g, i, 11, flip_prob, magnitude) for i in range(g.n)]
+        for k in (1, 6, 7):
+            assert per_center(*view.neighborhoods(centers, k, "nn"), g.n) == [
+                [v for _, v in r[:k]] for r in ranked], (flip_prob, k)
+        for l in range(3):
+            assert per_center(*view.neighborhoods(centers, l, "ball"), g.n) == [
+                [v for d, v in r if d <= l] for r in ranked], (flip_prob, l)
 
 
 @pytest.mark.parametrize("centers, message", [

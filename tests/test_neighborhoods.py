@@ -122,12 +122,12 @@ def test_batch_of_isolated_centers():
     ("path", [0], 2, "ball", 3),  # a ball of radius 2 reads two levels
     # star, hub 0 and leaves 1..5: a leaf reads its row, then the hub's
     ("star", [1, 2], 3, "nn", 2 * (1 + 5)),
-    # the hub reads K entries of its row of 5 for K up to 5, then the leaves'
+    ("star", [0], 3, "nn", 3),  # the hub reads 3 entries of its row of 5
+    ("star", [0], 2, "ball", 5 + 5),
+    # the hub reads K entries of its row for K up to 5, then the leaves'
     ("star", [0], 1, "nn", 1),
-    ("star", [0], 3, "nn", 3),
     ("star", [0], 5, "nn", 5),
     ("star", [0], 6, "nn", 5 + 5),
-    ("star", [0], 2, "ball", 5 + 5),
 ])
 def test_expanded_counts_the_pairs_read(shape, centers, size, mode, expanded):
     g = Graph.from_edges(10, [(i, i + 1) for i in range(9)]) if shape == "path" else (

@@ -115,22 +115,27 @@ def _auto_detect_config(args, g, reporting) -> DetectorConfig:
             raise ValueError("--gamma-fallback needs --alpha")
         gamma = calibration.gamma_lower_bound(math.ceil(args.alpha * g.n))
     cfg = detector.prescribe(
-        g.n, len(reporting), args.regime, q=args.q, alpha=args.alpha, f=args.f,
-        gamma=gamma, topology=args.family, log_base=args.log_base,
+        g.n, len(reporting), args.regime, q=args.q, alpha=args.alpha, f=args.f or 0.0,
+        gamma=gamma, topology=args.family or "general", log_base=args.log_base,
         beta=args.beta, rho=args.rho, mu=args.mu)
     print(cfg.note, file=sys.stderr)
     return cfg
+
+
+# the detect flags only a prescription (--regime or a gamma source) reads
+_PRESCRIPTION_FLAGS = ("alpha", "q", "family", "beta", "f", "log_base", "rho", "mu")
 
 
 def _cmd_detect(args) -> int:
     prescribed = (args.regime or args.gamma_profile or args.gamma is not None
                   or args.gamma_fallback)
     mode = args.mode or "nn"
-    unused = (["mode"] if prescribed and args.mode else []) + harness.unread_detector_keys(
-        "auto" if prescribed else mode, vars(args))
+    unused = [key for key in (("mode",) if prescribed else _PRESCRIPTION_FLAGS)
+              if getattr(args, key) is not None]
+    unused += harness.unread_detector_keys("auto" if prescribed else mode, vars(args))
     if unused:
         raise ValueError(f"{'--regime' if prescribed else '--mode ' + mode} "
-                         f"does not use --{unused[0]}")
+                         f"does not use --{unused[0].replace('_', '-')}")
     g = load_edge_list(args.graph, compact=args.compact)
     snap = ReportSnapshot.load(args.snapshot)
     if snap.n != g.n:
@@ -255,7 +260,7 @@ def build_parser() -> _Parser:
                        help="derive K and T from calibration instead of --k/--t")
     p_det.add_argument("--q", type=float)
     p_det.add_argument("--alpha", type=float)
-    p_det.add_argument("--f", type=float, default=0.0)
+    p_det.add_argument("--f", type=float, help="default 0")
     p_det.add_argument("--beta", type=float,
                        help="small-regime exponent (default: 1 - log max(|R|,2)/log N)")
     p_det.add_argument("--rho", type=float)
@@ -265,7 +270,7 @@ def build_parser() -> _Parser:
     gamma.add_argument("--gamma-profile", help="gamma profile CSV from the gamma command")
     gamma.add_argument("--gamma-fallback", action="store_true",
                        help="use the 1/|S| lower bound for gamma")
-    p_det.add_argument("--family", choices=["general", "grid", "tree"], default="general")
+    p_det.add_argument("--family", choices=["general", "grid", "tree"], help="default general")
     p_det.add_argument("--log-base", type=float, default=None)
 
     p_gam = sub.add_parser("gamma", help="estimate the interior fraction by simulation")

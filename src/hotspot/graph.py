@@ -52,13 +52,16 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """The distinct values of an int array, ascending (np.unique's result,
-    from one sort and a neighbor-inequality mask)."""
-    values = np.sort(values)
+    from one sort and a neighbor-inequality mask). To hold no second copy,
+    ``values`` is sorted in place, and returned unless it holds a repeat:
+    the caller must own it."""
+    values.sort()
     if values.size:
         keep = np.empty(values.size, dtype=bool)
         keep[0] = True
         np.not_equal(values[1:], values[:-1], out=keep[1:])
-        values = values[keep]
+        if not keep.all():
+            values = values[keep]
     return values
 
 
@@ -81,7 +84,7 @@ def node_array(nodes) -> np.ndarray:
     nodes = _int_ids(nodes)
     if np.all(nodes[1:] > nodes[:-1]):  # already ascending and distinct
         return nodes.copy()
-    return sorted_unique(nodes)
+    return sorted_unique(nodes.copy())
 
 
 def _centers_of(centers, n: int) -> np.ndarray:
@@ -149,13 +152,20 @@ class Graph:
         """The graph on the pairs (u[i], v[i]) of two int64 arrays, given in
         either direction; repeats and self-loops are dropped. Every graph but
         largest_component's is built here, an ER giant from its sampled pairs
-        too: one sort of the keys u*n + v orders each row."""
-        keep = u != v
-        u, v = u[keep], v[keep]
-        keys = sorted_unique(np.concatenate([u * n + v, v * n + u]))
+        too: one sort of the keys u*n + v orders each row. Both directions'
+        keys fill one array, sorted and split into rows and ``indices`` in
+        place: no step holds more than two key arrays beside the pairs,
+        which are only read."""
+        if not (keep := u != v).all():
+            u, v = u[keep], v[keep]
+        keys = np.concatenate([u, v]) * n
+        keys += np.concatenate([v, u])
+        keys = sorted_unique(keys)
+        indices = keys % n
+        keys //= n  # each key's row
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return cls._from_csr(n, indptr, keys % n)
+        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+        return cls._from_csr(n, indptr, indices)
 
     # -- basic queries -----------------------------------------------------
 
@@ -392,17 +402,21 @@ def _pair_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     at once) leave for good. A label is always the id of a node in the same
     component and never increases, so once no pair crosses two labels, each
     label is its component's minimum.
+
+    A round carries each pair's labels (a, b) in place of its ends: once
+    jumped, every label is a root, and a root's label after the next round
+    is that of every node it labelled, so labels[a] == labels[u]. The hooks
+    are the same, from 4 gathers a round in place of 6.
     """
     labels = np.arange(n, dtype=np.int64)
-    while True:
-        a, b = labels[u], labels[v]
-        cross = np.flatnonzero(a != b)
-        if not cross.size:
-            return labels
-        u, v, a, b = u[cross], v[cross], a[cross], b[cross]
+    a, b = u, v  # labels[u], labels[v] before the first hook
+    while (cross := np.flatnonzero(a != b)).size:
+        a, b = a[cross], b[cross]
         np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(jumped := labels[labels], labels):
             labels = jumped
+        a, b = labels[a], labels[b]
+    return labels
 
 
 def _giant_of_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Graph, np.ndarray]:
@@ -410,12 +424,13 @@ def _giant_of_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Graph, np.nda
     cut from the pairs without building that graph: the pairs inside the
     giant, renumbered, go to one :meth:`Graph._from_pairs`."""
     labels = _pair_labels(n, u, v)
-    biggest = np.argmax(np.bincount(labels, minlength=1))
-    old_ids = np.flatnonzero(labels == biggest)
-    keep = np.flatnonzero(labels[u] == biggest)  # a pair with one end inside has both
-    remap = np.empty(n, dtype=np.int64)
-    remap[old_ids] = np.arange(old_ids.size)
-    return Graph._from_pairs(old_ids.size, remap[u[keep]], remap[v[keep]]), old_ids
+    inside = labels == np.argmax(np.bincount(labels, minlength=1))
+    del labels  # the cut holds one mask, not n labels
+    keep = np.flatnonzero(inside[u])  # a pair with one end inside has both
+    remap = np.cumsum(inside) - 1  # a node's id in the giant
+    u, v = remap[u[keep]], remap[v[keep]]
+    del keep, remap  # the build peaks in _from_pairs: hold only the renumbered pairs
+    return Graph._from_pairs(np.count_nonzero(inside), u, v), np.flatnonzero(inside)
 
 
 @dataclass(frozen=True)

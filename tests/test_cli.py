@@ -881,6 +881,33 @@ def test_detect_refuses_a_size_its_mode_does_not_read(tmp_path, capsys, flags, e
     assert code == 1 and out == "" and err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "0.9"], ["--q", "0.1"], ["--family", "tree"], ["--beta", "0.3"],
+    ["--f", "7"], ["--log-base", "2"], ["--rho", "1"], ["--mu", "2"], ["--f", "0"],
+], ids=lambda flags: "-".join(flags))
+@pytest.mark.parametrize("mode", ["nn", "ball"])
+def test_fixed_detect_refuses_a_prescription_flag(tmp_path, capsys, flags, mode):
+    # a fixed detector (--k / --l, --s, --t) used to print the same row with
+    # or without each of these, which only a prescription reads
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
+    size = ["--k", "2"] if mode == "nn" else ["--mode", "ball", "--l", "2"]
+    code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 6),
+                         "--snapshot", str(snap), *size, "--s", "2", "--t", "3", *flags)
+    assert (code, out, err) == (1, "", f"error: --mode {mode} does not use {flags[0]}\n")
+
+
+def test_prescribed_detect_fills_in_the_f_and_family_defaults(tmp_path, capsys):
+    # --f and --family default to None so that a fixed detect can refuse them;
+    # a prescription reads them as 0 and general, as it did before
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=40\n1\n2\n3\n20\n")
+    base = ["detect", "--graph", write_path_graph(tmp_path, 40), "--snapshot", str(snap),
+            "--regime", "dense", "--q", "0.5", "--alpha", "0.1", "--gamma", "0.5"]
+    runs = [run(capsys, *base), run(capsys, *base, "--f", "0", "--family", "general")]
+    assert runs[0] == runs[1] and runs[0][0] in (0, 2) and runs[0][1]
+
+
 def test_detector_auto_drops_the_configs_s_and_t_and_refuses_them_as_its_own(tmp_path, capsys):
     # both used to be read and then dropped for auto: the CSV was the same
     cfg = tmp_path / "exp.cfg"

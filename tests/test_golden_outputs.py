@@ -13,8 +13,8 @@ import pytest
 from hotspot.calibration import reporting_probabilities
 from hotspot.cli import main
 from hotspot.detector import DetectorConfig
-from hotspot.graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law,
-                           gen_tree, load_edge_list, save_edge_list)
+from hotspot.graph import (Graph, _erdos_renyi_pairs, _giant_of_pairs, gen_erdos_renyi,
+                           gen_grid, gen_power_law, gen_tree, load_edge_list, save_edge_list)
 from hotspot.harness import (DistanceNoise, ExperimentSpec, ScenarioRule,
                              TopologySpec, run_sweep, threshold_sweep)
 from hotspot.scenario import ScenarioParams, generate_uniform_null, make_epidemic_snapshot
@@ -68,6 +68,9 @@ GRAPHS = {
                  "ea03072391aef7ff75b9c9320851ccd2448522e02cddeb569f905f2d6dcf7a16"),
     "largest_component": (lambda tmp: gen_erdos_renyi(3000, 1.5 / 3000, 9).largest_component()[0],
                           "21070dfc389f9a4a119f42865e3cd7a95d53fd4cf3b15dc52848a7b60eb08c22"),
+    # an er giant cut from its sampled pairs (_giant_of_pairs), not built whole
+    "er_giant_pairs": (lambda tmp: TopologySpec(kind="er", n=20_000, giant=True).build(3),
+                       "1dfc812a4452629ad18ee8022029696566ba10b411beeca32d65bbdb1a7c5a8a"),
     "load_plain": (lambda tmp: load_edge_list(er_file(tmp)),
                    "efb3d344fc419e70e410d08bcb0e136584a73fe931f24fc86640a203a8381dd9"),
     "load_compact": (lambda tmp: load_edge_list(sparse_id_file(tmp), compact=True),
@@ -82,6 +85,13 @@ GRAPHS = {
 def test_graph_bytes(name, tmp_path):
     build, digest = GRAPHS[name]
     assert csr_digest(build(tmp_path)) == digest
+
+
+def test_er_giant_pairs_old_ids_bytes():
+    _, old_ids = _giant_of_pairs(20_000, *_erdos_renyi_pairs(20_000, 2 / 20_000, 3))
+    h = hashlib.sha256(f"|{old_ids.dtype.str}{old_ids.shape}|".encode())
+    h.update(old_ids.tobytes())
+    assert h.hexdigest() == "d60e2d2af0d08b49e16ac124afec2193590639ff24cc88671c75aa831e2802d1"
 
 
 # save_edge_list bytes: more nodes than one write block, a tree, and isolated

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hotspot.graph import (Graph, NearestTable, _erdos_renyi_pairs, _giant_of_pairs,
                            _pair_labels, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,
                            load_edge_list, node_array, save_edge_list)
-from hotspot.harness import DistanceNoise, NoisyView
+from hotspot.harness import DistanceNoise, NoisyView, TopologySpec
 
 from oracles import (ball_oracle, csr_invariants, components_oracle, csr_oracle,
                      edge_list_oracle, hop_distances, largest_component_oracle, nn_oracle,
@@ -631,6 +632,57 @@ def test_node_array_returns_a_new_ascending_int64_array(nodes, want):
     got = node_array(nodes)
     assert got.dtype == np.int64 and got.tolist() == want
     assert not np.shares_memory(got, np.asarray(nodes))
+
+
+@pytest.mark.parametrize("pairs", [
+    # a self-loop and repeats, which _from_pairs copies the pairs to drop
+    np.array([[3, 1], [1, 3], [4, 4], [0, 5], [5, 0], [0, 5], [6, 2], [2, 2]]),
+    # distinct pairs and no self-loop: _from_pairs reads them as they are
+    np.array([[5, 6], [0, 1], [3, 4], [1, 2], [4, 6]]),
+    np.empty((0, 2), dtype=np.int64),
+], ids=["messy", "clean", "empty"])
+@pytest.mark.parametrize("columns", [True, False], ids=["strided", "contiguous"])
+def test_builders_leave_their_inputs_as_they_were(pairs, columns):
+    # the builders sort and split keys in place; every array they write must
+    # be their own. from_edges and load_edge_list pass the strided columns of
+    # an (m, 2) array
+    pairs = pairs.copy()  # a parameter is shared by every run of the test
+    u, v = pairs[:, 0], pairs[:, 1]
+    if not columns:
+        u, v = u.copy(), v.copy()
+    before = [a.copy() for a in (pairs, u, v)]
+    Graph._from_pairs(7, u, v)
+    _pair_labels(7, u, v)
+    _giant_of_pairs(7, u, v)
+    Graph.from_edges(7, pairs)
+    for nodes in (u, v, np.sort(u)):
+        assert not np.shares_memory(node_array(nodes), nodes)
+    for want, got in zip(before, (pairs, u, v)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def traced_peak(build):
+    """build()'s result and the most bytes tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_er_giant_build_and_read_peak_memory_stays_near_the_csr(tmp_path):
+    # an ER giant's build peaked at 4.9x its CSR bytes and the read of its
+    # edge-list file at 3.5x, most of it numpy temporaries of the pair keys;
+    # keys sorted and split in place, and one mask in place of the labels
+    # while the giant is cut, bring them to 3.5x and 2.75x
+    g, build_peak = traced_peak(lambda: TopologySpec(kind="er", n=200_000, giant=True).build(5))
+    csr = g._indptr.nbytes + g._indices.nbytes
+    path = tmp_path / "giant.txt"
+    save_edge_list(g, path)
+    read, read_peak = traced_peak(lambda: load_edge_list(path))
+    assert np.array_equal(read._indices, g._indices)
+    assert build_peak <= 4.0 * csr
+    assert read_peak <= 3.0 * csr
 
 
 @pytest.mark.parametrize("nodes, message", [

@@ -147,11 +147,7 @@ def _cmd_detect(args) -> int:
         args.regime = args.regime or "auto"
         cfg = _auto_detect_config(args, g, snap.reporting)
     else:
-        t = 0.0 if args.t is None else args.t
-        if mode == "nn":
-            cfg = DetectorConfig.nn(k=args.k if args.k is not None else 1, t=t, s=args.s)
-        else:
-            cfg = DetectorConfig.ball_mode(l=args.l if args.l is not None else 2, t=t, s=args.s)
+        cfg = harness.fixed_detector(mode, args.k, args.l, args.s, args.t)
     verdict = detector.classify(g, snap.reporting, cfg)
     truth = snap.truth if snap.truth in (EPIDEMIC, UNIFORM) else None
     if args.header:

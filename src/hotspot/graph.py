@@ -122,14 +122,6 @@ class Graph:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
-        """The graph on CSR arrays its caller built valid; they become read-only."""
-        g = object.__new__(cls)
-        g._n, g._indptr, g._indices = int(n), indptr, indices
-        indptr.flags.writeable = indices.flags.writeable = False
-        return g
-
-    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph from an iterable (or (m,2) array) of endpoints.
 
@@ -150,12 +142,12 @@ class Graph:
     @classmethod
     def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
         """The graph on the pairs (u[i], v[i]) of two int64 arrays, given in
-        either direction; repeats and self-loops are dropped. Every graph but
-        largest_component's is built here, an ER giant from its sampled pairs
-        too: one sort of the keys u*n + v orders each row. Both directions'
+        either direction; repeats and self-loops are dropped. Every graph is
+        built here, from a generator's sampled pairs or those a giant's cut
+        keeps: one sort of the keys u*n + v orders each row. Both directions'
         keys fill one array, sorted and split into rows and ``indices`` in
         place: no step holds more than two key arrays beside the pairs,
-        which are only read."""
+        which are only read. The CSR it builds is read-only."""
         if not (keep := u != v).all():
             u, v = u[keep], v[keep]
         keys = np.concatenate([u, v]) * n
@@ -165,7 +157,10 @@ class Graph:
         keys //= n  # each key's row
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-        return cls._from_csr(n, indptr, indices)
+        g = object.__new__(cls)
+        g._n, g._indptr, g._indices = int(n), indptr, indices
+        indptr.flags.writeable = indices.flags.writeable = False
+        return g
 
     # -- basic queries -----------------------------------------------------
 
@@ -360,32 +355,17 @@ class Graph:
 
     # -- components ---------------------------------------------------------
 
-    def component_labels(self) -> np.ndarray:
-        """Label of every node: the smallest node id in its component
-        (:func:`_pair_labels` over each edge once, its u < v half of the CSR)."""
-        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
-        keep = np.flatnonzero(u < self._indices)
-        return _pair_labels(self.n, u[keep], self._indices[keep])
-
     def largest_component(self) -> tuple["Graph", np.ndarray]:
         """The largest connected component as a graph of its own.
 
         Returns (giant, old_ids) where old_ids[new] is the original id.
         Of equally large components, the one with the smallest node id wins.
+        The giant is cut by :func:`_giant_of_pairs` from the u < v half of
+        the CSR, each edge once.
         """
-        labels = self.component_labels()
-        biggest = np.argmax(np.bincount(labels, minlength=1))
-        old_ids = np.flatnonzero(labels == biggest)
-        # a component is closed: its rows, renumbered, are the giant's CSR
-        # (the renumbering ascends, so each row stays sorted)
-        start = self._indptr[old_ids]
-        deg = self._indptr[old_ids + 1] - start
-        indptr = np.zeros(old_ids.size + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        remap = np.empty(self.n, dtype=np.int64)
-        remap[old_ids] = np.arange(old_ids.size)
-        gather = (start - indptr[:-1]).repeat(deg) + np.arange(indptr[-1])
-        return Graph._from_csr(old_ids.size, indptr, remap[self._indices[gather]]), old_ids
+        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
+        keep = np.flatnonzero(u < self._indices)
+        return _giant_of_pairs(self.n, u[keep], self._indices[keep])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
@@ -420,9 +400,9 @@ def _pair_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _giant_of_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Graph, np.ndarray]:
-    """:meth:`Graph.largest_component` of the graph on the pairs (u[i], v[i]),
-    cut from the pairs without building that graph: the pairs inside the
-    giant, renumbered, go to one :meth:`Graph._from_pairs`."""
+    """:meth:`Graph.largest_component`'s (giant, old_ids) of the graph on the
+    pairs (u[i], v[i]), cut from the pairs without building that graph: the
+    pairs inside the giant, renumbered, go to one :meth:`Graph._from_pairs`."""
     labels = _pair_labels(n, u, v)
     inside = labels == np.argmax(np.bincount(labels, minlength=1))
     del labels  # the cut holds one mask, not n labels
@@ -666,11 +646,15 @@ def save_edge_list(g: Graph, path) -> None:
 
 
 def check_erdos_renyi(n: int, p: float) -> None:
-    """Raise ValueError, as gen_erdos_renyi does, if G(n, p) is undefined."""
+    """Raise ValueError, as gen_erdos_renyi does, if G(n, p) is undefined or too large."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_NODES:
+        raise ValueError(f"graph of {n} nodes exceeds supported size")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    if p == 1.0 and n > 20_000:
+        raise ValueError("complete graph this large is not supported")
 
 
 def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
@@ -680,23 +664,21 @@ def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     count and then a uniform set of that many distinct pairs, which is
     distributionally identical to pair-by-pair coin flips.
     """
-    return Graph._from_pairs(n, *_erdos_renyi_pairs(n, p, rng_seed))
+    return Graph._from_pairs(*_erdos_renyi_pairs(n, p, rng_seed))
 
 
-def _erdos_renyi_pairs(n: int, p: float, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The edges (u, v), u < v, that gen_erdos_renyi(n, p, rng_seed) builds."""
+def _erdos_renyi_pairs(n: int, p: float, rng_seed: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, u, v): the edges, u < v, that gen_erdos_renyi(n, p, rng_seed) builds."""
     check_erdos_renyi(n, p)
     rng = np.random.default_rng(rng_seed)
     total_pairs = n * (n - 1) // 2
     if p == 0.0 or total_pairs == 0:
-        return _EMPTY, _EMPTY
+        return n, _EMPTY, _EMPTY
     if p == 1.0:
-        if n > 20_000:
-            raise ValueError("complete graph this large is not supported")
-        return np.triu_indices(n, k=1)
+        return n, *np.triu_indices(n, k=1)
     if n <= 2000:
         # one draw per cell; the cells above the diagonal are the pairs
-        return divmod(np.flatnonzero(np.triu(rng.random((n, n)) < p, 1)), n)
+        return n, *divmod(np.flatnonzero(np.triu(rng.random((n, n)) < p, 1)), n)
     m = int(rng.binomial(total_pairs, p))
     keys = np.empty(0, dtype=np.int64)
     while keys.size < m:
@@ -707,11 +689,16 @@ def _erdos_renyi_pairs(n: int, p: float, rng_seed: int) -> tuple[np.ndarray, np.
         keys = sorted_unique(np.concatenate([keys, (lo * n + hi)[lo < hi]]))
     if keys.size > m:
         keys = rng.choice(keys, size=m, replace=False)
-    return keys // n, keys % n
+    return n, keys // n, keys % n
 
 
 def gen_grid(dim: int, side: int) -> Graph:
     """d-dimensional lattice with side nodes per axis, open boundary."""
+    return Graph._from_pairs(*_grid_pairs(dim, side))
+
+
+def _grid_pairs(dim: int, side: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, u, v): the edges, u < v, of gen_grid(dim, side)."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if side < 2:
@@ -723,7 +710,7 @@ def gen_grid(dim: int, side: int) -> Graph:
     # along each axis, every node not on the far face links to its successor
     lows = [ids[(ids // side ** axis) % side < side - 1] for axis in range(dim)]
     highs = [low + side ** axis for axis, low in enumerate(lows)]
-    return Graph._from_pairs(n, np.concatenate(lows), np.concatenate(highs))
+    return n, np.concatenate(lows), np.concatenate(highs)
 
 
 def gen_tree(degree: int, depth: int) -> Graph:
@@ -731,6 +718,11 @@ def gen_tree(degree: int, depth: int) -> Graph:
 
     Nodes are numbered in level order; total count (d^(depth+1)-1)/(d-1).
     """
+    return Graph._from_pairs(*_tree_pairs(degree, depth))
+
+
+def _tree_pairs(degree: int, depth: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, parent, child): the edges of gen_tree(degree, depth)."""
     if degree < 2:
         raise ValueError("degree must be >= 2")
     if depth < 1:
@@ -740,13 +732,15 @@ def gen_tree(degree: int, depth: int) -> Graph:
         raise ValueError(f"tree of {n} nodes exceeds supported size")
     child = np.arange(1, n, dtype=np.int64)
     parent = (child - 1) // degree
-    return Graph._from_pairs(n, parent, child)
+    return n, parent, child
 
 
 def check_power_law(n: int, exponent: float) -> None:
     """Raise ValueError, as gen_power_law does, for a size or exponent it refuses."""
     if n < 10:
         raise ValueError("n must be >= 10")
+    if n > MAX_NODES:
+        raise ValueError(f"power-law graph of {n} nodes exceeds supported size")
     if not exponent > 2:  # NaN too; inf gives the degree-1 limit
         raise ValueError("exponent must be > 2")
 
@@ -759,6 +753,12 @@ def gen_power_law(n: int, exponent: float, rng_seed: int) -> Graph:
     node's degree. Self-loops and multi-edges from the stub matching are
     discarded, so realized degrees can fall slightly below their draws.
     """
+    return Graph._from_pairs(*_power_law_pairs(n, exponent, rng_seed))
+
+
+def _power_law_pairs(n: int, exponent: float, rng_seed: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, u, v): the stub matching of gen_power_law(n, exponent, rng_seed),
+    its self-loops and repeats still in."""
     check_power_law(n, exponent)
     rng = np.random.default_rng(rng_seed)
     d_max = int(np.sqrt(n))
@@ -770,11 +770,4 @@ def gen_power_law(n: int, exponent: float, rng_seed: int) -> Graph:
         degrees[rng.integers(0, n)] += 1
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     rng.shuffle(stubs)
-    u, v = stubs[0::2], stubs[1::2]
-    g = Graph._from_pairs(n, u, v)
-    n_self = int(np.count_nonzero(u == v))
-    n_dup = u.size - n_self - g.num_edges
-    if n_dup or n_self:
-        logger.debug("configuration model dropped %d duplicate(s), %d self-loop(s)",
-                     n_dup, n_self)
-    return g
+    return n, stubs[0::2], stubs[1::2]

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
+# gen_erdos_renyi and splitmix64 are unused here: perfbench/tracing.py
+# patches them on this module
 from .graph import (BALL, NN, DistanceNoise, Graph, NoisyView, _erdos_renyi_pairs,
-                    _giant_of_pairs, check_erdos_renyi, check_power_law, gen_erdos_renyi,
-                    gen_grid, gen_power_law, gen_tree, load_edge_list)
+                    _giant_of_pairs, _grid_pairs, _power_law_pairs, _tree_pairs,
+                    check_erdos_renyi, check_power_law, gen_erdos_renyi, load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
-# splitmix64 is unused here: perfbench/tracing.py patches it on this module
 from .seeds import derive_seed, splitmix64
 
 SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
@@ -45,8 +46,9 @@ class TopologySpec:
     With ``giant=True`` the experiment runs on the largest connected
     component, so contagions always have room to reach their target size
     (sparse random graphs leave a fifth of the nodes in dust components).
-    An er giant is cut straight from the sampled edge pairs: the whole graph
-    is never built.
+    A generated kind's giant is cut straight from its sampled edge pairs:
+    the whole graph is never built. A file is read whole and its giant cut
+    from that graph, so the read's warning counts every dropped edge.
 
     A fixed kind (grid, tree, file) is built on the first ``build`` and
     kept by the spec, so every trial that shares the spec shares one graph;
@@ -93,20 +95,20 @@ class TopologySpec:
         """The graph; the seed matters only to the random kinds (er, powerlaw)."""
         if self._graph is not None:
             return self._graph
-        if self.kind == "er" and self.giant:
-            return _giant_of_pairs(self.n, *_erdos_renyi_pairs(self.n, self._p(), seed))[0]
-        if self.kind == "er":
-            g = gen_erdos_renyi(self.n, self._p(), seed)
-        elif self.kind == "grid":
-            g = gen_grid(2 if self.dim is None else self.dim, self.side)
-        elif self.kind == "tree":
-            g = gen_tree(self.degree, self.depth)
-        elif self.kind == "powerlaw":
-            g = gen_power_law(self.n, self._exponent(), seed)
-        else:
+        if self.kind == "file":
             g = load_edge_list(self.path, compact=self.compact)
-        if self.giant:
-            g, _ = g.largest_component()
+            if self.giant:
+                g, _ = g.largest_component()
+        else:
+            if self.kind == "er":
+                pairs = _erdos_renyi_pairs(self.n, self._p(), seed)
+            elif self.kind == "grid":
+                pairs = _grid_pairs(2 if self.dim is None else self.dim, self.side)
+            elif self.kind == "tree":
+                pairs = _tree_pairs(self.degree, self.depth)
+            else:
+                pairs = _power_law_pairs(self.n, self._exponent(), seed)
+            g = _giant_of_pairs(*pairs)[0] if self.giant else Graph._from_pairs(*pairs)
         if self.kind in _FIXED_KINDS:
             object.__setattr__(self, "_graph", g)
         return g
@@ -125,6 +127,18 @@ _UNREAD_KEYS = {"nn": ("l",), "ball": ("k",), "auto": ("k", "l", "s", "t")}
 def unread_detector_keys(kind: str, given: dict) -> list[str]:
     """The keys among k, l, s and t set in ``given`` that ``kind`` does not read."""
     return [key for key in _UNREAD_KEYS[kind] if given.get(key) is not None]
+
+
+def fixed_detector(kind: str, k: int | None, l: int | None, s: int | None,
+                   t: float | None) -> DetectorConfig:
+    """The "nn" or "ball" detector of a sweep or of detect; a size or
+    threshold left None takes its default: k = 1, l = 2, t = 0."""
+    t = 0.0 if t is None else t
+    if kind == "nn":
+        return DetectorConfig.nn(k=1 if k is None else k, t=t, s=s)
+    if kind == "ball":
+        return DetectorConfig.ball_mode(l=2 if l is None else l, t=t, s=s)
+    raise ValueError(f"unknown detector kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -455,21 +469,14 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
         f_exp=get("f_exp", float, 0.0))
     det_kind = raw.pop("detector", "nn")
     unused = unread_detector_keys(det_kind, raw) if det_kind in _UNREAD_KEYS else []
-    k, l, s, t = get("k", int, 1), get("l", int, 2), get("s", int), get("t", float, 0.0)
+    k, l, s, t = get("k", int), get("l", int), get("s", int), get("t", float)
     magnitude, flip_prob = get("noise_d", int, 1), get("noise_prob", float)
     trials, seed = get("trials", int, CI_TRIALS), get("seed", int, 0)
     if raw:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(raw))}")
     if unused:
         raise ValueError(f"detector {det_kind} does not use {' or '.join(unused)}")
-    if det_kind == "auto":
-        detector: DetectorConfig | str = "auto"
-    elif det_kind == "nn":
-        detector = DetectorConfig.nn(k=k, t=t, s=s)
-    elif det_kind == "ball":
-        detector = DetectorConfig.ball_mode(l=l, t=t, s=s)
-    else:
-        raise ValueError(f"unknown detector kind {det_kind!r}")
+    detector = "auto" if det_kind == "auto" else fixed_detector(det_kind, k, l, s, t)
     return ExperimentSpec(
         topology=TopologySpec(**topology), scenario=scenario, detector=detector,
         sweep_name=sweep_name, sweep_values=sweep_values, trials_per_point=trials,

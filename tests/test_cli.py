@@ -10,7 +10,7 @@ import hotspot
 from hotspot import calibration, harness, scenario
 from hotspot.calibration import GammaProfile
 from hotspot.cli import _NOT_CONFIG_KEYS, build_parser, main
-from hotspot.graph import Graph, gen_erdos_renyi, save_edge_list
+from hotspot.graph import Graph, gen_erdos_renyi, gen_grid, gen_power_law, save_edge_list
 from hotspot.harness import SWEEP_CSV_HEADER, read_mapping, spec_from_mapping
 from hotspot.scenario import ReportSnapshot
 
@@ -83,6 +83,23 @@ def test_detect_hand_built_path_snapshot(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "truth,label,hotspot_count,threshold,k,mode"
     assert lines[1] == "epidemic,epidemic,1,0,2,nn"
+
+
+@pytest.mark.parametrize("mode", ["nn", "ball"])
+def test_detect_and_sweep_take_their_detector_defaults_from_one_place(tmp_path, capsys,
+                                                                      monkeypatch, mode):
+    made, real = [], harness.fixed_detector
+    monkeypatch.setattr(harness, "fixed_detector", lambda *args: made.append(args) or real(*args))
+    graph_path = write_path_graph(tmp_path, 5)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=5\n1\n2\n3\n")
+    code, _, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap),
+                       "--mode", mode)
+    assert code in (0, 2), err
+    code, _, err = run(capsys, "sweep", "--topology", "grid", "--side", "6", "--alpha", "0.2",
+                       "--detector", mode, "--trials", "1", "--values", "0")
+    assert code == 0, err
+    assert made == [(mode, None, None, None, None)] * 2
 
 
 def test_detect_malformed_snapshot_exits_one(tmp_path, capsys):
@@ -825,13 +842,18 @@ def test_power_law_exponent_zero_is_rejected_not_defaulted(tmp_path, monkeypatch
 
 
 def test_generated_er_giant_is_the_built_graphs_giant(tmp_path, capsys):
-    out = tmp_path / "giant.txt"
-    code, _, err = run(capsys, "generate", "--topology", "er", "--n", "3000", "--giant",
-                       "--seed", "4", "--out", str(out))
-    assert code == 0, err
-    want = tmp_path / "want.txt"
-    save_edge_list(gen_erdos_renyi(3000, 2 / 3000, 4).largest_component()[0], want)
-    assert out.read_bytes() == want.read_bytes()
+    # each generated kind's giant is cut from its sampled pairs, and must
+    # equal the giant of the graph those pairs build
+    for flags, built in [(["er", "--n", "3000"], gen_erdos_renyi(3000, 2 / 3000, 4)),
+                         (["powerlaw", "--n", "3000"], gen_power_law(3000, 2.5, 4)),
+                         (["grid", "--side", "9"], gen_grid(2, 9))]:
+        out = tmp_path / f"{flags[0]}_giant.txt"
+        code, _, err = run(capsys, "generate", "--topology", *flags, "--giant",
+                           "--seed", "4", "--out", str(out))
+        assert code == 0, err
+        want = tmp_path / "want.txt"
+        save_edge_list(built.largest_component()[0], want)
+        assert out.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("flags, error", [

@@ -13,8 +13,9 @@ import pytest
 from hotspot.calibration import reporting_probabilities
 from hotspot.cli import main
 from hotspot.detector import DetectorConfig
-from hotspot.graph import (Graph, _erdos_renyi_pairs, _giant_of_pairs, gen_erdos_renyi,
-                           gen_grid, gen_power_law, gen_tree, load_edge_list, save_edge_list)
+from hotspot.graph import (Graph, _erdos_renyi_pairs, _giant_of_pairs, _power_law_pairs,
+                           gen_erdos_renyi, gen_grid, gen_power_law, gen_tree, load_edge_list,
+                           save_edge_list)
 from hotspot.harness import (DistanceNoise, ExperimentSpec, ScenarioRule,
                              TopologySpec, run_sweep, threshold_sweep)
 from hotspot.scenario import ScenarioParams, generate_uniform_null, make_epidemic_snapshot
@@ -71,6 +72,9 @@ GRAPHS = {
     # an er giant cut from its sampled pairs (_giant_of_pairs), not built whole
     "er_giant_pairs": (lambda tmp: TopologySpec(kind="er", n=20_000, giant=True).build(3),
                        "1dfc812a4452629ad18ee8022029696566ba10b411beeca32d65bbdb1a7c5a8a"),
+    # a power-law giant cut from its stub pairs, self-loops and repeats in
+    "powerlaw_giant": (lambda tmp: TopologySpec(kind="powerlaw", n=8000, giant=True).build(4),
+                       "d4fbb8851d119e0243f8ca72af4190a41efe5084d007c783de1e6e6f86c5a0f1"),
     "load_plain": (lambda tmp: load_edge_list(er_file(tmp)),
                    "efb3d344fc419e70e410d08bcb0e136584a73fe931f24fc86640a203a8381dd9"),
     "load_compact": (lambda tmp: load_edge_list(sparse_id_file(tmp), compact=True),
@@ -87,11 +91,20 @@ def test_graph_bytes(name, tmp_path):
     assert csr_digest(build(tmp_path)) == digest
 
 
-def test_er_giant_pairs_old_ids_bytes():
-    _, old_ids = _giant_of_pairs(20_000, *_erdos_renyi_pairs(20_000, 2 / 20_000, 3))
+def ids_digest(old_ids) -> str:
     h = hashlib.sha256(f"|{old_ids.dtype.str}{old_ids.shape}|".encode())
     h.update(old_ids.tobytes())
-    assert h.hexdigest() == "d60e2d2af0d08b49e16ac124afec2193590639ff24cc88671c75aa831e2802d1"
+    return h.hexdigest()
+
+
+def test_er_giant_pairs_old_ids_bytes():
+    _, old_ids = _giant_of_pairs(*_erdos_renyi_pairs(20_000, 2 / 20_000, 3))
+    assert ids_digest(old_ids) == "d60e2d2af0d08b49e16ac124afec2193590639ff24cc88671c75aa831e2802d1"
+
+
+def test_powerlaw_giant_old_ids_bytes():
+    _, old_ids = _giant_of_pairs(*_power_law_pairs(8000, 2.5, 4))
+    assert ids_digest(old_ids) == "24655642b2071b0d7e9753ef98d950a00ce04349dfbdea3b29200fef0400ad1f"
 
 
 # save_edge_list bytes: more nodes than one write block, a tree, and isolated

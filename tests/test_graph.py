@@ -554,9 +554,21 @@ def test_ball_size_nondecreasing(g, i):
 
 # -- components ----------------------------------------------------------------
 
+def check_giant(g, sub, old_ids):
+    """Assert that (sub, old_ids) is g's largest component, by the DFS oracle."""
+    expected = largest_component_oracle(g)
+    assert old_ids.dtype == np.int64 and old_ids.tolist() == expected
+    assert sub.n == len(expected)
+    csr_invariants(sub)
+    for new, old in enumerate(expected):
+        assert old_ids[sub.neighbors(new)].tolist() == g.neighbors(old).tolist()
+
+
 @given(st.one_of(small_graphs(), clustered_graphs(), twin_random_graphs()))
 def test_component_labels_match_dfs_oracle(g):
-    labels = g.component_labels()
+    # every edge of the CSR, in both directions
+    u = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
+    labels = _pair_labels(g.n, u, g._indices)
     assert labels.dtype == np.int64 and labels.shape == (g.n,)
     for comp in components_oracle(g):
         assert labels[comp].tolist() == [comp[0]] * len(comp)
@@ -564,13 +576,7 @@ def test_component_labels_match_dfs_oracle(g):
 
 @given(st.one_of(small_graphs(), clustered_graphs(), twin_random_graphs()))
 def test_largest_component_matches_dfs_oracle(g):
-    sub, old_ids = g.largest_component()
-    expected = largest_component_oracle(g)
-    assert old_ids.dtype == np.int64 and old_ids.tolist() == expected
-    assert sub.n == len(expected)
-    csr_invariants(sub)
-    for new, old in enumerate(expected):
-        assert old_ids[sub.neighbors(new)].tolist() == g.neighbors(old).tolist()
+    check_giant(g, *g.largest_component())
 
 
 @given(messy_edges())
@@ -582,11 +588,7 @@ def test_pair_labels_match_dfs_oracle_on_raw_pairs(case):
     for comp in components_oracle(Graph.from_edges(n, edges)):
         assert labels[comp].tolist() == [comp[0]] * len(comp)
     if n:
-        sub, old_ids = _giant_of_pairs(n, edges[:, 0], edges[:, 1])
-        want, want_ids = Graph.from_edges(n, edges).largest_component()
-        assert np.array_equal(old_ids, want_ids)
-        assert np.array_equal(sub._indptr, want._indptr)
-        assert np.array_equal(sub._indices, want._indices)
+        check_giant(Graph.from_edges(n, edges), *_giant_of_pairs(n, edges[:, 0], edges[:, 1]))
 
 
 @pytest.mark.parametrize("n, p, seed", [
@@ -598,12 +600,8 @@ def test_pair_labels_match_dfs_oracle_on_raw_pairs(case):
     (12, 0.12, 87),  # components {1, 6, 8, 9} and {2, 3, 4, 5} tie; 1 wins
 ])
 def test_giant_cut_from_pairs_equals_the_built_graphs_giant(n, p, seed):
-    want, want_ids = gen_erdos_renyi(n, p, seed).largest_component()
-    got, old_ids = _giant_of_pairs(n, *_erdos_renyi_pairs(n, p, seed))
-    csr_invariants(got)
-    for a, b in ((got._indptr, want._indptr), (got._indices, want._indices),
-                 (old_ids, want_ids)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    got, old_ids = _giant_of_pairs(*_erdos_renyi_pairs(n, p, seed))
+    check_giant(gen_erdos_renyi(n, p, seed), got, old_ids)
     if seed == 87:
         assert old_ids.tolist() == [1, 6, 8, 9]
 
@@ -616,7 +614,8 @@ def test_largest_component_of_empty_graph():
 
 def test_components_and_subgraph():
     g = Graph.from_edges(8, [(0, 1), (3, 4), (4, 5), (5, 3), (5, 7)])
-    assert g.component_labels().tolist() == [0, 0, 2, 3, 3, 3, 6, 3]
+    u, v = np.array([[0, 1], [3, 4], [4, 5], [5, 3], [5, 7]]).T
+    assert _pair_labels(8, u, v).tolist() == [0, 0, 2, 3, 3, 3, 6, 3]
     sub, old_ids = g.largest_component()
     assert old_ids.tolist() == [3, 4, 5, 7]
     assert sub.n == 4 and sub.num_edges == 4

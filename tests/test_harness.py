@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 import hotspot
 from hotspot import calibration, graph, harness
 from hotspot.detector import DetectorConfig
-from hotspot.graph import Graph, gen_erdos_renyi, save_edge_list
+from hotspot.graph import Graph, gen_erdos_renyi, load_edge_list, save_edge_list
 from hotspot.harness import (SWEEP_CSV_HEADER, DistanceNoise, ExperimentSpec,
                              NoisyView, ScenarioRule, TopologySpec,
                              describe_defaults, read_mapping, run_sweep,
                              run_trial, spec_from_mapping, threshold_sweep)
 from hotspot.scenario import EPIDEMIC, UNIFORM
 
-from oracles import (ball_oracle, nn_oracle, noisy_ranking_oracle, perceived_oracle,
-                     random_graph)
+from oracles import (ball_oracle, largest_component_oracle, nn_oracle, noisy_ranking_oracle,
+                     perceived_oracle, random_graph)
 
 
 def path_graph(n):
@@ -455,6 +455,15 @@ def test_topology_spec_rejects_unknown_kind_and_accepts_a_swept_field():
     assert row.sweep_value == 6
 
 
+def test_fixed_detector_defaults_are_k_1_l_2_and_t_0():
+    none = (None, None, None, None)
+    assert harness.fixed_detector("nn", *none) == DetectorConfig.nn(k=1, t=0.0)
+    assert harness.fixed_detector("ball", *none) == DetectorConfig.ball_mode(l=2, t=0.0)
+    assert harness.fixed_detector("nn", 4, None, 2, 1.5) == DetectorConfig.nn(k=4, s=2, t=1.5)
+    with pytest.raises(ValueError, match=r"^unknown detector kind 'cube'$"):
+        harness.fixed_detector("cube", *none)
+
+
 def test_describe_defaults_lists_decisions():
     text = describe_defaults()
     for token in ("natural", "ascending node id", "round-half-even",
@@ -521,7 +530,7 @@ def counting(monkeypatch, owner, name):
 
 
 def test_fixed_topology_is_built_once_per_sweep_point(monkeypatch, tmp_path):
-    calls = counting(monkeypatch, harness, "gen_grid")
+    calls = counting(monkeypatch, harness, "_grid_pairs")
     grid = dict(topology=TopologySpec(kind="grid", side=10),
                 scenario=ScenarioRule(alpha=0.1, q=0.6, f=0.5),
                 detector=DetectorConfig.nn(k=3, s=2, t=2.0), trials_per_point=3)
@@ -549,6 +558,36 @@ def test_random_topology_is_checked_without_an_extra_build(monkeypatch):
         TopologySpec(kind="er", n=0)
     with pytest.raises(ValueError, match=r"^n must be >= 10$"):
         TopologySpec(kind="powerlaw", n=9)
+
+
+def test_random_kinds_refuse_graphs_too_large_at_spec_construction():
+    # the check runs on the spec, before any array is allocated
+    too_many = graph.MAX_NODES + 1
+    with pytest.raises(ValueError, match=rf"^graph of {too_many} nodes exceeds supported size$"):
+        TopologySpec(kind="er", n=too_many, giant=True)
+    with pytest.raises(ValueError,
+                       match=rf"^power-law graph of {too_many} nodes exceeds supported size$"):
+        TopologySpec(kind="powerlaw", n=too_many)
+    with pytest.raises(ValueError, match=r"^complete graph this large is not supported$"):
+        TopologySpec(kind="er", n=20_001, p=1.0)
+
+
+@pytest.mark.parametrize("giant", [False, True], ids=["whole", "giant"])
+def test_only_a_file_giant_is_cut_from_a_built_graph(monkeypatch, tmp_path, giant):
+    # a generated kind's giant is cut from its sampled pairs; a file's from
+    # the graph read whole, whose load warning counts every dropped edge
+    path = tmp_path / "dust.txt"
+    save_edge_list(gen_erdos_renyi(300, 1.5 / 300, 2), path)
+    calls = counting(monkeypatch, Graph, "largest_component")
+    for spec in (TopologySpec(kind="er", n=300, giant=giant),
+                 TopologySpec(kind="grid", side=6, giant=giant),
+                 TopologySpec(kind="tree", degree=2, depth=4, giant=giant),
+                 TopologySpec(kind="powerlaw", n=300, giant=giant)):
+        spec.build(5)
+    assert calls == []
+    g = TopologySpec(kind="file", path=str(path), giant=giant).build(5)
+    assert len(calls) == giant
+    assert g.n == (len(largest_component_oracle(load_edge_list(path))) if giant else 300)
 
 
 def test_spec_keeps_a_fixed_graph_and_a_new_spec_reads_the_file_afresh(tmp_path):

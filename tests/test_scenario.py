@@ -12,7 +12,7 @@ from hotspot.scenario import (EPIDEMIC, UNIFORM, EpidemicOutcome, ReportSnapshot
                               make_epidemic_snapshot, pick_seeds, simulate_si)
 from hotspot.seeds import derive_seed
 
-from oracles import random_graph, sample_outside_oracle, simulate_si_oracle
+from oracles import components_oracle, random_graph, sample_outside_oracle, simulate_si_oracle
 
 
 def path_graph(n):
@@ -69,8 +69,7 @@ def test_si_path_growth_is_contiguous():
 
 def test_si_every_nonseed_has_earlier_infected_neighbor():
     g = gen_erdos_renyi(300, 5 / 300, 3)
-    labels = g.component_labels()
-    comp = np.flatnonzero(labels == labels[0]).tolist()
+    comp = components_oracle(g)[0]  # node 0's component
     out = simulate_si(g, [comp[0]], min(80, len(comp)), rng_seed=9)
     order = {v: r for r, v in enumerate(out.infected)}
     for node in out.infected[len(out.seeds):]:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import io
 import logging
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -549,11 +551,11 @@ def load_edge_list(path, compact: bool = False) -> Graph:
     :func:`save_edge_list`) extends the node count beyond the largest
     endpoint so trailing isolated nodes survive a round trip. Every other
     line is blank or holds two non-negative int64 ids separated by ASCII
-    blanks; anything else raises ValueError naming the first such line.
-    Node ids are used as given (their count may not exceed MAX_NODES); with
+    blanks; anything else raises ValueError naming the first such line. The
+    file is plain text whatever its name: "g.gz" is not decompressed. Node
+    ids are used as given (their count may not exceed MAX_NODES); with
     ``compact=True`` they are remapped to dense indices 0..m-1 in ascending
-    id order.
-    """
+    id order."""
     arr, hint_n = _read_pairs(path)
     if compact:
         ids, inverse = np.unique(arr, return_inverse=True)
@@ -574,8 +576,10 @@ def load_edge_list(path, compact: bool = False) -> Graph:
 
 def _read_pairs(path) -> tuple[np.ndarray, int]:
     """The (m, 2) int64 id pairs of an edge-list file, in file order, and
-    its largest "# n=" hint (-1 without one): np.loadtxt parses what is left
-    once the comment lines are cut out, if that is digits, blanks and \\n."""
+    its largest "# n=" hint (-1 without one). The path is opened twice: its
+    bytes are read once for the hints and a byte check of all but the comment
+    lines, then np.loadtxt reads the path in chunks (a file object it would
+    read line by line) and drops those comments at '#', every '#' opening one."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
@@ -594,13 +598,14 @@ def _read_pairs(path) -> tuple[np.ndarray, int]:
         pieces.append(data[done:start])
         done = end
     pieces.append(data[done:])
-    body = b"".join(pieces)
-    if body.translate(None, b"0123456789" + _BLANKS + b"\n"):
+    if any(piece.translate(None, b"0123456789" + _BLANKS + b"\n") for piece in pieces):
         raise _bad_line(path, data)
-    if not body.strip(_BLANKS + b"\n"):
+    if not any(re.search(rb"[0-9]", piece) for piece in pieces):
         raise ValueError(f"{path}: no edges found")
-    try:
-        pairs = np.loadtxt(io.BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
+    name = os.path.join(".", os.fsdecode(path))  # "./": numpy fetches no "s://x" as a URL
+    try:  # numpy would decompress a path named .gz and the like: parse the bytes
+        pairs = np.loadtxt(io.BytesIO(data) if name.endswith((".gz", ".bz2", ".xz", ".lzma"))
+                           else name, dtype=np.int64, comments="#", ndmin=2, encoding="latin1")
     except ValueError:  # a line of another column count, or an id past int64
         raise _bad_line(path, data) from None
     if pairs.shape[1] != 2:  # every line of one wrong column count
@@ -610,7 +615,7 @@ def _read_pairs(path) -> tuple[np.ndarray, int]:
 
 def _bad_line(path, data: bytes) -> ValueError:
     """The error naming the first line of ``data`` (its breaks already \\n)
-    that is neither blank, a comment, nor two ids."""
+    that is neither blank, a comment, nor two ids; with none, the file."""
     for lineno, line in enumerate(data.split(b"\n"), start=1):
         tokens = line.translate(_TO_SPACE).split()
         if tokens and not tokens[0].startswith(b"#") and not (
@@ -618,7 +623,7 @@ def _bad_line(path, data: bytes) -> ValueError:
             text = line.decode("utf-8", "replace").strip()
             return ValueError(
                 f"{path}: line {lineno}: expected two non-negative integers, got {text!r}")
-    raise AssertionError(f"{path}: rejected with no bad line")
+    return ValueError(f"{path}: rejected, but no line of it is bad; did it change while read?")
 
 
 def _is_id(token: bytes) -> bool:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hotspot
@@ -854,6 +855,36 @@ def test_generated_er_giant_is_the_built_graphs_giant(tmp_path, capsys):
         want = tmp_path / "want.txt"
         save_edge_list(built.largest_component()[0], want)
         assert out.read_bytes() == want.read_bytes()
+
+
+def test_detect_reads_a_plain_edge_list_named_gz(tmp_path, capsys):
+    # np.loadtxt would decompress a path named .gz; generate writes plain text
+    gz, txt, snap = (str(tmp_path / name) for name in ("g.gz", "g.txt", "snap.txt"))
+    code, _, err = run(capsys, "generate", "--topology", "er", "--n", "3000", "--giant",
+                       "--seed", "4", "--out", gz)
+    assert code == 0, err
+    Path(txt).write_bytes(Path(gz).read_bytes())
+    code, _, err = run(capsys, "simulate", "--graph", txt, "--scenario", "epidemic",
+                       "--alpha", "0.05", "--seed", "4", "--out", snap)
+    assert code == 0, err
+    rows = [run(capsys, "detect", "--graph", graph, "--snapshot", snap)[:2]
+            for graph in (gz, txt)]
+    assert rows[0] == rows[1] and rows[0][0] in (0, 2) and rows[0][1].count(",") == 5
+
+
+def test_detect_exits_one_when_numpy_rejects_a_file_with_no_bad_line(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the edge list is read twice and may change in between: no traceback
+    graph_path = write_path_graph(tmp_path)
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=uniform n=5\n1\n")
+
+    def reject(*args, **kwargs):
+        raise ValueError("changed")
+    monkeypatch.setattr(np, "loadtxt", reject)
+    code, out, err = run(capsys, "detect", "--graph", graph_path, "--snapshot", str(snap))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {graph_path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags, error", [

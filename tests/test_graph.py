@@ -1,6 +1,10 @@
+import io
 import logging
 import math
+import os
+import re
 import tracemalloc
+import urllib.request
 
 import numpy as np
 import pytest
@@ -263,13 +267,14 @@ _FUZZ_LINES = st.one_of(
 )
 
 
+# a ".gz" name makes np.loadtxt parse the bytes already read, not the path
 @given(st.lists(st.tuples(_FUZZ_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
-       st.booleans(), st.booleans())
-def test_load_edge_list_matches_line_loop(tmp_path_factory, rows, last_break, compact):
+       st.booleans(), st.booleans(), st.sampled_from([".txt", ".gz"]))
+def test_load_edge_list_matches_line_loop(tmp_path_factory, rows, last_break, compact, suffix):
     text = "".join(line + brk for line, brk in rows)
     if rows and not last_break:
         text = text[:-len(rows[-1][1])]
-    path = str(tmp_path_factory.mktemp("fuzz") / "g.txt")
+    path = str(tmp_path_factory.mktemp("fuzz") / f"g{suffix}")
     with open(path, "wb") as fh:
         fh.write(text.encode())
     assert (load_outcome(load_edge_list, path, compact)
@@ -290,6 +295,70 @@ def test_load_edge_list_matches_line_loop_on_long_ids(tmp_path, text, compact):
         fh.write(text)
     assert (load_outcome(load_edge_list, path, compact)
             == load_outcome(edge_list_oracle, path, compact))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("compact", [False, True])
+def test_a_compression_suffix_does_not_make_a_file_compressed(tmp_path, suffix, compact):
+    # numpy decompresses a path of these names; a plain edge list must load
+    # as it does under a .txt name, warnings included
+    text = b"# n=9\r\n0 1\n1 0\n2 2\n\x0c# x\n3 4\r5 6\n"
+    outcomes = []
+    for name in ("g.txt", f"g{suffix}"):
+        (tmp_path / name).write_bytes(text)
+        outcome = load_outcome(load_edge_list, str(tmp_path / name), compact)
+        outcomes.append(repr(outcome).replace(name, "<name>"))
+    assert outcomes[0] == outcomes[1]
+    assert "dropped 1 duplicate edge(s) and 1 self-loop(s)" in outcomes[0]
+
+
+@pytest.mark.parametrize("text", [
+    b"# caf\xe9 \xff\n0 1\n",
+    b"# \x855 6\n0 1\n",  # NEL, a line break to str.splitlines
+    b"# \xe2\x80\xa85 6\n0 1\n",  # U+2028 LINE SEPARATOR in UTF-8
+    b"#\x00 5 6\n0 1\n",
+])
+def test_comments_may_hold_any_bytes(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text)
+    g = load_edge_list(path)
+    assert g.n == 2 and g._indices.tolist() == [1, 0]
+
+
+def test_load_edge_list_hands_numpy_the_path(tmp_path, monkeypatch):
+    # given a file object, np.loadtxt reads it line by line in Python; given
+    # a path, in chunks
+    sources, real = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kw: sources.append(source) or
+                        real(source, **kw))
+    for name in ("g.txt", "g.gz"):
+        (tmp_path / name).write_text("# n=3\n0 1\n1 2\n")
+        assert load_edge_list(tmp_path / name).num_edges == 2
+    assert isinstance(sources[0], str) and os.path.samefile(sources[0], tmp_path / "g.txt")
+    assert isinstance(sources[1], io.BytesIO)
+
+
+def test_a_name_like_a_url_is_read_from_disk(tmp_path, monkeypatch):
+    # numpy's opener would fetch "http://host/g.txt" over the network
+    def fetch(*args, **kwargs):
+        raise AssertionError("fetched a URL")
+    monkeypatch.setattr(urllib.request, "urlopen", fetch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "g.txt").write_text("0 1\n")
+    assert load_edge_list("http://host/g.txt").num_edges == 1
+
+
+def test_a_file_numpy_rejects_with_no_bad_line_raises_value_error(tmp_path, monkeypatch):
+    # the file is read twice, so it may change between the byte check and
+    # numpy's parse; the error must still be a ValueError naming the file
+    def reject(*args, **kwargs):
+        raise ValueError("changed")
+    monkeypatch.setattr(np, "loadtxt", reject)
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_edge_list(path)
 
 
 def test_load_edge_list_takes_the_largest_hint(tmp_path):

@@ -90,6 +90,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.scenario == "epidemic" and args.null_p is not None:
+        raise ValueError("--scenario epidemic does not use --null-p")
     g = _load_graph(args)
     if args.scenario == "epidemic":
         params = ScenarioParams(alpha=args.alpha, q=args.q, f=args.f,
@@ -103,38 +105,32 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _auto_detect_config(args, g, reporting) -> DetectorConfig:
+def _auto_detect_config(args, regime, g, reporting) -> DetectorConfig:
     """Pick K and T with the shared prescription, echoing the choice to stderr."""
-    gamma = None
+    gamma = args.gamma  # the gamma sources are mutually exclusive
     if args.gamma_profile:
         gamma = calibration.GammaProfile.from_csv(args.gamma_profile)
-    elif args.gamma is not None:
-        gamma = args.gamma
     elif args.gamma_fallback:
         if args.alpha is None:
             raise ValueError("--gamma-fallback needs --alpha")
         gamma = calibration.gamma_lower_bound(math.ceil(args.alpha * g.n))
     cfg = detector.prescribe(
-        g.n, len(reporting), args.regime, q=args.q, alpha=args.alpha, f=args.f or 0.0,
+        g.n, len(reporting), regime, q=args.q, alpha=args.alpha, f=args.f or 0.0,
         gamma=gamma, topology=args.family or "general", log_base=args.log_base,
         beta=args.beta, rho=args.rho, mu=args.mu)
     print(cfg.note, file=sys.stderr)
     return cfg
 
 
-# the detect flags only a prescription (--regime or a gamma source) reads
-_PRESCRIPTION_FLAGS = ("alpha", "q", "family", "beta", "f", "log_base", "rho", "mu")
-
-
 def _cmd_detect(args) -> int:
     prescribed = (args.regime or args.gamma_profile or args.gamma is not None
                   or args.gamma_fallback)
-    mode = args.mode or "nn"
-    unused = [key for key in (("mode",) if prescribed else _PRESCRIPTION_FLAGS)
-              if getattr(args, key) is not None]
-    unused += harness.unread_detector_keys("auto" if prescribed else mode, vars(args))
+    kind = args.regime or ("auto" if prescribed else args.mode or "nn")
+    # a prescription also refuses --mode, which picks a fixed detector
+    unused = harness.unread_detector_keys(
+        kind, vars(args), ("mode",) * bool(prescribed) + harness.DETECT_KEYS)
     if unused:
-        raise ValueError(f"{'--regime' if prescribed else '--mode ' + mode} "
+        raise ValueError(f"{'--regime' if prescribed else '--mode ' + kind} "
                          f"does not use --{unused[0].replace('_', '-')}")
     g = load_edge_list(args.graph, compact=args.compact)
     snap = ReportSnapshot.load(args.snapshot)
@@ -143,11 +139,8 @@ def _cmd_detect(args) -> int:
     if snap.reporting.size and snap.reporting[-1] >= g.n:
         raise ValueError(f"reporting node {snap.reporting[-1]} out of range "
                          f"for a graph of {g.n} nodes")
-    if prescribed:
-        args.regime = args.regime or "auto"
-        cfg = _auto_detect_config(args, g, snap.reporting)
-    else:
-        cfg = harness.fixed_detector(mode, args.k, args.l, args.s, args.t)
+    cfg = (_auto_detect_config(args, kind, g, snap.reporting) if prescribed
+           else harness.fixed_detector(kind, args.k, args.l, args.s, args.t))
     verdict = detector.classify(g, snap.reporting, cfg)
     truth = snap.truth if snap.truth in (EPIDEMIC, UNIFORM) else None
     if args.header:
@@ -192,7 +185,8 @@ def _spec_from_args(args) -> "harness.ExperimentSpec":
         for f in harness.unread_fields("file" if args.graph else args.topology):
             raw.pop(f.name, None)
     if args.detector:
-        for key in harness.unread_detector_keys(args.detector, raw):
+        for key in harness.unread_detector_keys(args.detector, raw,
+                                                harness.SWEEP_DETECTOR_KEYS):
             raw.pop(key)
     raw.update((key, str(val)) for key, val in vars(args).items()
                if key not in _NOT_CONFIG_KEYS and val is not None and val is not False)
@@ -264,7 +258,7 @@ def build_parser() -> _Parser:
     gamma = p_det.add_mutually_exclusive_group()
     gamma.add_argument("--gamma", type=float, help="explicit interior fraction")
     gamma.add_argument("--gamma-profile", help="gamma profile CSV from the gamma command")
-    gamma.add_argument("--gamma-fallback", action="store_true",
+    gamma.add_argument("--gamma-fallback", action="store_true", default=None,
                        help="use the 1/|S| lower bound for gamma")
     p_det.add_argument("--family", choices=["general", "grid", "tree"], help="default general")
     p_det.add_argument("--log-base", type=float, default=None)

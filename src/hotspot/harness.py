@@ -17,9 +17,9 @@ from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
 # gen_erdos_renyi and splitmix64 are unused here: perfbench/tracing.py
 # patches them on this module
-from .graph import (BALL, NN, DistanceNoise, Graph, NoisyView, _erdos_renyi_pairs,
-                    _giant_of_pairs, _grid_pairs, _power_law_pairs, _tree_pairs,
-                    check_erdos_renyi, check_power_law, gen_erdos_renyi, load_edge_list)
+from .graph import (DistanceNoise, Graph, NoisyView, _erdos_renyi_pairs, _giant_of_pairs,
+                    _grid_pairs, _power_law_pairs, _tree_pairs, check_erdos_renyi,
+                    check_power_law, gen_erdos_renyi, load_edge_list)
 from .scenario import (EPIDEMIC, UNIFORM, ScenarioParams, generate_uniform_null,
                        make_epidemic_snapshot)
 from .seeds import derive_seed, splitmix64
@@ -120,13 +120,20 @@ def unread_fields(kind: str) -> list:
     return [f for f in fields(TopologySpec) if f.init and f.name not in reads]
 
 
-# the detector keys a kind does not read (auto prescribes its own K, s and T)
-_UNREAD_KEYS = {"nn": ("l",), "ball": ("k",), "auto": ("k", "l", "s", "t")}
+# the keys each detector path reads: a fixed nn or ball detector, a dense or
+# small prescription, or auto, which may take either regime
+_DENSE, _SMALL = ("alpha", "q", "f", "family", "log_base", "gamma", "gamma_profile",
+                  "gamma_fallback"), ("beta", "rho", "mu")
+_DETECTOR_KEYS = {"nn": ("k", "s", "t"), "ball": ("l", "s", "t"), "dense": _DENSE,
+                  "small": _SMALL, "auto": _DENSE + _SMALL}
+SWEEP_DETECTOR_KEYS = ("k", "l", "s", "t")  # a sweep's alpha, q and f are its scenario's
+DETECT_KEYS = SWEEP_DETECTOR_KEYS + _DENSE + _SMALL
 
 
-def unread_detector_keys(kind: str, given: dict) -> list[str]:
-    """The keys among k, l, s and t set in ``given`` that ``kind`` does not read."""
-    return [key for key in _UNREAD_KEYS[kind] if given.get(key) is not None]
+def unread_detector_keys(kind: str, given: dict, keys) -> list[str]:
+    """The keys among ``keys`` set in ``given`` that the ``kind`` path does not read."""
+    reads = _DETECTOR_KEYS[kind]
+    return [key for key in keys if key not in reads and given.get(key) is not None]
 
 
 def fixed_detector(kind: str, k: int | None, l: int | None, s: int | None,
@@ -196,12 +203,11 @@ class ExperimentSpec:
         if self.sweep_name not in _SWEEPS:
             raise ValueError(f"unknown sweep variable {self.sweep_name!r}")
         part, _, cast = _SWEEPS[self.sweep_name]
-        if isinstance(self.detector, str) and part == "detector":
-            raise ValueError("cannot sweep a detector field with detector='auto'")
-        swept_mode = {"k": NN, "l": BALL}.get(self.sweep_name)
-        if swept_mode and swept_mode != self.detector.mode:
-            raise ValueError(f"cannot sweep {self.sweep_name} with a "
-                             f"{self.detector.mode} detector")
+        kind = "auto" if isinstance(self.detector, str) else self.detector.mode
+        if part == "detector" and self.sweep_name not in _DETECTOR_KEYS[kind]:
+            raise ValueError("cannot sweep a detector field with detector='auto'"
+                             if kind == "auto" else
+                             f"cannot sweep {self.sweep_name} with a {kind} detector")
         for value in self.sweep_values:  # kept as given: seed tokens and CSV labels
             try:
                 ok = cast(value) == value
@@ -468,9 +474,11 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
         alpha_exp=get("alpha_exp", float, 0.0), q_exp=get("q_exp", float, 0.0),
         f_exp=get("f_exp", float, 0.0))
     det_kind = raw.pop("detector", "nn")
-    unused = unread_detector_keys(det_kind, raw) if det_kind in _UNREAD_KEYS else []
+    unused = (unread_detector_keys(det_kind, raw, SWEEP_DETECTOR_KEYS)
+              if det_kind in ("nn", "ball", "auto") else [])  # fixed_detector names any other
     k, l, s, t = get("k", int), get("l", int), get("s", int), get("t", float)
-    magnitude, flip_prob = get("noise_d", int, 1), get("noise_prob", float)
+    noisy = "noise_d" in raw or "noise_prob" in raw
+    magnitude, flip_prob = get("noise_d", int, 1), get("noise_prob", float, 0.0)
     trials, seed = get("trials", int, CI_TRIALS), get("seed", int, 0)
     if raw:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(raw))}")
@@ -480,8 +488,7 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
     return ExperimentSpec(
         topology=TopologySpec(**topology), scenario=scenario, detector=detector,
         sweep_name=sweep_name, sweep_values=sweep_values, trials_per_point=trials,
-        master_seed=seed, noise=(None if flip_prob is None else
-                                 DistanceNoise(flip_prob=flip_prob, magnitude=magnitude)))
+        master_seed=seed, noise=DistanceNoise(flip_prob, magnitude) if noisy else None)
 
 
 def describe_defaults() -> str:

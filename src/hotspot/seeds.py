@@ -45,8 +45,6 @@ def splitmix64_array(state) -> np.ndarray:
 
 
 def _token_to_int(token) -> int:
-    if isinstance(token, bool):
-        return int(token)
     if isinstance(token, numbers.Integral):  # numpy integers hash as their value
         return int(token) & _MASK
     # floats go through repr so 0.1 and 0.10 collide but 0.1 and 0.2 never do

@@ -258,6 +258,14 @@ def test_simulate_null_uses_matched_probability(tmp_path, capsys):
     # p = (f+1) q alpha = 0.2 -> about 400 of 2000 report
     assert abs(len(snap.reporting) - 400) < 4 * (2000 * 0.2 * 0.8) ** 0.5
 
+
+def test_simulate_epidemic_refuses_null_p(tmp_path, capsys):
+    # --null-p used to be dropped: the snapshot was the same with or without it
+    code, out, err = run(capsys, "simulate", "--graph", write_path_graph(tmp_path, 10),
+                         "--scenario", "epidemic", "--null-p", "0.9")
+    assert (code, out, err) == (1, "", "error: --scenario epidemic does not use --null-p\n")
+
+
 def test_dense_regime_without_q_alpha_exits_one(tmp_path, capsys):
     graph_path = write_path_graph(tmp_path, 10)
     snap = tmp_path / "snap.txt"
@@ -545,6 +553,16 @@ def test_graph_flag_does_not_drop_a_swept_field_its_kind_does_not_read(tmp_path,
     code, out, err = run(capsys, "sweep", "--config", str(EXPERIMENTS / "error_decay.cfg"),
                          "--graph", write_path_graph(tmp_path, 30), "--trials", "1")
     assert (code, out, err) == (1, "", "error: topology file does not use n\n")
+
+
+def test_noise_d_alone_sets_the_magnitude_of_a_flip_prob_sweep(capsys):
+    # --noise-d without --noise-prob used to be dropped, so the sweep ran at magnitude 1
+    base = ["sweep", "--topology", "grid", "--side", "12", "--alpha", "0.2", "--q", "0.6",
+            "--k", "4", "--s", "2", "--t", "3", "--trials", "4", "--seed", "5",
+            "--sweep", "flip_prob", "--values", "0.3"]
+    alone, paired, unit = (run(capsys, *base, *flags) for flags in (
+        ["--noise-d", "3"], ["--noise-prob", "0", "--noise-d", "3"], ["--noise-d", "1"]))
+    assert alone[0] == 0 and alone == paired and alone[1] != unit[1]
 
 
 @pytest.mark.parametrize("flags", [["--detector", "ball", "--l", "2", "--sweep", "k"],
@@ -959,6 +977,42 @@ def test_prescribed_detect_fills_in_the_f_and_family_defaults(tmp_path, capsys):
             "--regime", "dense", "--q", "0.5", "--alpha", "0.1", "--gamma", "0.5"]
     runs = [run(capsys, *base), run(capsys, *base, "--f", "0", "--family", "general")]
     assert runs[0] == runs[1] and runs[0][0] in (0, 2) and runs[0][1]
+
+
+@pytest.mark.parametrize("regime, flags", [
+    ("small", ["--gamma", "0.5"]), ("small", ["--gamma-profile", "gamma.csv"]),
+    ("small", ["--gamma-fallback"]), ("small", ["--q", "0.9"]),
+    ("small", ["--alpha", "0.05"]), ("small", ["--f", "0"]),
+    ("small", ["--family", "tree"]), ("small", ["--log-base", "2"]),
+    ("dense", ["--beta", "0.2"]), ("dense", ["--rho", "0.1"]), ("dense", ["--mu", "0.9"]),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
+def test_detect_refuses_a_flag_its_regime_does_not_read(tmp_path, capsys, regime, flags):
+    # each used to print the same row with or without the flag: the small
+    # regime reads only beta, rho and mu, the dense one none of them
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
+    dense = ["--q", "0.5", "--alpha", "0.1", "--gamma", "0.5"] if regime == "dense" else []
+    code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 6),
+                         "--snapshot", str(snap), "--regime", regime, *dense, *flags)
+    assert (code, out, err) == (1, "", f"error: --regime does not use {flags[0]}\n")
+
+
+@pytest.mark.parametrize("prescription", [
+    ["--regime", "auto", "--gamma", "0.5"], ["--regime", "auto", "--gamma-profile", "PROFILE"],
+    ["--regime", "auto", "--gamma-fallback"], ["--gamma", "0.5"],
+], ids=["auto-gamma", "auto-profile", "auto-fallback", "bare-gamma"])
+def test_auto_detect_accepts_every_prescription_flag(tmp_path, capsys, prescription):
+    # auto may take either regime, so it reads the flags of both
+    profile = tmp_path / "gamma.csv"
+    profile.write_text("K,gamma,stderr,trials,topology\n1,0.5,0.01,10,\n")
+    prescription = [str(profile) if flag == "PROFILE" else flag for flag in prescription]
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=40\n1\n2\n3\n20\n")
+    code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 40),
+                         "--snapshot", str(snap), *prescription, "--q", "0.5",
+                         "--alpha", "0.1", "--f", "0", "--family", "tree", "--log-base", "2",
+                         "--beta", "0.3", "--rho", "0.1", "--mu", "0.05")
+    assert code in (0, 2) and out.count(",") == 5 and "regime" in err, err
 
 
 def test_detector_auto_drops_the_configs_s_and_t_and_refuses_them_as_its_own(tmp_path, capsys):

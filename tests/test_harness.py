@@ -394,6 +394,16 @@ noise_d=2
         spec_from_mapping(read_mapping(bad))
 
 
+def test_noise_d_alone_sets_the_noise_magnitude():
+    # noise_d without noise_prob used to be dropped: a flip_prob sweep ran at magnitude 1
+    raw = {"topology": "grid", "side": "5", "sweep": "flip_prob", "values": "0.3"}
+    assert spec_from_mapping(raw).noise is None
+    spec = spec_from_mapping({**raw, "noise_d": "3"})
+    assert spec.noise == DistanceNoise(flip_prob=0.0, magnitude=3)
+    with pytest.raises(ValueError, match="^magnitude must be >= 1$"):
+        spec_from_mapping({**raw, "noise_d": "0"})
+
+
 @pytest.mark.parametrize("raw, key", [
     ({"n": "100", "trails": "50"}, "trails"),
     ({"n": "100", "giant": "ture"}, "giant"),

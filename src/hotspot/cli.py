@@ -90,12 +90,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.scenario == "epidemic" and args.null_p is not None:
-        raise ValueError("--scenario epidemic does not use --null-p")
+    unused = {"epidemic": "null_p", "null": "seeds"}[args.scenario]  # the other one's flag
+    if getattr(args, unused) is not None:
+        raise ValueError(f"--scenario {args.scenario} does not use --{unused.replace('_', '-')}")
     g = _load_graph(args)
     if args.scenario == "epidemic":
         params = ScenarioParams(alpha=args.alpha, q=args.q, f=args.f,
-                                num_seeds=args.seeds)
+                                num_seeds=1 if args.seeds is None else args.seeds)
         snap, _ = make_epidemic_snapshot(g, params, _seed(args))
     else:
         p = (args.null_p if args.null_p is not None else
@@ -231,7 +232,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--alpha", type=float, default=0.1)
     p_sim.add_argument("--q", type=float, default=1.0)
     p_sim.add_argument("--f", type=float, default=0.0)
-    p_sim.add_argument("--seeds", type=int, default=1, help="number of contagion seeds")
+    p_sim.add_argument("--seeds", type=int, default=None, help="contagion seeds (default 1)")
     p_sim.add_argument("--null-p", type=float, default=None,
                        help="override the matched null reporting probability")
     p_sim.add_argument("--out")

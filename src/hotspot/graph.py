@@ -147,21 +147,26 @@ class Graph:
         either direction; repeats and self-loops are dropped. Every graph is
         built here, from a generator's sampled pairs or those a giant's cut
         keeps: one sort of the keys u*n + v orders each row. Both directions'
-        keys fill one array, sorted and split into rows and ``indices`` in
-        place: no step holds more than two key arrays beside the pairs,
-        which are only read. The CSR it builds is read-only."""
+        keys fill one array, made, sorted and cut to ``indices`` in place,
+        its rows counted into ``indptr`` a chunk at a time: beside the pairs,
+        which are only read, a step holds the CSR and a chunk, or two key
+        arrays while repeats are dropped. The CSR is read-only."""
         if not (keep := u != v).all():
             u, v = u[keep], v[keep]
-        keys = np.concatenate([u, v]) * n
-        keys += np.concatenate([v, u])
+        keys = np.concatenate([u, v])
+        keys *= n
+        keys[:u.size] += v
+        keys[u.size:] += u
         keys = sorted_unique(keys)
-        indices = keys % n
-        keys //= n  # each key's row
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+        for at in range(0, keys.size, _PAIRS):  # sorted, a chunk's rows are one run
+            rows = keys[at:at + _PAIRS] // n
+            indptr[rows[0] + 1:rows[-1] + 2] += np.bincount(rows - rows[0])
+        np.cumsum(indptr, out=indptr)
+        keys %= n  # each key's column
         g = object.__new__(cls)
-        g._n, g._indptr, g._indices = int(n), indptr, indices
-        indptr.flags.writeable = indices.flags.writeable = False
+        g._n, g._indptr, g._indices = int(n), indptr, keys
+        indptr.flags.writeable = keys.flags.writeable = False
         return g
 
     # -- basic queries -----------------------------------------------------
@@ -393,10 +398,12 @@ def _pair_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     labels = np.arange(n, dtype=np.int64)
     a, b = u, v  # labels[u], labels[v] before the first hook
     while (cross := np.flatnonzero(a != b)).size:
-        a, b = a[cross], b[cross]
+        if cross.size < a.size:  # a first round with no self-loop reads the pairs as they are
+            a, b = a[cross], b[cross]
         np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(jumped := labels[labels], labels):
+        while ((jumped := labels[labels]) != labels).any():
             labels = jumped
+        del cross, jumped  # the second equals labels: hold neither through the next gathers
         a, b = labels[a], labels[b]
     return labels
 
@@ -407,12 +414,14 @@ def _giant_of_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Graph, np.nda
     pairs inside the giant, renumbered, go to one :meth:`Graph._from_pairs`."""
     labels = _pair_labels(n, u, v)
     inside = labels == np.argmax(np.bincount(labels, minlength=1))
-    del labels  # the cut holds one mask, not n labels
-    keep = np.flatnonzero(inside[u])  # a pair with one end inside has both
-    remap = np.cumsum(inside) - 1  # a node's id in the giant
+    remap = np.cumsum(inside, out=labels)  # in the labels' array:
+    remap -= 1  # a node's id in the giant
+    keep = inside[u]  # a pair with one end inside has both
     u, v = remap[u[keep]], remap[v[keep]]
-    del keep, remap  # the build peaks in _from_pairs: hold only the renumbered pairs
-    return Graph._from_pairs(np.count_nonzero(inside), u, v), np.flatnonzero(inside)
+    del labels, remap, keep  # the build peaks in _from_pairs: hold only the renumbered pairs
+    g = Graph._from_pairs(np.count_nonzero(inside), u, v)
+    del u, v  # old_ids takes their place
+    return g, np.flatnonzero(inside)
 
 
 @dataclass(frozen=True)
@@ -688,13 +697,18 @@ def _erdos_renyi_pairs(n: int, p: float, rng_seed: int) -> tuple[int, np.ndarray
     keys = np.empty(0, dtype=np.int64)
     while keys.size < m:
         draw = max(16, int((m - keys.size) * 1.3))
-        u = rng.integers(0, n, size=draw, dtype=np.int64)
-        v = rng.integers(0, n, size=draw, dtype=np.int64)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = sorted_unique(np.concatenate([keys, (lo * n + hi)[lo < hi]]))
+        lo = rng.integers(0, n, size=draw, dtype=np.int64)
+        hi = rng.integers(0, n, size=draw, dtype=np.int64)
+        hi, lo = np.maximum(lo, hi), np.minimum(lo, hi, out=lo)  # three draws' arrays at most
+        keep = lo < hi
+        lo *= n
+        lo += hi
+        del hi  # the keys lo*n + hi, built in lo
+        keys = sorted_unique(np.concatenate([keys, lo[keep]]))
+        del lo  # rng.choice holds two copies of the keys: free the draws first
     if keys.size > m:
         keys = rng.choice(keys, size=m, replace=False)
-    return n, keys // n, keys % n
+    return n, keys // n, np.remainder(keys, n, out=keys)  # the rows first, then in place
 
 
 def gen_grid(dim: int, side: int) -> Graph:

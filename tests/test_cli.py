@@ -266,6 +266,23 @@ def test_simulate_epidemic_refuses_null_p(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: --scenario epidemic does not use --null-p\n")
 
 
+@pytest.mark.parametrize("seeds", ["0", "1", "3"])
+def test_simulate_null_refuses_seeds(tmp_path, capsys, seeds):
+    # --seeds used to be dropped: the null snapshot was the same with or without it
+    code, out, err = run(capsys, "simulate", "--graph", write_path_graph(tmp_path, 10),
+                         "--scenario", "null", "--seeds", seeds)
+    assert (code, out, err) == (1, "", "error: --scenario null does not use --seeds\n")
+
+
+def test_simulate_epidemic_seeds_default_to_one(tmp_path, capsys):
+    graph_path = write_path_graph(tmp_path, 50)
+    outs = [run(capsys, "simulate", "--graph", graph_path, "--seed", "4", *flag)
+            for flag in ([], ["--seeds", "1"])]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    code, _, err = run(capsys, "simulate", "--graph", graph_path, "--seeds", "0")
+    assert code == 1 and "error" in err
+
+
 def test_dense_regime_without_q_alpha_exits_one(tmp_path, capsys):
     graph_path = write_path_graph(tmp_path, 10)
     snap = tmp_path / "snap.txt"

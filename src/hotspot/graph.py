@@ -547,9 +547,11 @@ class NearestTable:
 # an edge-list file (its comment lines cut out) holds these, digits and \n
 _BLANKS = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 _TO_SPACE = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
+_BODY_BYTES = b"0123456789" + _BLANKS + b"\n"
+_DIGIT = re.compile(rb"[0-9]")
 
-# nodes per block of save_edge_list: a block's ints and text stay near 1 MB
-_WRITE_BLOCK = 1 << 12
+# nodes per block of save_edge_list: a block's ids and digit rows stay near 1 MB
+_WRITE_BLOCK = 1 << 13
 
 
 def load_edge_list(path, compact: bool = False) -> Graph:
@@ -584,16 +586,15 @@ def load_edge_list(path, compact: bool = False) -> Graph:
 
 
 def _read_pairs(path) -> tuple[np.ndarray, int]:
-    """The (m, 2) int64 id pairs of an edge-list file, in file order, and
-    its largest "# n=" hint (-1 without one). The path is opened twice: its
-    bytes are read once for the hints and a byte check of all but the comment
-    lines, then np.loadtxt reads the path in chunks (a file object it would
-    read line by line) and drops those comments at '#', every '#' opening one."""
+    """The (m, 2) int64 id pairs of an edge-list file, in file order, and its largest
+    "# n=" hint (-1 without one). Its bytes are read for the hints and a byte check of
+    all but the comment lines, and dropped; np.loadtxt then reads the path in chunks (a
+    file object it would read line by line), dropping those comments at every '#'."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    hint_n, pieces, done, end = -1, [], 0, 0
+    hint_n, commented, edges, done, end = -1, 0, None, 0, 0
     while (at := data.find(b"#", end)) >= 0:
         start = data.rfind(b"\n", 0, at) + 1
         end = data.find(b"\n", at)
@@ -604,34 +605,36 @@ def _read_pairs(path) -> tuple[np.ndarray, int]:
         hint = text[1:].strip(_BLANKS)
         if hint.startswith(b"n=") and hint[2:].isdigit():
             hint_n = max(hint_n, int(hint[2:]))
-        pieces.append(data[done:start])
+        commented += len(text.translate(None, _BODY_BYTES))
+        edges = edges or _DIGIT.search(data, done, start)  # searched in place, not copied
         done = end
-    pieces.append(data[done:])
-    if any(piece.translate(None, b"0123456789" + _BLANKS + b"\n") for piece in pieces):
-        raise _bad_line(path, data)
-    if not any(re.search(rb"[0-9]", piece) for piece in pieces):
+    if len(data.translate(None, _BODY_BYTES)) != commented:  # a foreign byte outside comments
+        raise _bad_line(path)
+    if not (edges or _DIGIT.search(data, done)):
         raise ValueError(f"{path}: no edges found")
     name = os.path.join(".", os.fsdecode(path))  # "./": numpy fetches no "s://x" as a URL
-    try:  # numpy would decompress a path named .gz and the like: parse the bytes
-        pairs = np.loadtxt(io.BytesIO(data) if name.endswith((".gz", ".bz2", ".xz", ".lzma"))
-                           else name, dtype=np.int64, comments="#", ndmin=2, encoding="latin1")
+    source = io.BytesIO(data) if name.endswith((".gz", ".bz2", ".xz", ".lzma")) else name
+    del data  # numpy would decompress a .gz path, so gets its bytes; any other it reads again
+    try:
+        pairs = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2, encoding="latin1")
     except ValueError:  # a line of another column count, or an id past int64
-        raise _bad_line(path, data) from None
+        raise _bad_line(path) from None
     if pairs.shape[1] != 2:  # every line of one wrong column count
-        raise _bad_line(path, data)
+        raise _bad_line(path)
     return pairs, hint_n
 
 
-def _bad_line(path, data: bytes) -> ValueError:
-    """The error naming the first line of ``data`` (its breaks already \\n)
-    that is neither blank, a comment, nor two ids; with none, the file."""
-    for lineno, line in enumerate(data.split(b"\n"), start=1):
-        tokens = line.translate(_TO_SPACE).split()
-        if tokens and not tokens[0].startswith(b"#") and not (
-                len(tokens) == 2 and all(map(_is_id, tokens))):
-            text = line.decode("utf-8", "replace").strip()
-            return ValueError(
-                f"{path}: line {lineno}: expected two non-negative integers, got {text!r}")
+def _bad_line(path) -> ValueError:
+    """The error naming the first line of the file, read again, that is neither
+    blank, a comment, nor two ids; with none, the file."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
+            tokens = line.translate(_TO_SPACE).split()
+            if tokens and not tokens[0].startswith(b"#") and not (
+                    len(tokens) == 2 and all(map(_is_id, tokens))):
+                text = line.decode("utf-8", "replace").strip()
+                return ValueError(
+                    f"{path}: line {lineno}: expected two non-negative integers, got {text!r}")
     return ValueError(f"{path}: rejected, but no line of it is bad; did it change while read?")
 
 
@@ -643,17 +646,29 @@ def _is_id(token: bytes) -> bool:
 
 def save_edge_list(g: Graph, path) -> None:
     """Write g as a "u v" edge list with a "# n=" node-count hint: each edge
-    once, u < v, ordered by u then v."""
-    indptr, indices = g._indptr, g._indices
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={g.n}\n")
+    once, u < v, ordered by u then v; a block of ids at a time, as digits by integer division."""
+    with open(path, "wb") as fh:
+        fh.write(b"# n=%d\n" % g.n)
         for lo in range(0, g.n, _WRITE_BLOCK):
             hi = min(lo + _WRITE_BLOCK, g.n)
-            u = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
-            v = indices[indptr[lo]:indptr[hi]]
+            u = np.repeat(np.arange(lo, hi), np.diff(g._indptr[lo:hi + 1]))
+            v = g._indices[g._indptr[lo]:g._indptr[hi]]
             keep = u < v
-            pairs = np.column_stack([u[keep], v[keep]]).ravel().tolist()
-            fh.write("%d %d\n" * (len(pairs) // 2) % tuple(pairs))
+            fh.write(_edge_text(np.column_stack([u[keep], v[keep]]).ravel()))
+
+
+def _edge_text(ids: np.ndarray) -> bytes:
+    """The lines "u v" of the int64 ids u0 v0 u1 v1 ...: an id's row is its digits,
+    right-aligned in the largest id's width, then a ' ' or '\\n'; leading NULs cut."""
+    width = len(str(ids.max(initial=0)))
+    ids = ids.astype(np.int32 if width < 10 else np.int64)  # int32 divides ~3x faster
+    rows = np.zeros((ids.size, width + 1), dtype=np.uint8)
+    rows.reshape(-1, 2, width + 1)[:, :, width] = ord(" "), ord("\n")  # after u, after v
+    for col in range(width - 1, -1, -1):  # units first; a leading 0 is NUL
+        tens = ids // 10
+        rows[:, col] = (ids - tens * 10 + ord("0")) * (ids > 0 if col < width - 1 else 1)
+        ids = tens
+    return rows.tobytes().replace(b"\0", b"")
 
 
 # -- generators ---------------------------------------------------------------

@@ -210,6 +210,26 @@ def edge_list_oracle(path, compact: bool = False) -> Graph:
     return g
 
 
+def edge_text_oracle(ids) -> bytes:
+    """The "u v" lines of the ids u0 v0 u1 v1 ..., made from Python ints by
+    one %-format."""
+    ids = np.asarray(ids).tolist()
+    return ("%d %d\n" * (len(ids) // 2) % tuple(ids)).encode()
+
+
+def save_edge_list_oracle(g: Graph, path) -> None:
+    """save_edge_list formatting Python ints with %, 4096 nodes at a time."""
+    indptr, indices = g._indptr, g._indices
+    with open(path, "wb") as fh:
+        fh.write(f"# n={g.n}\n".encode())
+        for lo in range(0, g.n, 1 << 12):
+            hi = min(lo + (1 << 12), g.n)
+            u = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+            v = indices[indptr[lo]:indptr[hi]]
+            keep = u < v
+            fh.write(edge_text_oracle(np.column_stack([u[keep], v[keep]]).ravel()))
+
+
 def simulate_si_oracle(g: Graph, seeds, target_size: int, rng_seed: int) -> EpidemicOutcome:
     """simulate_si with one rng.exponential() call per pushed edge clock."""
     seeds = list(seeds)

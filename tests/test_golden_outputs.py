@@ -82,6 +82,8 @@ GRAPHS = {
     "from_edges_messy": (lambda tmp: Graph.from_edges(9, [(3, 1), (1, 3), (4, 4), (0, 5), (5, 0),
                                                          (0, 5), (7, 2), (2, 2), (6, 0), (1, 3)]),
                          "1d1a36cd1f79850d5beeef69ca509b2c97fdebf6de926691e4cbc767f1deb605"),
+    "edgeless": (lambda tmp: Graph.from_edges(5, []),
+                 "775347734437a764dc965e87facbdb2473c95f80929839825b257d17aceef888"),
 }
 
 
@@ -107,12 +109,18 @@ def test_powerlaw_giant_old_ids_bytes():
     assert ids_digest(old_ids) == "24655642b2071b0d7e9753ef98d950a00ce04349dfbdea3b29200fef0400ad1f"
 
 
-# save_edge_list bytes: more nodes than one write block, a tree, and isolated
-# nodes (ids beyond the last edge) that only the "# n=" hint keeps
+# save_edge_list bytes: ids of one to five digits over two write blocks
+# (er_giant_pairs), a power-law giant, a tree, isolated nodes (ids beyond the
+# last edge) that only the "# n=" hint keeps, and no edges at all. The digests
+# of er_giant_pairs, powerlaw_giant and edgeless were computed with the writer
+# that formatted Python ints with %, before ids were written as digit rows
 SAVED = {
     "er_sparse_8000": "f2d55493a52ab171725d2c30214624ffac61ff869cd387fc98951bee17cfbf50",
+    "er_giant_pairs": "c7a2d8aa2cde6480b577329e7650462bea1a8361c2388a14ca4105279c5ae2c9",
+    "powerlaw_giant": "cde7bc17616ce3eff3d900f82eda8b6c6c5b03b20354e55d18be56da2742db41",
     "tree": "59ee05f2fccb63bc208c276d62d687734d91429fcf6843255e6e01b9c5a88e10",
     "from_edges_messy": "f2739f25a18df5cd1bd4ee3f390f5bf1e801f28b8f4fd7f67a1369a5c095217d",
+    "edgeless": "05cc28829202afbdcbb01088e0c284f1cd08b2dfe6be5fff1cd96d49552fd917",
 }
 
 
@@ -121,6 +129,17 @@ def test_saved_edge_list_bytes(name, tmp_path):
     path = tmp_path / "saved.txt"
     save_edge_list(GRAPHS[name][0](tmp_path), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED[name]
+
+
+def test_generate_file_and_message_bytes(tmp_path, capsys):
+    # computed with the writer that formatted Python ints with %
+    path = tmp_path / "er.txt"
+    code = main(["generate", "--topology", "er", "--n", "3000", "--giant", "--seed", "4",
+                 "--out", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, "", f"wrote 2469 nodes, 3071 edges to {path}\n")
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "c1c22f12e33c7432f9a2418b55a71b425290965547639916af54bb0876a2256c")
 
 
 # ReportSnapshot.to_text bytes of an epidemic snapshot and its matched null.

@@ -5,7 +5,9 @@ A reporting node is a *hotspot* when at least s of its surrounding nodes
 The classifier sums the hotspot indicators over all reporting nodes and
 declares a contagion when the sum strictly exceeds the decision threshold
 t. Runtime is linear in the number of reporting nodes times neighborhood
-size; non-reporting nodes are touched only as BFS frontier.
+size at most: a reporter leaves the scan once its verdict is decided, at s
+reporting members or with too few members left to reach s. Non-reporting
+nodes are touched only as BFS frontier.
 """
 
 from __future__ import annotations
@@ -81,19 +83,13 @@ def classify(view, reporting, cfg: DetectorConfig,
              keep_indicators: bool = False) -> Verdict:
     """Run the hotspot count test over a reporting snapshot.
 
-    ``view`` is a Graph or any object exposing n and neighborhoods (e.g. the
-    harness's noisy-distance view). ``keep_indicators=True`` also returns
-    the per-node hotspot map. A reporter id outside the graph raises
-    ValueError.
+    ``view`` is a Graph or a NoisyView (any object with their ``hotspots``
+    test). ``keep_indicators=True`` also returns the per-node hotspot map. A
+    reporter id outside the graph raises ValueError.
     """
     centers = node_array(reporting)
-    owner, member, _ = view.neighborhoods(centers, cfg.k_or_l, cfg.mode)
-    # i is a hotspot iff >= s members of its neighborhood (i excluded) report;
-    # a node mask, built once the kernel has checked the ids, tests membership
-    reports = np.zeros(view.n, dtype=bool)
-    reports[centers] = True
-    hits = np.bincount(owner[np.flatnonzero(reports[member])], minlength=centers.size)
-    fired = hits >= cfg.s
+    # i is a hotspot iff >= s members of its neighborhood (i excluded) report
+    fired = view.hotspots(centers, cfg.k_or_l, cfg.mode, cfg.s)
     count = int(np.count_nonzero(fired))
     per_node = dict(zip(centers.tolist(), fired.tolist())) if keep_indicators else None
     label = EPIDEMIC if count > cfg.t else UNIFORM

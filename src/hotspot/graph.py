@@ -9,7 +9,8 @@ distance, ascending node id inside each distance shell. The k-nearest-
 neighbor set of any size is then a prefix of that order, which is what the
 detector and calibration code rely on when they scan a node's surroundings
 outward until some event (a reporter, an uninfected node) occurs. They
-scan all their nodes at once through :meth:`Graph.neighborhoods`, the one
+scan all their nodes at once through :meth:`Graph.neighborhoods`, or
+:meth:`Graph.hotspots` for the detector's test, two answers of the one
 neighborhood implementation in the package.
 """
 
@@ -40,9 +41,10 @@ _BLOCK = 512
 
 # (center, node) pairs a batch of Graph.neighborhoods aims to expand over
 # all its levels: enough work to spread the fixed cost of its numpy calls
-# (53 per plain nn level past depth 1, 27 at depth 1, about 90 per NoisyView
-# nn level past its noise magnitude, and 15 to place the pairs at the end),
-# while a batch's arrays stay near this many pairs. On an
+# (53 per plain nn level past depth 1, 27 at depth 1, and 15 to place the
+# pairs at the end; a plain hotspot test places none but counts hits, 64
+# per nn level and 35 at depth 1; about 90 per NoisyView nn level past its
+# noise magnitude), while a batch's arrays stay near this many pairs. On an
 # 8000-node ER giant a level holds about 1k pairs, so call overhead
 # dominates: 2**16 with a first batch of 512, in place of 2**14 and 256, ran
 # a noisy nn K = 6 query of 822 centers in 2 batches instead of 3, at 0.95 of
@@ -225,45 +227,71 @@ class Graph:
         """
         return self._scan(centers, size, mode, None)
 
-    def _scan(self, centers, size: int, mode: str, noisy: NoisyView | None):
+    def hotspots(self, centers: np.ndarray, size: int, mode: str, s: int) -> np.ndarray:
+        """Whether at least ``s`` members of each center's neighborhoods(centers,
+        size, mode) are centers too, as a boolean array. The BFS counts these
+        hits level by level and drops a center once its verdict is fixed: at
+        ``s`` hits, or for nn once its hits plus its ranks still open (size
+        less its members found) fall short of ``s``. No member is placed."""
+        return self._scan(centers, size, mode, None, s)
+
+    def _scan(self, centers, size: int, mode: str, noisy: NoisyView | None,
+              s: int | None = None):
         """neighborhoods by hop distance, or by ``noisy``'s perceived one, never
         below the hop distance less the noise magnitude (the slack): a ball
         explores ``size + slack`` hops, and an nn center stops once ``size``
-        of its members are perceived within depth - slack."""
+        of its members are perceived within depth - slack. With ``s``, the
+        hotspot test of each center in place of its members."""
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
         nearest = mode == NN
         if size < (1 if nearest else 0):
             raise ValueError("k must be >= 1" if nearest else "radius must be >= 0")
         centers = _centers_of(centers, self.n)
+        reports = None
+        if s is not None:  # the centers, as a node mask over every batch
+            reports = np.zeros(self.n, dtype=bool)
+            reports[centers] = True
         cap = _max_batch(self.n)
-        owners, members, ranks = [_EMPTY], [_EMPTY], [_EMPTY]
+        parts = [(_EMPTY, _EMPTY, _EMPTY) if s is None else (_EMPTY.astype(bool),)]
         lo, block = 0, min(_BLOCK, cap)
         while lo < centers.size:
-            owner, member, rank, expanded = self._neighborhood_block(
-                centers[lo:lo + block], size, nearest, noisy)
-            owners.append(owner + lo)
-            members.append(member)
-            ranks.append(rank)
+            *part, expanded = self._neighborhood_block(
+                centers[lo:lo + block], size, nearest, noisy, reports, s)
+            if s is None:
+                part[0] += lo  # owners count from the batch's first center
+            parts.append(part)
             lo += block
             block = min(max(_PAIRS * block // max(expanded, 1), 1), cap)
-        return np.concatenate(owners), np.concatenate(members), np.concatenate(ranks)
+        arrays = tuple(np.concatenate(column) for column in zip(*parts))
+        return arrays if s is None else arrays[0]
 
-    def _neighborhood_block(self, centers, size, nearest, noisy):
+    def _neighborhood_block(self, centers, size, nearest, noisy, reports=None, s=None):
         n, indptr, indices = self.n, self._indptr, self._indices
         slack = 0 if noisy is None else noisy._noise.magnitude
+        # a plain hotspot test counts hits per level, and drops decided centers
+        counting = reports is not None and noisy is None
         # depth 1 is a prefix of each center's row, ranked by place (a plain
         # ball of radius 0 reads none); found counts the members ranked so far
         start = indptr[centers]
         deg = indptr[centers + 1] - start
         found = np.minimum(deg, size) if noisy is None and (nearest or not size) else deg
+        if reports is not None and nearest and s > size:
+            found = np.zeros_like(deg)  # no center can fire: none reads its row
         ends = found.cumsum()
         expanded = int(ends[-1])
         owner = np.arange(centers.size, dtype=np.int64).repeat(found)
         rank = np.arange(expanded) - (ends - found).repeat(found)
-        shell = owner * n + indices[start.repeat(found) + rank]  # keys owner*n + node
+        nodes = indices[start.repeat(found) + rank]
+        shell = owner * n + nodes  # keys owner*n + node
         prev = np.arange(centers.size, dtype=np.int64) * n + centers
         keys, tags = [shell], [rank]  # per level: keys, and ranks or perceived distances
+
+        def undecided():  # nn: short of ``size`` members; counting: not yet fired or dead
+            if not counting:
+                return found < size
+            return (hits < s) & (hits + size - found >= s) if nearest else hits < s
+
         if noisy is not None:
             observed = noisy._observers(centers)  # hashed once per batch
             # the farthest perceived distance a center can keep: the radius
@@ -274,8 +302,11 @@ class Graph:
             # members settled per center: none at depth 1 <= slack, all pending
             found, pending_owner = np.zeros(centers.size, dtype=np.int64), owner
             tags[0] = pending_dist = np.ones(expanded, dtype=np.int64)  # perceived as 1
-        elif nearest:  # a center with ``size`` members leaves both shells
-            active = found < size
+        elif nearest or counting:  # a decided center leaves both shells
+            if counting:
+                hits = np.bincount(owner[np.flatnonzero(reports[nodes])],
+                                   minlength=centers.size)
+            active = undecided()
             shell, prev = shell[np.flatnonzero(active[owner])], prev[np.flatnonzero(active)]
         depth = 1
         while shell.size and (nearest or depth < size + slack):
@@ -309,8 +340,13 @@ class Graph:
                 if nearest:  # the cut at size falls inside this level only
                     keep = np.flatnonzero(rank < size)
                     np.minimum(found, size, out=found)
-                keys.append(new[keep])
-                tags.append(rank[keep])
+                if counting:
+                    ranked = owner[keep]
+                    hits += np.bincount(ranked[np.flatnonzero(reports[new[keep] - ranked * n])],
+                                        minlength=centers.size)
+                else:
+                    keys.append(new[keep])
+                    tags.append(rank[keep])
             else:
                 dist = noisy._perceive(observed, owner, new - owner * n, depth)
                 keys.append(new)
@@ -327,11 +363,13 @@ class Graph:
                     left = np.flatnonzero(~settled & (found < size)[pending_owner])
                     pending_owner, pending_dist = pending_owner[left], pending_dist[left]
             prev, shell = shell, new
-            if nearest:
-                # a settled center stays settled: its pairs leave both shells
-                active = found < size
+            if nearest or counting:
+                # a decided center stays decided: its pairs leave both shells
+                active = undecided()
                 shell = new[np.flatnonzero(active[owner])]
                 prev = prev[np.flatnonzero(active[prev // n])]
+        if counting:
+            return hits >= s, expanded
         key, tag = np.concatenate(keys), np.concatenate(tags)
         if noisy is None:
             # no sort: each pair goes to its center's offset plus its rank
@@ -358,6 +396,8 @@ class Graph:
         if nearest:
             keep = rank < size
             owner, member, rank = owner[keep], member[keep], rank[keep]
+        if reports is not None:  # hits counted from the ranked members
+            return np.bincount(owner[reports[member]], minlength=centers.size) >= s, expanded
         return owner, member, rank, expanded
 
     # -- components ---------------------------------------------------------
@@ -482,6 +522,10 @@ class NoisyView:
     def neighborhoods(self, centers: np.ndarray, size: int, mode: str):
         """Graph.neighborhoods ranked by perceived distance."""
         return self._g._scan(centers, size, mode, self)
+
+    def hotspots(self, centers: np.ndarray, size: int, mode: str, s: int) -> np.ndarray:
+        """Graph.hotspots by perceived distance, counted from the ranked members."""
+        return self._g._scan(centers, size, mode, self, s)
 
     def ball_members(self, i: int, l: int) -> list[int]:
         return self.neighborhoods(np.array([i]), l, BALL)[1].tolist()

@@ -170,6 +170,85 @@ def test_first_level_read_from_rows_matches_oracles(monkeypatch, name, pairs, bl
                 [v for d, v in r if d <= l] for r in ranked], (flip_prob, l)
 
 
+def _hotspot_oracle(ranked, reporting, s):
+    """Each reporter's test from its members as the oracles rank them."""
+    return [sum(v in reporting for v in ranked(i)) >= s for i in reporting]
+
+
+# (reporting, mode, size, s) on the "star-path-isolated" graph, whose star
+# 0..6 and path 7..14 are components of 7 and 8 nodes and 15..17 isolated
+_EARLY_VERDICTS = {
+    "s-above-k": ([0, 1, 2, 3, 7, 8, 9], "nn", 2, 3),  # decided before any row is read
+    "k-above-component": ([0, 1, 2, 4, 6, 8, 10, 14], "nn", 10, 3),
+    "k-above-component-fires-late": ([0, 1, 9, 11, 13, 14], "nn", 12, 2),
+    "isolated-nn": ([0, 15, 16, 17], "nn", 1, 1),
+    "isolated-ball": ([7, 8, 15, 17], "ball", 3, 1),
+    "ball-radius-0": ([0, 1, 2, 15], "ball", 0, 1),
+    "empty-nn": ([], "nn", 2, 1),
+    "empty-ball": ([], "ball", 2, 1),
+}
+
+
+@pytest.mark.parametrize("pairs, block", [(2**16, 512), (1, 1), (1, 3), (2**40, 2)])
+@pytest.mark.parametrize("case", list(_EARLY_VERDICTS))
+def test_early_verdicts_match_oracles(monkeypatch, case, pairs, block):
+    g = _ROW_GRAPHS["star-path-isolated"]
+    monkeypatch.setattr(graph, "_PAIRS", pairs)
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    reporting, mode, size, s = _EARLY_VERDICTS[case]
+    members = nn_oracle if mode == "nn" else ball_oracle
+    want = _hotspot_oracle(lambda i: members(g, i, size), reporting, s)
+    fired = g.hotspots(np.array(reporting, dtype=np.int64), size, mode, s)
+    assert fired.dtype == bool and fired.tolist() == want
+    cfg = (DetectorConfig.nn(k=size, s=s, t=0) if mode == "nn"
+           else DetectorConfig.ball_mode(l=size, s=s, t=0))
+    verdict = classify(g, reporting, cfg, keep_indicators=True)
+    assert verdict.per_node == dict(zip(reporting, want))
+    assert verdict.hotspot_count == sum(want)
+    view = NoisyView(g, DistanceNoise(0.5, 1), seed=11)
+    ranked = {i: noisy_ranking_oracle(g, i, 11, 0.5, 1) for i in reporting}
+    keep = ((lambda i: [v for _, v in ranked[i][:size]]) if mode == "nn"
+            else (lambda i: [v for d, v in ranked[i] if d <= size]))
+    assert view.hotspots(np.array(reporting, dtype=np.int64), size, mode, s).tolist() == (
+        _hotspot_oracle(keep, reporting, s))
+    if s > size and mode == "nn":  # no row is read, plain or perceived
+        mask = np.zeros(g.n, dtype=bool)
+        mask[reporting] = True
+        for noisy in (None, view):
+            assert g._neighborhood_block(np.array(reporting), size, True, noisy, mask, s)[1] == 0
+
+
+@pytest.mark.parametrize("shape, reporting, size, mode, s, fired, expanded", [
+    # star, hub 0 and leaves 1..5, K = 2 and s = 2: a leaf's row holds only
+    # the hub, so with the hub silent it is dead at depth 1 (one entry read,
+    # where its whole neighborhood reads 1 + 5); the hub fires on 2 entries
+    ("star", [1, 2], 2, "nn", 2, [False, False], 2 * 1),
+    ("star", [0, 1, 2], 2, "nn", 2, [True, True, True], 2 + 2 * (1 + 5)),
+    ("star", [0, 1, 2, 3, 4, 5], 2, "nn", 3, [False] * 6, 0),  # s > K: nothing read
+    # a ball leaves only by firing: the hub fires on its row, leaf 1 on the
+    # hub, and silent leaves read their row and the hub's
+    ("star", [0, 1], 2, "ball", 1, [True, True], 5 + 1),
+    ("star", [1, 2], 2, "ball", 2, [False, False], 2 * (1 + 5)),
+    # path 0..9, K = 3, s = 2: center 1 fires on its row; center 0 reads its
+    # row and row 1; center 2 reads its row and rows 1 and 3
+    ("path", [0, 1, 2], 3, "nn", 2, [True, True, True], (1 + 2) + 2 + (2 + 4)),
+    # K = 3, s = 3: centers 4 and 5 each have one silent neighbor, and one hit
+    # with one rank left falls short of 3, so both are dead at depth 1
+    ("path", [4, 5], 3, "nn", 3, [False, False], 2 + 2),
+])
+def test_decided_centers_read_no_deeper_level(shape, reporting, size, mode, s, fired,
+                                              expanded):
+    g = Graph.from_edges(10, [(i, i + 1) for i in range(9)]) if shape == "path" else (
+        Graph.from_edges(6, [(0, i) for i in range(1, 6)]))
+    reports = np.zeros(g.n, dtype=bool)
+    reports[reporting] = True
+    got, read = g._neighborhood_block(np.array(reporting), size, mode == "nn", None,
+                                      reports, s)
+    assert (got.tolist(), read) == (fired, expanded)
+    members = nn_oracle if mode == "nn" else ball_oracle
+    assert fired == _hotspot_oracle(lambda i: members(g, i, size), reporting, s)
+
+
 @pytest.mark.parametrize("centers, message", [
     (np.array([4.7]), "node id 4.7 is not an integer"),
     (np.array([1.0, np.nan]), "node id nan is not an integer"),

@@ -43,8 +43,9 @@ _BLOCK = 512
 # all its levels: enough work to spread the fixed cost of its numpy calls
 # (53 per plain nn level past depth 1, 27 at depth 1, and 15 to place the
 # pairs at the end; a plain hotspot test places none but counts hits, 64
-# per nn level and 35 at depth 1; about 90 per NoisyView nn level past its
-# noise magnitude), while a batch's arrays stay near this many pairs. On an
+# per nn level and 35 at depth 1; a NoisyView nn level past its noise
+# magnitude takes about 95, 40 more to perceive and settle, and its hotspot
+# test about 105), while a batch's arrays stay near this many pairs. On an
 # 8000-node ER giant a level holds about 1k pairs, so call overhead
 # dominates: 2**16 with a first batch of 512, in place of 2**14 and 256, ran
 # a noisy nn K = 6 query of 822 centers in 2 batches instead of 3, at 0.95 of
@@ -71,15 +72,21 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 def _int_ids(values, what: str = "node id") -> np.ndarray:
     """``values`` (an array or any iterable) as an int64 array. Integral
-    floats pass; a fractional or non-finite float, or a boolean array (a
-    mask, not ids), raises ValueError naming it."""
+    floats pass; a fractional or non-finite float, an id outside int64, or a
+    boolean array (a mask, not ids), raises ValueError naming it."""
     values = np.asarray(values if isinstance(values, np.ndarray) else list(values))
-    if values.dtype == bool:
+    kind = values.dtype.kind
+    if kind == "b":
         raise ValueError(f"{what}s must be integers, got a boolean array")
-    if values.dtype.kind == "f":
+    if kind == "f":
         bad = values[~np.isfinite(values) | (values != np.trunc(values))]
         if bad.size:
             raise ValueError(f"{what} {bad[0]} is not an integer")
+    # numpy holds an id past int64 as a float, a uint64 or a Python int
+    if kind in "fO" or kind == "u" and values.itemsize == 8:
+        bad = values[(values < -2**63) | (values >= 2**63)]
+        if bad.size:
+            raise ValueError(f"{what} {int(bad[0])} does not fit in int64")
     return values.astype(np.int64, copy=False)
 
 
@@ -105,10 +112,9 @@ def _centers_of(centers, n: int) -> np.ndarray:
 
 def _max_batch(n: int) -> int:
     """The most centers one batch of Graph.neighborhoods may hold on a graph
-    of n nodes. A perceived-distance batch sorts the codes
-    (owner * span + dist) * n + node with span <= 2n, which this keeps below
-    2**63; every batch's BFS codes (owner * n + node) << 1 are smaller."""
-    return (2**63 - 1) // max(2 * n * n, 1)
+    of n nodes: it keeps the batch's largest codes, the BFS level's
+    (owner * n + node) << 1, below 2**63."""
+    return (2**63 - 1) // max(2 * n, 1)
 
 
 class Graph:
@@ -216,32 +222,37 @@ class Graph:
         distinct candidates in neither the previous nor the current shell:
         in an undirected graph those are exactly the unvisited pairs.
 
-        A plain query ranks each level as the BFS finds it. A level is in
-        (center, node) order and all of it lies at one hop distance, so a
-        pair's rank is its center's members from earlier levels plus its
-        place in the center's run of the level; an nn level keeps the ranks
-        below ``size``. At the end every pair is placed by scatter at its
-        center's offset plus its rank, with no sort. Only a NoisyView's
-        perceived distances pay one sort of (center, perceived distance,
-        node) codes over the batch's pairs that can still be members.
+        Each level is ranked as the BFS finds it. A level is in (center,
+        node) order and all of it lies at one hop distance, so a pair's rank
+        is its center's members from earlier levels plus its place in the
+        center's run of the level; an nn level keeps the ranks below
+        ``size``. At the end every pair is placed by scatter at its center's
+        offset plus its rank, with no sort. A NoisyView ranks by perceived
+        distance the same way, one perceived distance per level (see
+        _scan).
         """
         return self._scan(centers, size, mode, None)
 
     def hotspots(self, centers: np.ndarray, size: int, mode: str, s: int) -> np.ndarray:
         """Whether at least ``s`` members of each center's neighborhoods(centers,
         size, mode) are centers too, as a boolean array. The BFS counts these
-        hits level by level and drops a center once its verdict is fixed: at
-        ``s`` hits, or for nn once its hits plus its ranks still open (size
-        less its members found) fall short of ``s``. No member is placed."""
+        hits as it ranks each level and drops a center once its verdict is
+        fixed: at ``s`` hits, or for nn once its hits plus its ranks still
+        open (size less its members found) fall short of ``s``. No member is
+        placed."""
         return self._scan(centers, size, mode, None, s)
 
     def _scan(self, centers, size: int, mode: str, noisy: NoisyView | None,
               s: int | None = None):
-        """neighborhoods by hop distance, or by ``noisy``'s perceived one, never
-        below the hop distance less the noise magnitude (the slack): a ball
-        explores ``size + slack`` hops, and an nn center stops once ``size``
-        of its members are perceived within depth - slack. With ``s``, the
-        hotspot test of each center in place of its members."""
+        """neighborhoods by hop distance, or by ``noisy``'s perceived one, at
+        most the noise magnitude (the slack) from the hop distance. Once
+        level D is found, every node not found is perceived beyond D - slack,
+        and a member perceived at p is found by level p + slack: so the pairs
+        perceived at D - slack settle at level D, and are ranked there like a
+        plain level. A ball explores ``size + slack`` hops; once the shell is
+        empty the BFS jumps to the level where its next pending pair
+        settles. With ``s``, the hotspot test of each center in place of its
+        members."""
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
         nearest = mode == NN
@@ -269,14 +280,13 @@ class Graph:
     def _neighborhood_block(self, centers, size, nearest, noisy, reports=None, s=None):
         n, indptr, indices = self.n, self._indptr, self._indices
         slack = 0 if noisy is None else noisy._noise.magnitude
-        # a plain hotspot test counts hits per level, and drops decided centers
-        counting = reports is not None and noisy is None
-        # depth 1 is a prefix of each center's row, ranked by place (a plain
-        # ball of radius 0 reads none); found counts the members ranked so far
+        counting = reports is not None  # a hotspot test: hits per level, decided centers drop
+        # depth 1 is a prefix of each center's row, ranked by place (a ball
+        # of radius 0 reads none); found counts the members ranked so far
         start = indptr[centers]
         deg = indptr[centers + 1] - start
-        found = np.minimum(deg, size) if noisy is None and (nearest or not size) else deg
-        if reports is not None and nearest and s > size:
+        found = np.minimum(deg, size) if noisy is None and nearest or not size else deg
+        if counting and nearest and s > size:
             found = np.zeros_like(deg)  # no center can fire: none reads its row
         ends = found.cumsum()
         expanded = int(ends[-1])
@@ -285,7 +295,8 @@ class Graph:
         nodes = indices[start.repeat(found) + rank]
         shell = owner * n + nodes  # keys owner*n + node
         prev = np.arange(centers.size, dtype=np.int64) * n + centers
-        keys, tags = [shell], [rank]  # per level: keys, and ranks or perceived distances
+        keys, tags = [shell], [rank]  # per level: the ranked pairs' keys and ranks
+        pending = _EMPTY  # a noisy view's pairs found but not yet settled
 
         def undecided():  # nn: short of ``size`` members; counting: not yet fired or dead
             if not counting:
@@ -294,14 +305,10 @@ class Graph:
 
         if noisy is not None:
             observed = noisy._observers(centers)  # hashed once per batch
-            # the farthest perceived distance a center can keep: the radius
-            # of a ball; for nn, depth - slack at the level where the center
-            # settles, as a member perceived beyond ranks after ``size``
-            # settled ones (no bound while it is unsettled)
-            limit = np.full(centers.size, np.iinfo(np.int64).max if nearest else size)
-            # members settled per center: none at depth 1 <= slack, all pending
-            found, pending_owner = np.zeros(centers.size, dtype=np.int64), owner
-            tags[0] = pending_dist = np.ones(expanded, dtype=np.int64)  # perceived as 1
+            # depth 1 is perceived as it is (1 <= slack): it settles at 1 + slack
+            pending, pending_dist = shell, np.ones(expanded, dtype=np.int64)
+            keys, tags = [_EMPTY], [_EMPTY]
+            found, hits = np.zeros((2, centers.size), dtype=np.int64)
         elif nearest or counting:  # a decided center leaves both shells
             if counting:
                 hits = np.bincount(owner[np.flatnonzero(reports[nodes])],
@@ -309,95 +316,81 @@ class Graph:
             active = undecided()
             shell, prev = shell[np.flatnonzero(active[owner])], prev[np.flatnonzero(active)]
         depth = 1
-        while shell.size and (nearest or depth < size + slack):
-            depth += 1
-            nodes = shell % n
-            start = indptr[nodes]
-            deg = indptr[nodes + 1] - start
-            ends = deg.cumsum()
-            expanded += int(ends[-1])
-            gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
-            new = (shell - nodes).repeat(deg) + indices[gather]
-            # codes key << 1 (shell pairs) and key << 1 | 1 (candidates):
-            # once sorted, a candidate is new if its predecessor's key differs
-            code = np.concatenate([prev, shell, new]) << 1
-            code[prev.size + shell.size:] |= 1
-            code.sort()
-            keep = (code & 1).astype(bool)
-            keep[1:] &= np.diff(code) > 1
-            # flatnonzero and a gather: numpy's boolean indexing copies
-            # run by run, several times slower on masks of short runs
-            new = code[np.flatnonzero(keep)] >> 1
-            owner = new // n
-            if noisy is None:
-                # a level is in (owner, node) order, all at hop distance
-                # depth: a pair's rank is its center's members from earlier
-                # levels plus its place in its center's run
-                count = np.bincount(owner, minlength=centers.size)
-                rank = np.arange(new.size) + (found - count.cumsum() + count)[owner]
-                found += count
-                keep = slice(None)
-                if nearest:  # the cut at size falls inside this level only
-                    keep = np.flatnonzero(rank < size)
-                    np.minimum(found, size, out=found)
-                if counting:
-                    ranked = owner[keep]
-                    hits += np.bincount(ranked[np.flatnonzero(reports[new[keep] - ranked * n])],
-                                        minlength=centers.size)
-                else:
-                    keys.append(new[keep])
-                    tags.append(rank[keep])
+        while (shell.size or pending.size) and (nearest or depth < size + slack):
+            if shell.size:
+                depth += 1
+                nodes = shell % n
+                start = indptr[nodes]
+                deg = indptr[nodes + 1] - start
+                ends = deg.cumsum()
+                expanded += int(ends[-1])
+                gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
+                new = (shell - nodes).repeat(deg) + indices[gather]
+                # codes key << 1 (shell pairs) and key << 1 | 1 (candidates):
+                # once sorted, a candidate is new if its predecessor's key differs
+                code = np.concatenate([prev, shell, new]) << 1
+                code[prev.size + shell.size:] |= 1
+                code.sort()
+                keep = (code & 1).astype(bool)
+                keep[1:] &= np.diff(code) > 1
+                # flatnonzero and a gather: numpy's boolean indexing copies
+                # run by run, several times slower on masks of short runs
+                new = code[np.flatnonzero(keep)] >> 1
+                owner = new // n
+            else:  # the shell is spent: jump to the level where the next pending pair settles
+                depth = int(pending_dist.min()) + slack
+                new = owner = _EMPTY
+            # the pairs this level ranks, all at one distance, and their centers
+            level, at = new, owner
+            if noisy is not None:
+                # unfound nodes lie beyond depth hops, so are perceived beyond
+                # depth - slack: the pending pairs perceived at depth - slack settle
+                dist, fresh = noisy._perceive(observed, owner, new - owner * n, depth), new
+                if not nearest:  # a ball holds only pairs it may rank: all settle by size + slack
+                    near = np.flatnonzero(dist <= size)
+                    dist, fresh = dist[near], new[near]
+                pending = np.concatenate([pending, fresh])
+                pending_dist = np.concatenate([pending_dist, dist])
+                settled = pending_dist <= depth - slack
+                level = np.sort(pending[settled])
+                at = level // n
+                left = np.flatnonzero(~settled)
+                pending, pending_dist = pending[left], pending_dist[left]
+            # a level is in (center, node) order, all at one distance: a
+            # pair's rank is its center's members from earlier levels plus
+            # its place in its center's run
+            count = np.bincount(at, minlength=centers.size)
+            rank = np.arange(level.size) + (found - count.cumsum() + count)[at]
+            found += count
+            keep = slice(None)
+            if nearest:  # the cut at size falls inside this level only
+                keep = np.flatnonzero(rank < size)
+                np.minimum(found, size, out=found)
+            if counting:
+                ranked = at[keep]
+                hits += np.bincount(ranked[np.flatnonzero(reports[level[keep] - ranked * n])],
+                                    minlength=centers.size)
             else:
-                dist = noisy._perceive(observed, owner, new - owner * n, depth)
-                keys.append(new)
-                tags.append(dist)
-                if nearest:
-                    # a member perceived within depth - slack is settled: no
-                    # node still unexplored can be perceived closer
-                    pending_owner = np.concatenate([pending_owner, owner])
-                    pending_dist = np.concatenate([pending_dist, dist])
-                    settled = pending_dist <= depth - slack
-                    found += np.bincount(pending_owner[settled], minlength=centers.size)
-                    np.minimum(limit, depth - slack, out=limit, where=found >= size)
-                    # the rest stays pending while its center is unsettled
-                    left = np.flatnonzero(~settled & (found < size)[pending_owner])
-                    pending_owner, pending_dist = pending_owner[left], pending_dist[left]
+                keys.append(level[keep])
+                tags.append(rank[keep])
             prev, shell = shell, new
             if nearest or counting:
                 # a decided center stays decided: its pairs leave both shells
                 active = undecided()
                 shell = new[np.flatnonzero(active[owner])]
                 prev = prev[np.flatnonzero(active[prev // n])]
+                if noisy is not None:
+                    left = np.flatnonzero(active[pending // n])
+                    pending, pending_dist = pending[left], pending_dist[left]
         if counting:
             return hits >= s, expanded
+        # no sort: each pair goes to its center's offset plus its rank
         key, tag = np.concatenate(keys), np.concatenate(tags)
-        if noisy is None:
-            # no sort: each pair goes to its center's offset plus its rank
-            owner = key // n
-            at = (found.cumsum() - found)[owner] + tag
-            member, rank = np.empty_like(key), np.empty_like(tag)
-            member[at], rank[at] = key - owner * n, tag
-            owner = np.arange(centers.size, dtype=np.int64).repeat(found)
-            return owner, member, rank, expanded
         owner = key // n
-        keep = np.flatnonzero(tag <= limit[owner])
-        key, tag, owner = key[keep], tag[keep], owner[keep]
-        # one sort of (owner, perceived distance, node) codes. True distances
-        # are below n, and a noisy view shifts only those above its magnitude,
-        # so perceived ones lie in [1, 2n - 2] and span <= 2n: with at most
-        # _max_batch(n) owners every code fits in int64
-        tag -= tag.min(initial=0)
-        span = tag.max(initial=0) + 1
-        code = (owner * span + tag) * n + (key - owner * n)
-        code.sort()
-        owner, member = code // n // span, code % n
-        count = np.bincount(owner, minlength=centers.size)
-        rank = np.arange(owner.size) - (count.cumsum() - count).repeat(count)
-        if nearest:
-            keep = rank < size
-            owner, member, rank = owner[keep], member[keep], rank[keep]
-        if reports is not None:  # hits counted from the ranked members
-            return np.bincount(owner[reports[member]], minlength=centers.size) >= s, expanded
+        at = (found.cumsum() - found)[owner] + tag
+        member, rank = np.empty_like(key), np.empty_like(tag)
+        member[at], rank[at] = key - owner * n, tag
+        owner = np.arange(centers.size, dtype=np.int64).repeat(found)
         return owner, member, rank, expanded
 
     # -- components ---------------------------------------------------------
@@ -524,7 +517,7 @@ class NoisyView:
         return self._g._scan(centers, size, mode, self)
 
     def hotspots(self, centers: np.ndarray, size: int, mode: str, s: int) -> np.ndarray:
-        """Graph.hotspots by perceived distance, counted from the ranked members."""
+        """Graph.hotspots by perceived distance, counted as the members settle."""
         return self._g._scan(centers, size, mode, self, s)
 
     def ball_members(self, i: int, l: int) -> list[int]:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from hotspot.graph import (MAX_NODES, Graph, NearestTable, _edge_text, _erdos_renyi_pairs,
                            _giant_of_pairs, _pair_labels, _read_pairs, gen_erdos_renyi, gen_grid,
                            gen_power_law, gen_tree, load_edge_list, node_array, save_edge_list)
+from hotspot.detector import DetectorConfig, classify
 from hotspot.harness import DistanceNoise, NoisyView, TopologySpec
+from hotspot.scenario import ReportSnapshot
 
 from oracles import (ball_oracle, csr_invariants, components_oracle, csr_oracle,
                      edge_list_oracle, edge_text_oracle, hop_distances, largest_component_oracle,
@@ -824,3 +826,25 @@ def test_node_array_refuses_ids_that_are_not_integers(nodes, message):
     with pytest.raises(ValueError, match=message):
         node_array(nodes)
     assert node_array([3.0, 1.0]).tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("ids", [
+    [2**64],  # a Python int past uint64: an object array
+    [2**63],  # a uint64 array
+    [1, 2**63 + 5],  # a float64 array, 2**63 + 5 rounded to 2**63
+    np.array([2**63], dtype=np.uint64),
+    np.array([1e19]),
+    [-2**63 - 1],
+], ids=["past-uint64", "uint64", "mixed-float", "uint64-array", "float-array", "below-int64"])
+@pytest.mark.parametrize("entry", ["classify", "from_edges", "snapshot"])
+def test_ids_outside_int64_are_refused_by_name(ids, entry):
+    # 2**64 used to raise OverflowError, 2**63 to wrap to a negative id, and
+    # [1, 2**63 + 5] to cast with a RuntimeWarning
+    g = path_graph(4)
+    run = {"classify": lambda: classify(g, ids, DetectorConfig.nn(k=1, s=1, t=0)),
+           "from_edges": lambda: Graph.from_edges(4, [(0, v) for v in ids]),
+           "snapshot": lambda: ReportSnapshot(n=4, reporting=ids, truth="uniform")}[entry]
+    with pytest.raises(ValueError, match="does not fit in int64") as caught:
+        run()
+    named = int(re.search(r"(-?\d+) does not fit", str(caught.value)).group(1))
+    assert named >= 2**63 or named < -2**63

@@ -249,6 +249,53 @@ def test_decided_centers_read_no_deeper_level(shape, reporting, size, mode, s, f
     assert fired == _hotspot_oracle(lambda i: members(g, i, size), reporting, s)
 
 
+def test_noisy_settle_order_matches_oracles(monkeypatch):
+    # a member perceived at p settles at level p + magnitude; a piece of 2
+    # to 6 nodes ends before K + 1, so members settle after the shell is empty
+    monkeypatch.setattr(graph, "_PAIRS", 2**40)
+    rng = np.random.default_rng(34)
+    for trial in range(27):
+        magnitude = (1, 2, 3)[trial % 3]
+        flip_prob = (0.2, 0.5, 1.0)[trial // 3 % 3]
+        batch = (1, 3, 512)[trial // 9 % 3]  # every batch holds this many centers
+        monkeypatch.setattr(graph, "_BLOCK", batch)
+        monkeypatch.setattr(graph, "_max_batch", lambda n, batch=batch: batch)
+        small, large = (random_graph(int(rng.integers(lo, hi)), p, rng)
+                        for lo, hi, p in ((2, 7, 0.6), (4, 13, 0.25)))
+        g = Graph.from_edges(small.n + large.n, [
+            (offset + u, offset + v) for offset, piece in ((0, small), (small.n, large))
+            for u in range(piece.n) for v in piece.neighbors(u).tolist()])
+        seed = int(rng.integers(2**32))
+        view = NoisyView(g, DistanceNoise(flip_prob, magnitude), seed=seed)
+        ranked = [noisy_ranking_oracle(g, i, seed, flip_prob, magnitude) for i in range(g.n)]
+        nn = lambda k: lambda i: [v for _, v in ranked[i][:k]]
+        ball = lambda l: lambda i: [v for d, v in ranked[i] if d <= l]
+        reporting = np.flatnonzero(rng.random(g.n) < 0.6)
+        for size, mode, members in ([(k, "nn", nn(k)) for k in range(1, 9)]
+                                    + [(l, "ball", ball(l)) for l in range(5)]):
+            assert per_center(*view.neighborhoods(np.arange(g.n), size, mode), g.n) == [
+                members(i) for i in range(g.n)], (trial, size, mode)
+            for s in (1 + (trial + size) % 4, size + 1):
+                assert view.hotspots(reporting, size, mode, s).tolist() == _hotspot_oracle(
+                    members, reporting.tolist(), s), (trial, size, mode, s)
+
+
+def test_a_noisy_center_that_fires_early_reads_less():
+    # path 0..9, magnitude 1, no flip: a member perceived at p settles at
+    # level p + 1. Reporters 0, 1 and 2 (K = 3, s = 1) each fire at level 2
+    # on a reporting neighbor: 0 reads rows 0 and 1 (1 + 2), 1 rows 1, 0
+    # and 2 (2 + 3), 2 rows 2, 1 and 3 (2 + 4). Their whole neighborhoods
+    # settle at levels 4, 3 and 3: 0 reads rows 0..3 (1 + 2 + 2 + 2), 1
+    # rows 1, 0, 2 and 3 (2 + 3 + 2), 2 rows 2, 1, 3, 0 and 4 (2 + 4 + 3)
+    g = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
+    view = NoisyView(g, DistanceNoise(0.0, 1), seed=0)
+    reports = np.zeros(g.n, dtype=bool)
+    reports[[0, 1, 2]] = True
+    fired, read = g._neighborhood_block(np.arange(3), 3, True, view, reports, 1)
+    assert (fired.tolist(), read) == ([True] * 3, 3 + 5 + 6)
+    assert g._neighborhood_block(np.arange(3), 3, True, view)[3] == 7 + 7 + 9
+
+
 @pytest.mark.parametrize("centers, message", [
     (np.array([4.7]), "node id 4.7 is not an integer"),
     (np.array([1.0, np.nan]), "node id nan is not an integer"),
@@ -368,7 +415,7 @@ def test_batch_cap_holds_for_any_noise_magnitude():
                         view.neighborhoods(centers, size, mode)):
             assert np.array_equal(h, w)
     cap = _max_batch(MAX_NODES)
-    assert cap >= 1 and cap * 2 * MAX_NODES * MAX_NODES < 2**63
+    assert cap >= 1 and cap * 2 * MAX_NODES < 2**63
 
 
 def test_kernel_validation():

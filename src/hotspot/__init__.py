@@ -6,10 +6,9 @@ reported independently at random, by counting reporting nodes whose local
 neighborhood is unusually full of other reporters.
 """
 
-from .calibration import (ErrorBounds, GammaEntry, GammaProfile,
-                          ReportingProbabilities, error_bounds, estimate_gamma,
-                          gamma_analytic_tree, gamma_for_set, gamma_lower_bound,
-                          reporting_probabilities, solve_k)
+from .calibration import (ErrorBounds, GammaEntry, GammaProfile, ReportingProbabilities,
+                          error_bounds, estimate_gamma, gamma_analytic_tree, gamma_for_set,
+                          gamma_lower_bound, gamma_tree_profile, reporting_probabilities, solve_k)
 from .detector import (DetectorConfig, Verdict, classify, prescribe,
                        select_params_dense, select_params_small)
 from .graph import (Graph, gen_erdos_renyi, gen_grid, gen_power_law, gen_tree,

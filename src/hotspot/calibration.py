@@ -245,6 +245,11 @@ def gamma_analytic_tree(k: int) -> float:
     return 1.0 / k
 
 
+def gamma_tree_profile() -> GammaProfile:
+    """gamma_analytic_tree(K) for K = 1..64 as an exact profile: stderr 0, one trial."""
+    return GammaProfile([GammaEntry(k, gamma_analytic_tree(k), 0.0, 1) for k in range(1, 65)])
+
+
 def gamma_lower_bound(infection_size: int) -> float:
     """Fallback 1/|S|: valid whenever at least one infected node has all of
     its nearest neighbors infected."""

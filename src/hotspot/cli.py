@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, simulate, detect, gamma, bounds, sweep,
-threshold-sweep, describe. Every run honors --seed (fallbacks: a sweep
-config's seed=, then $HOTSPOT_SEED, then 0) for bitwise reproducibility;
+threshold-sweep, describe. Every run that draws honors --seed (fallbacks: a
+sweep config's seed=, then $HOTSPOT_SEED, then 0) for bitwise reproducibility;
 sweep flags override the keys of a --config file. detect exits 0 for a
 uniform-reporting verdict, 2 for an epidemic verdict and 1 on any error.
 """
@@ -26,7 +26,10 @@ EXIT_EPIDEMIC = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; keep 2 reserved for epidemic verdicts."""
+    """Exit 1, not argparse's 2 (an epidemic verdict), on bad flags; no abbreviations."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -115,17 +118,18 @@ def _auto_detect_config(args, regime, g, reporting) -> DetectorConfig:
         if args.alpha is None:
             raise ValueError("--gamma-fallback needs --alpha")
         gamma = calibration.gamma_lower_bound(math.ceil(args.alpha * g.n))
+    elif args.family:
+        gamma = 1.0 if args.family == "grid" else calibration.gamma_tree_profile()
     cfg = detector.prescribe(
         g.n, len(reporting), regime, q=args.q, alpha=args.alpha, f=args.f or 0.0,
-        gamma=gamma, topology=args.family or "general", log_base=args.log_base,
-        beta=args.beta, rho=args.rho, mu=args.mu)
+        gamma=gamma, log_base=args.log_base, beta=args.beta, rho=args.rho, mu=args.mu)
     print(cfg.note, file=sys.stderr)
     return cfg
 
 
 def _cmd_detect(args) -> int:
     prescribed = (args.regime or args.gamma_profile or args.gamma is not None
-                  or args.gamma_fallback)
+                  or args.gamma_fallback or args.family)
     kind = args.regime or ("auto" if prescribed else args.mode or "nn")
     # a prescription also refuses --mode, which picks a fixed detector
     unused = harness.unread_detector_keys(
@@ -182,6 +186,8 @@ def _spec_from_args(args) -> "harness.ExperimentSpec":
     """The --config mapping less the keys a --graph, --topology or --detector
     kind does not read (the flag replaces that part), overlaid by every flag given."""
     raw = harness.read_mapping(args.config) if args.config else {}
+    if args.command == "threshold-sweep":
+        raw.pop("t", None)  # each row's threshold is a --t-values entry
     if args.graph or args.topology:
         for f in harness.unread_fields("file" if args.graph else args.topology):
             raw.pop(f.name, None)
@@ -261,7 +267,7 @@ def build_parser() -> _Parser:
     gamma.add_argument("--gamma-profile", help="gamma profile CSV from the gamma command")
     gamma.add_argument("--gamma-fallback", action="store_true", default=None,
                        help="use the 1/|S| lower bound for gamma")
-    p_det.add_argument("--family", choices=["general", "grid", "tree"], help="default general")
+    gamma.add_argument("--family", choices=["grid", "tree"], help="grid: 1; tree: 1/K, K <= 64")
     p_det.add_argument("--log-base", type=float, default=None)
 
     p_gam = sub.add_parser("gamma", help="estimate the interior fraction by simulation")
@@ -300,7 +306,8 @@ def build_parser() -> _Parser:
         p_sw.add_argument("--k", type=int)
         p_sw.add_argument("--l", type=int)
         p_sw.add_argument("--s", type=int)
-        p_sw.add_argument("--t", type=float)
+        if name == "sweep":  # threshold-sweep takes its thresholds from --t-values
+            p_sw.add_argument("--t", type=float)
         p_sw.add_argument("--sweep", help="swept variable name")
         p_sw.add_argument("--values", help="comma-separated sweep values")
         p_sw.add_argument("--trials", type=int)
@@ -313,9 +320,9 @@ def build_parser() -> _Parser:
 
     sub.add_parser("describe", help="print every behavioral default")
 
-    for p_sub in sub.choices.values():
-        p_sub.add_argument("--seed", type=int, default=None,
-                           help="master RNG seed (default: $HOTSPOT_SEED or 0)")
+    for name in ("generate", "simulate", "gamma", "sweep", "threshold-sweep"):  # they draw
+        sub.choices[name].add_argument("--seed", type=int, default=None,
+                                       help="master RNG seed (default: $HOTSPOT_SEED or 0)")
     return parser
 
 

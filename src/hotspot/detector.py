@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import (GammaProfile, gamma_analytic_tree, reporting_probabilities,
-                          smallest_k)
+from .calibration import GammaProfile, reporting_probabilities, smallest_k
 from .graph import BALL, NN, node_array
 from .scenario import EPIDEMIC, UNIFORM
 
@@ -113,32 +112,22 @@ def _check_gamma(gamma: float) -> None:
 
 
 def select_params_dense(gamma: float | GammaProfile, f: float, p_in: float, p: float,
-                        n_reporting: int, topology: str = "general",
-                        log_base: float | None = None) -> DetectorConfig:
+                        n_reporting: int, log_base: float | None = None) -> DetectorConfig:
     """Dense-regime K and T prescription.
 
     K is the smallest K >= 1 with K >= log(gamma(K)^-1 (f+1)), natural log
     unless ``log_base`` is given (see calibration.smallest_k), and
-    T = (n_reporting/2) * (gamma(K) p_in^K/(f+1) + p^K). ``topology`` fixes
-    gamma(K): "general" takes ``gamma``, a constant or a GammaProfile (K then
-    ranges over the profiled values); "grid" uses gamma = 1; "tree" uses
-    gamma(K) = 1/K with K <= 64.
+    T = (n_reporting/2) * (gamma(K) p_in^K/(f+1) + p^K). ``gamma`` is a
+    constant (1 on a grid) or a GammaProfile, and K then ranges over its
+    profiled values (calibration.gamma_tree_profile for a tree).
     """
-    profiled = isinstance(gamma, GammaProfile)
-    if not profiled:
-        _check_gamma(gamma)
-    if not p_in > p > 0.0:
-        raise ValueError("need p_in > p > 0 for the dense-regime prescription")
-    if topology == "grid":
-        gamma_of_k, k_values = (lambda k: 1.0), itertools.count(1)
-    elif topology == "tree":
-        gamma_of_k, k_values = gamma_analytic_tree, range(1, 65)
-    elif topology != "general":
-        raise ValueError(f"unknown topology {topology!r}")
-    elif profiled:
+    if isinstance(gamma, GammaProfile):
         gamma_of_k, k_values = gamma.gamma, gamma.k_values()
     else:
+        _check_gamma(gamma)
         gamma_of_k, k_values = (lambda k: gamma), itertools.count(1)
+    if not p_in > p > 0.0:
+        raise ValueError("need p_in > p > 0 for the dense-regime prescription")
     k = smallest_k(gamma_of_k, f, k_values, log_base)
     gamma_k = gamma_of_k(k)
     _check_gamma(gamma_k)
@@ -149,9 +138,9 @@ def select_params_dense(gamma: float | GammaProfile, f: float, p_in: float, p: f
 
 def prescribe(graph_n: int, n_reporting: int, regime: str = "auto", *,
               q: float | None = None, alpha: float | None = None, f: float = 0.0,
-              gamma: float | GammaProfile | None = None, topology: str = "general",
-              log_base: float | None = None, beta: float | None = None,
-              rho: float | None = None, mu: float | None = None) -> DetectorConfig:
+              gamma: float | GammaProfile | None = None, log_base: float | None = None,
+              beta: float | None = None, rho: float | None = None,
+              mu: float | None = None) -> DetectorConfig:
     """K and T for a snapshot of n_reporting reporters on a graph_n-node graph.
 
     ``regime`` "auto" picks "dense" when the observed density
@@ -181,8 +170,7 @@ def prescribe(graph_n: int, n_reporting: int, regime: str = "auto", *,
         if gamma is None:
             raise ValueError("dense regime needs gamma or a gamma profile")
         probs = reporting_probabilities(q, alpha, f)
-        cfg = select_params_dense(gamma, f, probs.p_in, probs.p, n_reporting,
-                                  topology=topology, log_base=log_base)
+        cfg = select_params_dense(gamma, f, probs.p_in, probs.p, n_reporting, log_base)
     else:
         raise ValueError(f"unknown regime {regime!r}")
     return replace(cfg, note=note + cfg.note)

@@ -457,8 +457,9 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
         return val in _TRUE
 
     sweep_name = raw.pop("sweep", "t")
-    sweep_values = tuple(_parse_scalar(v) for v in raw.pop("values", "0").split(",")
-                         if v.strip())
+    # a t sweep with no values runs at the given t
+    values = raw.pop("values", raw.get("t", "0") if sweep_name == "t" else "0")
+    sweep_values = tuple(_parse_scalar(v) for v in values.split(",") if v.strip())
     if _SWEEPS.get(sweep_name, ("",))[0] == "topology" and sweep_values:
         # a swept graph field needs no fixed value: every point sets its own
         raw.setdefault(sweep_name, str(sweep_values[0]))

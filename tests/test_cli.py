@@ -976,24 +976,31 @@ def test_detect_refuses_a_size_its_mode_does_not_read(tmp_path, capsys, flags, e
 @pytest.mark.parametrize("mode", ["nn", "ball"])
 def test_fixed_detect_refuses_a_prescription_flag(tmp_path, capsys, flags, mode):
     # a fixed detector (--k / --l, --s, --t) used to print the same row with
-    # or without each of these, which only a prescription reads
+    # or without each of these, which only a prescription reads; --family is
+    # a gamma source, so it makes the run a prescription, which refuses the size
     snap = tmp_path / "snap.txt"
     snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
     size = ["--k", "2"] if mode == "nn" else ["--mode", "ball", "--l", "2"]
     code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 6),
                          "--snapshot", str(snap), *size, "--s", "2", "--t", "3", *flags)
-    assert (code, out, err) == (1, "", f"error: --mode {mode} does not use {flags[0]}\n")
+    error = (f"--regime does not use {size[0]}" if flags[0] == "--family"
+             else f"--mode {mode} does not use {flags[0]}")
+    assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
 def test_prescribed_detect_fills_in_the_f_and_family_defaults(tmp_path, capsys):
-    # --f and --family default to None so that a fixed detect can refuse them;
-    # a prescription reads them as 0 and general, as it did before
+    # --f defaults to None so that a fixed detect can refuse it; a
+    # prescription reads it as 0. --family has no default: it is a gamma
+    # source, and --family grid reads as --gamma 1
     snap = tmp_path / "snap.txt"
     snap.write_text("truth=epidemic n=40\n1\n2\n3\n20\n")
     base = ["detect", "--graph", write_path_graph(tmp_path, 40), "--snapshot", str(snap),
-            "--regime", "dense", "--q", "0.5", "--alpha", "0.1", "--gamma", "0.5"]
-    runs = [run(capsys, *base), run(capsys, *base, "--f", "0", "--family", "general")]
+            "--regime", "dense", "--q", "0.5", "--alpha", "0.1"]
+    runs = [run(capsys, *base, "--gamma", "0.5"),
+            run(capsys, *base, "--gamma", "0.5", "--f", "0")]
     assert runs[0] == runs[1] and runs[0][0] in (0, 2) and runs[0][1]
+    grid = run(capsys, *base, "--family", "grid")
+    assert grid == run(capsys, *base, "--gamma", "1") and "gamma=1 " in grid[2]
 
 
 @pytest.mark.parametrize("regime, flags", [
@@ -1017,9 +1024,12 @@ def test_detect_refuses_a_flag_its_regime_does_not_read(tmp_path, capsys, regime
 @pytest.mark.parametrize("prescription", [
     ["--regime", "auto", "--gamma", "0.5"], ["--regime", "auto", "--gamma-profile", "PROFILE"],
     ["--regime", "auto", "--gamma-fallback"], ["--gamma", "0.5"],
-], ids=["auto-gamma", "auto-profile", "auto-fallback", "bare-gamma"])
+    ["--regime", "auto", "--family", "grid"], ["--family", "tree"],
+], ids=["auto-gamma", "auto-profile", "auto-fallback", "bare-gamma", "auto-family",
+        "bare-family"])
 def test_auto_detect_accepts_every_prescription_flag(tmp_path, capsys, prescription):
-    # auto may take either regime, so it reads the flags of both
+    # auto may take either regime, so it reads the flags of both; --family
+    # is one of the gamma sources, so it is given only as the prescription
     profile = tmp_path / "gamma.csv"
     profile.write_text("K,gamma,stderr,trials,topology\n1,0.5,0.01,10,\n")
     prescription = [str(profile) if flag == "PROFILE" else flag for flag in prescription]
@@ -1027,9 +1037,64 @@ def test_auto_detect_accepts_every_prescription_flag(tmp_path, capsys, prescript
     snap.write_text("truth=epidemic n=40\n1\n2\n3\n20\n")
     code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 40),
                          "--snapshot", str(snap), *prescription, "--q", "0.5",
-                         "--alpha", "0.1", "--f", "0", "--family", "tree", "--log-base", "2",
+                         "--alpha", "0.1", "--f", "0", "--log-base", "2",
                          "--beta", "0.3", "--rho", "0.1", "--mu", "0.05")
     assert code in (0, 2) and out.count(",") == 5 and "regime" in err, err
+
+
+@pytest.mark.parametrize("source", [["--gamma", "0.5"], ["--gamma-profile", "gamma.csv"],
+                                    ["--gamma-fallback"]], ids=lambda flags: flags[0])
+def test_family_is_one_of_the_exclusive_gamma_sources(capsys, source):
+    code, out, err = run(capsys, "detect", "--graph", "g.txt", "--snapshot", "s.txt",
+                         "--family", "tree", *source)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {source[0]}: not allowed with argument --family\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["detect", "--graph", "g.txt", "--snapshot", "s.txt", "--seed", "3"], "--seed 3"),
+    (["bounds", "--gamma", "0.5", "--q", "0.3", "--alpha", "0.2", "--k", "1",
+      "--n-reporting", "5", "--seed", "3"], "--seed 3"),
+    (["describe", "--seed", "3"], "--seed 3"),
+    (["threshold-sweep", "--topology", "grid", "--side", "5", "--t-values", "1", "--t", "9"],
+     "--t 9"),
+    (["sweep", "--topology", "grid", "--side", "5", "--val", "3"], "--val 3"),
+], ids=["detect-seed", "bounds-seed", "describe-seed", "threshold-sweep-t", "sweep-prefix"])
+def test_argparse_refuses_a_flag_no_path_reads(capsys, argv, flag):
+    # no run reads these: detect, bounds and describe draw nothing, a threshold
+    # sweep's thresholds are its --t-values, and a prefix (--val) is not a flag
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+
+def test_a_t_sweep_with_no_values_runs_at_the_given_t(tmp_path, capsys):
+    # t is the default sweep, so with no values the given t is its one point
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology=grid\nside=8\nalpha=0.2\nq=0.6\ndetector=nn\nk=3\ns=2\n"
+                   "t=5\ntrials=2\n")
+    code, given, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0, err
+    assert given.splitlines()[1].startswith("5,2,")
+    assert given == run(capsys, "sweep", "--config", str(cfg), "--sweep", "t", "--values", "5")[1]
+    never = run(capsys, "sweep", "--config", str(cfg), "--t", "1000")[1]
+    assert never.splitlines()[1].startswith("1000.0,2,0,1,")  # type I 0, type II 1
+    cfg.write_text(cfg.read_text().replace("t=5\n", ""))
+    assert run(capsys, "sweep", "--config", str(cfg))[1].splitlines()[1].startswith("0,2,")
+
+
+def test_threshold_sweep_drops_the_configs_t(tmp_path, capsys):
+    # each row's threshold is a --t-values entry, so a config's t= is dropped
+    # as --detector drops the keys its kind does not read: auto, which refuses
+    # a t of its own, runs
+    cfg = tmp_path / "exp.cfg"
+    body = ("topology=grid\nside=8\nalpha=0.2\nq=0.6\ndetector=auto\nsweep=q\nvalues=0.6\n"
+            "trials=2\n")
+    cfg.write_text(body)
+    code, plain, err = run(capsys, "threshold-sweep", "--config", str(cfg), "--t-values", "0,3")
+    assert code == 0, err
+    cfg.write_text(body + "t=5\n")
+    assert run(capsys, "threshold-sweep", "--config", str(cfg), "--t-values", "0,3") == (
+        0, plain, "")
 
 
 def test_detector_auto_drops_the_configs_s_and_t_and_refuses_them_as_its_own(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotspot.calibration import (GammaEntry, GammaProfile, gamma_for_set,
-                                 reporting_probabilities)
+                                 gamma_tree_profile, reporting_probabilities)
 from hotspot.detector import (DetectorConfig, classify, prescribe, select_params_dense,
                               select_params_small)
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid
@@ -226,16 +226,18 @@ def test_select_dense_examples():
 
 
 def test_select_dense_grid_rule():
-    cfg = select_params_dense(gamma=0.5, f=1.0, p_in=0.5, p=0.1,
-                              n_reporting=1000, topology="grid")
-    assert cfg.k_or_l == 1  # ceil(ln 2), gamma ignored
+    # a grid is the constant gamma = 1
+    cfg = select_params_dense(gamma=1.0, f=1.0, p_in=0.5, p=0.1, n_reporting=1000)
+    assert cfg.k_or_l == 1  # ceil(ln 2)
     assert cfg.t == pytest.approx((1000 / 2) * (0.5 / 2 + 0.1))
 
 
 def test_select_dense_tree_rule():
-    cfg = select_params_dense(gamma=0.5, f=150.0, p_in=0.5, p=0.1,
-                              n_reporting=1000, topology="tree")
+    # a tree is the profile gamma(K) = 1/K, K <= 64
+    cfg = select_params_dense(gamma=gamma_tree_profile(), f=150.0, p_in=0.5, p=0.1,
+                              n_reporting=1000)
     assert cfg.k_or_l == 7  # minimal K with K >= ln(151 K)
+    assert cfg.t == pytest.approx((1000 / 2) * (0.5 ** 7 / (7 * 151) + 0.1 ** 7))
 
 
 def test_select_dense_log_base_override():
@@ -249,9 +251,9 @@ def test_select_dense_errors():
         select_params_dense(gamma=0.0, f=1.0, p_in=0.5, p=0.1, n_reporting=10)
     with pytest.raises(ValueError):
         select_params_dense(gamma=0.5, f=1.0, p_in=0.1, p=0.5, n_reporting=10)
-    with pytest.raises(ValueError):
-        select_params_dense(gamma=0.5, f=1.0, p_in=0.5, p=0.1, n_reporting=10,
-                            topology="torus")
+    # a constant above 1 is refused before any K is tried
+    with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\]"):
+        select_params_dense(gamma=1.5, f=1.0, p_in=0.5, p=0.1, n_reporting=10)
 
 
 def test_prescribe_one_rule_for_every_caller():

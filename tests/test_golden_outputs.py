@@ -1,12 +1,13 @@
 """Golden bytes: sha256 digests of generated graphs, snapshot files and
 fixed-seed sweep CSVs.
 
-A refactor of the graph layer or the harness must leave these bytes as they
-are. A digest that changes on purpose (a new generator, a changed rule) is
+A refactor of the graph layer, the harness or the CLI must leave these bytes
+as they are. A digest that changes on purpose (a new generator, a changed rule) is
 updated in the same change, with the reason written down beside it.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +229,135 @@ def test_gamma_table_stdout_bytes(capsys):
                  "--trials", "20"]) == 0
     assert text_digest(capsys.readouterr().out) == (
         "571465a17b30396e0390617ae14d3c383610c13e1e017cf4c8c5df1f82944e83")
+
+
+# Golden CLI transcripts: argv, then the sha256 of stdout and of stderr and
+# the exit code, each run in process through cli.main. The upper-case tokens
+# name the inputs cli_inputs writes: a 12x12 grid, an epidemic snapshot on
+# it, a one-reporter snapshot (density under the auto cutoff), a gamma
+# profile, a config with t= and no sweep=, one with sweep=, and a shipped
+# config.
+EMPTY = text_digest("")  # no output at all
+_DETECT = ["detect", "--graph", "GRAPH", "--snapshot", "SNAP"]
+_DENSE = ["--q", "0.3", "--alpha", "0.2", "--f", "8"]
+_CFG = ("topology=grid\nside=8\nalpha=0.2\nq=0.6\nf=0.5\ndetector=nn\nk=3\ns=2\nt=4\n"
+        "trials=2\nseed=9\n")
+CLI = {
+    "detect_nn": ([*_DETECT, "--k", "3", "--s", "2", "--t", "5"],
+        "83544c0192b3b1e7e0f52d4aeac1a1de0f8c5fb2e9507926fb3ff79e30296a7d",
+        EMPTY, 2),
+    "detect_nn_defaults_header": ([*_DETECT, "--header"],
+        "d045b0550fc8f740641f3b1c1514e8587ff339a76f3062232269fc2333e1e22c",
+        EMPTY, 2),
+    "detect_ball_header": ([*_DETECT, "--mode", "ball", "--l", "2", "--s", "3", "--t", "5",
+                            "--header"],
+        "b913a1c662085129fdc4c357ca0d032467aa92188498cc749d9adc26d465d930",
+        EMPTY, 2),
+    "detect_dense_gamma": ([*_DETECT, "--regime", "dense", *_DENSE, "--gamma", "0.4"],
+        "729acf3bf0e70b7fdaa567a7257525165a49655d33314308c6e52fe8435a0452",
+        "74fa0decdce223750285778ce7e93b80746fb0cd2f3b9d78210fe67df19bb3dd", 0),
+    "detect_dense_gamma_log_base": ([*_DETECT, "--regime", "dense", *_DENSE, "--gamma", "0.4",
+                                     "--log-base", "2"],
+        "05e4d2f66fadec56a21adcc30e73fbb7fe6bd0ff09a08ff2c7c22a139c10ee4d",
+        "442a7416cf22b3914771927dea804c4cefd2901c0f1a0ac26e5561b833504afb", 0),
+    "detect_dense_profile": ([*_DETECT, "--regime", "dense", *_DENSE, "--gamma-profile",
+                              "PROFILE"],
+        "d1fb535b85986e29e53511b88ddf3a8b943bc76ef1c9f4e3ba6e105bc16b520f",
+        "1486834ea40c5556c01e6f76d3c57480155814b33899e81a97909a3501c82dbe", 0),
+    "detect_dense_fallback": ([*_DETECT, "--regime", "dense", *_DENSE, "--gamma-fallback"],
+        "c0c8a6d256c7f9dc91312246f55304032191282fa4731aa4a14d16eb19e91729",
+        "e89902f9ead37d8062d6ba6fa0d1fbaf03a1628143f4e81d9e0903e2d81c1e4a", 0),
+    "detect_small": ([*_DETECT, "--regime", "small", "--beta", "0.6", "--rho", "0.5",
+                      "--mu", "0.1"],
+        "7dbd290905a75add91c6364620488cf4c3cdce64508db33fe26faf614675c459",
+        "358a6578e5db3dea96017b236416da7d7ffd1c01e280ce39bfa6d11923ee4592", 2),
+    "detect_auto_dense": ([*_DETECT, *_DENSE, "--gamma", "0.4", "--header"],
+        "d0a0c3c18ecb29756ceba418e44f8afcc8e2e5ee63f7d5be71d53f0f85ee277e",
+        "5a93ea8cf4734887efd70456127ebec9434fffcb8875d398ac4c0e23806d3a96", 0),
+    "detect_auto_small": (["detect", "--graph", "GRAPH", "--snapshot", "SPARSE",
+                           "--regime", "auto"],
+        "27e8938ce9df6201b935de3b71c017252c7b83bda1d83b0661b114d67e422ba5",
+        "26493035511109116f3c2bed08056b8e99ea37226b8fee6ce1313460b0c6f7af", 0),
+    # --family is a gamma source: each row below prints the bytes its
+    # "--family F --gamma 0.5" row printed while --family overrode the gamma
+    "detect_dense_family_grid": ([*_DETECT, "--regime", "dense", *_DENSE, "--family", "grid"],
+        "0b6260b557255aa3323a580bc883eea24d066cbb2ccb5359048ab97016a531cc",
+        "6a33632bc2bac24848e6421de1d65b143dc549afa08e0c4ca7053f21d533a1f6", 0),
+    "detect_dense_family_tree": ([*_DETECT, "--regime", "dense", *_DENSE, "--family", "tree"],
+        "3078df8d230166a1cf846e14557ace535aca5089912c9921525c102c4c80eb21",
+        "90d7d0ef5f02038d4b5d18d2fd5e02e5095bab05b844127d38a1582b43b2e3b7", 0),
+    "detect_auto_family_tree": ([*_DETECT, *_DENSE, "--family", "tree"],
+        "3078df8d230166a1cf846e14557ace535aca5089912c9921525c102c4c80eb21",
+        "6f69a3c7085e66d08e85540b8a4629c0f1a098bec5425e8a98eb7067b4c2219a", 0),
+    # ... and argparse refuses a second gamma source with it (these rows
+    # printed the bytes above before)
+    "detect_dense_family_grid_gamma": ([*_DETECT, "--regime", "dense", *_DENSE,
+                                        "--family", "grid", "--gamma", "0.5"],
+        EMPTY, "849dded060a187325616000d85da253cca733955605af36ad49a36ed1e1de94a", 1),
+    "detect_dense_family_tree_gamma": ([*_DETECT, "--regime", "dense", *_DENSE,
+                                        "--family", "tree", "--gamma", "0.5"],
+        EMPTY, "849dded060a187325616000d85da253cca733955605af36ad49a36ed1e1de94a", 1),
+    "detect_auto_family_tree_gamma": ([*_DETECT, *_DENSE, "--family", "tree", "--gamma", "0.5"],
+        EMPTY, "849dded060a187325616000d85da253cca733955605af36ad49a36ed1e1de94a", 1),
+    "bounds": (["bounds", "--gamma", "0.5", "--q", "0.3", "--alpha", "0.2", "--f", "1",
+                "--k", "3", "--n-reporting", "100"],
+        "b378127b4d641345f63b83d3030475421b8b6dff8e08c98ddf0f3026454d88e5",
+        EMPTY, 0),
+    "bounds_not_separated": (["bounds", "--gamma", "0.01", "--q", "0.3", "--alpha", "0.2",
+                              "--f", "1", "--k", "1", "--n-reporting", "100"],
+        "865ee9bb0ca3f5bab18081d443150bf74ac80c64b2728511f29623c307580b55",
+        "69d61488cca05eedb30c7c319ea4e44ec918308d648a368e543c97e6361603c3", 0),
+    "describe": (["describe"],
+        "78f9db2b2bc508131ee6f2419348d31f171ecea791cebb38ab54fda8e26c7b2d",
+        EMPTY, 0),
+    # a t sweep with no values runs at the config's t=4; it ran at t=0
+    # (digest ffb7c1805c1c942e25a1c893c9c731be70b239768a8eb625fe0050db9a96813a)
+    "sweep_no_sweep_key": (["sweep", "--config", "CFG"],
+        "893ac277c01d911e39359d0583f9867c7e4269345fcd8fe4a91126dccd907b45",
+        EMPTY, 0),
+    "sweep_swept_config": (["sweep", "--config", "SWEPT"],
+        "aa710eacc1821444f6cfa939cb96f5c6e5752c4a0998f310a5f19e4198e6a06f",
+        EMPTY, 0),
+    "threshold_sweep_config_t": (["threshold-sweep", "--config", "CFG", "--t-values", "0,2,5"],
+        "97afdad2c91afc97ed5950cfee19584bcf1e403ae97c0b80be32baef9dcd7826",
+        EMPTY, 0),
+    "separability_sweep": (["sweep", "--config", "SEPARABILITY", "--n", "400",
+                            "--values", "1,2", "--trials", "2"],
+        "f8c39bdadf124e209458f2c7640621fa9d89933b81c6d3949b210e46326ba43b",
+        EMPTY, 0),
+    "separability_threshold_sweep": (["threshold-sweep", "--config", "SEPARABILITY",
+                                      "--n", "400", "--values", "2", "--trials", "2",
+                                      "--t-values", "0,5,10"],
+        "a388246e7338d425d64d7a474517178d804a258ac8d06ab84dceaaa062c98999",
+        EMPTY, 0),
+}
+
+
+def cli_inputs(tmp) -> dict[str, str]:
+    g = gen_grid(2, 12)
+    save_edge_list(g, tmp / "grid.txt")
+    snap, _ = make_epidemic_snapshot(g, ScenarioParams(alpha=0.2, q=0.6, f=0.5), 5)
+    texts = {
+        "SNAP": snap.to_text(),
+        "SPARSE": "truth=uniform n=144\n40\n",
+        "PROFILE": "K,gamma,stderr,trials,topology\n1,0.9,0.01,10,grid\n"
+                   "2,0.7,0.02,10,grid\n3,0.55,0.02,10,grid\n4,0.4,0.03,10,grid\n",
+        "CFG": _CFG,
+        "SWEPT": _CFG.replace("detector=nn\nk=3\ns=2", "detector=ball\nl=2\ns=1")
+                 + "sweep=q\nvalues=0.4,0.8\n",
+    }
+    for name, text in texts.items():
+        (tmp / name).write_text(text)
+    experiments = Path(__file__).resolve().parent.parent / "experiments"
+    return {"GRAPH": str(tmp / "grid.txt"), **{name: str(tmp / name) for name in texts},
+            "SEPARABILITY": str(experiments / "separability.cfg")}
+
+
+@pytest.mark.parametrize("name", sorted(CLI))
+def test_cli_transcript_bytes(name, tmp_path, capsys, monkeypatch):
+    argv, out_digest, err_digest, code = CLI[name]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    files = cli_inputs(tmp_path)
+    got = main([files.get(arg, arg) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (text_digest(out), text_digest(err), got) == (out_digest, err_digest, code)

@@ -45,23 +45,20 @@ def _seed(args) -> int:
     return harness.cast_value(f"HOTSPOT_SEED={seed!r}", seed, int)
 
 
-def _add_topology_flags(p: argparse.ArgumentParser, graph: bool = True) -> None:
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--topology", choices=["er", "grid", "tree", "powerlaw", "file"],
-                        help="graph family")
-    if graph:
-        source.add_argument("--graph", help="edge-list file (instead of --topology)")
-    p.add_argument("--n", type=int, help="node count (er, powerlaw)")
-    p.add_argument("--p", type=float, help="edge probability (er; default 2/n)")
-    p.add_argument("--dim", type=int, help="grid dimension (default 2)")
-    p.add_argument("--side", type=int, help="grid side length")
-    p.add_argument("--degree", type=int, help="tree branching factor")
-    p.add_argument("--depth", type=int, help="tree depth")
-    p.add_argument("--exponent", type=float, help="power-law exponent (default 2.5)")
-    p.add_argument("--compact", action="store_true",
-                   help="remap file node ids to dense indices")
-    p.add_argument("--giant", action="store_true",
-                   help="restrict to the largest connected component")
+def _add_flags(p: argparse.ArgumentParser, keys) -> None:
+    """A flag for each key-table row named in ``keys``, in table order: --graph
+    for the key path, else --<key>; --topology and --graph come first and
+    exclude each other."""
+    source = p.add_mutually_exclusive_group() if "topology" in keys else p
+    for key in sorted(keys, key=lambda key: key not in ("topology", "path")):
+        row = harness.KEYS[key]
+        flag = "--graph" if key == "path" else "--" + key.replace("_", "-")
+        takes = (dict(action="store_true") if row.cast is bool else
+                 dict(type=row.cast if row.cast in (int, float) else None, choices=row.choices))
+        (source if key in ("topology", "path") else p).add_argument(flag, help=row.help, **takes)
+
+
+_TOPOLOGY_KEYS = [key for key, row in harness.KEYS.items() if row.part == "topology"]
 
 
 def _load_graph(args):
@@ -69,10 +66,8 @@ def _load_graph(args):
     path = getattr(args, "graph", None)
     if not (path or args.topology):
         raise ValueError("need --graph FILE or --topology FAMILY")
-    return harness.TopologySpec(
-        kind="file" if path else args.topology, n=args.n, p=args.p, dim=args.dim,
-        side=args.side, degree=args.degree, depth=args.depth, exponent=args.exponent,
-        path=path, compact=args.compact, giant=args.giant).build(_seed(args))
+    given = {**vars(args), "topology": "file" if path else args.topology, "path": path}
+    return harness.TopologySpec(**harness.part_fields(given, "topology")).build(_seed(args))
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -86,6 +81,8 @@ def _write_text(text: str, out: str | None) -> None:
 def _cmd_generate(args) -> int:
     if args.topology in (None, "file"):
         raise ValueError("generate needs --topology er|grid|tree|powerlaw")
+    if args.seed is not None and args.topology in harness.FIXED_KINDS:
+        raise ValueError(f"--topology {args.topology} does not use --seed")
     g = _load_graph(args)
     save_edge_list(g, args.out)
     print(f"wrote {g.n} nodes, {g.num_edges} edges to {args.out}", file=sys.stderr)
@@ -96,14 +93,19 @@ def _cmd_simulate(args) -> int:
     unused = {"epidemic": "null_p", "null": "seeds"}[args.scenario]  # the other one's flag
     if getattr(args, unused) is not None:
         raise ValueError(f"--scenario {args.scenario} does not use --{unused.replace('_', '-')}")
+    for name in ("alpha", "q", "f") if args.null_p is not None else ():
+        if getattr(args, name) is not None:  # a given null probability is not matched
+            raise ValueError(f"--scenario null with --null-p does not use --{name}")
     g = _load_graph(args)
+    # an unset --alpha, --q or --f takes a sweep scenario's default
+    rule = {**vars(harness.ScenarioRule()), **harness.part_fields(vars(args), "scenario")}
     if args.scenario == "epidemic":
-        params = ScenarioParams(alpha=args.alpha, q=args.q, f=args.f,
+        params = ScenarioParams(alpha=rule["alpha"], q=rule["q"], f=rule["f"],
                                 num_seeds=1 if args.seeds is None else args.seeds)
         snap, _ = make_epidemic_snapshot(g, params, _seed(args))
     else:
         p = (args.null_p if args.null_p is not None else
-             calibration.reporting_probabilities(args.q, args.alpha, args.f).p)
+             calibration.reporting_probabilities(rule["q"], rule["alpha"], rule["f"]).p)
         snap = generate_uniform_null(g, p, _seed(args))
     _write_text(snap.to_text(), args.out)
     return 0
@@ -131,9 +133,9 @@ def _cmd_detect(args) -> int:
     prescribed = (args.regime or args.gamma_profile or args.gamma is not None
                   or args.gamma_fallback or args.family)
     kind = args.regime or ("auto" if prescribed else args.mode or "nn")
-    # a prescription also refuses --mode, which picks a fixed detector
-    unused = harness.unread_detector_keys(
-        kind, vars(args), ("mode",) * bool(prescribed) + harness.DETECT_KEYS)
+    # a fixed detector's flags are named first, then a prescription's
+    unused = sorted(harness.unread_keys(kind, vars(args), ("detector", "scenario", None)),
+                    key=lambda key: not set(harness.KEYS[key].reads) <= {"nn", "ball"})
     if unused:
         raise ValueError(f"{'--regime' if prescribed else '--mode ' + kind} "
                          f"does not use --{unused[0].replace('_', '-')}")
@@ -179,24 +181,19 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-_NOT_CONFIG_KEYS = ("command", "config", "graph", "out", "t_values")
-
-
 def _spec_from_args(args) -> "harness.ExperimentSpec":
-    """The --config mapping less the keys a --graph, --topology or --detector
-    kind does not read (the flag replaces that part), overlaid by every flag given."""
+    """The --config mapping overlaid by every flag given. A --graph,
+    --topology or --detector flag replaces that part of the config: the
+    config keys its kind does not read are dropped."""
     raw = harness.read_mapping(args.config) if args.config else {}
     if args.command == "threshold-sweep":
         raw.pop("t", None)  # each row's threshold is a --t-values entry
-    if args.graph or args.topology:
-        for f in harness.unread_fields("file" if args.graph else args.topology):
-            raw.pop(f.name, None)
-    if args.detector:
-        for key in harness.unread_detector_keys(args.detector, raw,
-                                                harness.SWEEP_DETECTOR_KEYS):
+    for part, kind in (("topology", "file" if args.graph else args.topology),
+                       ("detector", args.detector)):
+        for key in harness.unread_keys(kind, raw, (part,)) if kind else ():
             raw.pop(key)
     raw.update((key, str(val)) for key, val in vars(args).items()
-               if key not in _NOT_CONFIG_KEYS and val is not None and val is not False)
+               if key in harness.KEYS and val is not None and val is not False)
     if args.graph:
         raw.update(topology="file", path=args.graph)
     raw.setdefault("seed", str(_seed(args)))
@@ -204,16 +201,14 @@ def _spec_from_args(args) -> "harness.ExperimentSpec":
 
 
 def _cmd_sweep(args) -> int:
-    result = harness.run_sweep(_spec_from_args(args))
-    _write_text(result.to_csv_text(), args.out)
-    return 0
-
-
-def _cmd_threshold_sweep(args) -> int:
+    """sweep and threshold-sweep, which take the same experiment keys."""
     spec = _spec_from_args(args)
-    t_values = [harness.cast_value(f"--t-values item {item!r}", item, float)
-                for item in args.t_values.split(",")]
-    result = harness.threshold_sweep(spec, t_values)
+    if args.command == "sweep":
+        result = harness.run_sweep(spec)
+    else:
+        result = harness.threshold_sweep(spec, [
+            harness.cast_value(f"--t-values item {item!r}", item, float)
+            for item in args.t_values.split(",")])
     _write_text(result.to_csv_text(), args.out)
     return 0
 
@@ -229,29 +224,25 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a generated graph as an edge list")
-    _add_topology_flags(p_gen, graph=False)
+    p_gen.set_defaults(run=_cmd_generate)
+    _add_flags(p_gen, [key for key in _TOPOLOGY_KEYS if key != "path"])
     p_gen.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="write a labeled reporting snapshot")
-    _add_topology_flags(p_sim)
+    p_sim.set_defaults(run=_cmd_simulate)
+    _add_flags(p_sim, _TOPOLOGY_KEYS)
     p_sim.add_argument("--scenario", choices=["epidemic", "null"], default="epidemic")
-    p_sim.add_argument("--alpha", type=float, default=0.1)
-    p_sim.add_argument("--q", type=float, default=1.0)
-    p_sim.add_argument("--f", type=float, default=0.0)
+    _add_flags(p_sim, ["alpha", "q", "f"])
     p_sim.add_argument("--seeds", type=int, default=None, help="contagion seeds (default 1)")
     p_sim.add_argument("--null-p", type=float, default=None,
                        help="override the matched null reporting probability")
     p_sim.add_argument("--out")
 
     p_det = sub.add_parser("detect", help="classify a snapshot (exit 0 uniform, 2 epidemic)")
+    p_det.set_defaults(run=_cmd_detect)
     p_det.add_argument("--graph", required=True)
     p_det.add_argument("--snapshot", required=True)
-    p_det.add_argument("--compact", action="store_true")
-    p_det.add_argument("--mode", choices=["nn", "ball"], help="default nn")
-    p_det.add_argument("--k", type=int)
-    p_det.add_argument("--l", type=int)
-    p_det.add_argument("--s", type=int)
-    p_det.add_argument("--t", type=float, help="default 0")
+    _add_flags(p_det, ["compact", "mode", "k", "l", "s", "t"])
     p_det.add_argument("--header", action="store_true", help="print the CSV header line")
     p_det.add_argument("--regime", choices=["dense", "small", "auto"],
                        help="derive K and T from calibration instead of --k/--t")
@@ -271,7 +262,8 @@ def build_parser() -> _Parser:
     p_det.add_argument("--log-base", type=float, default=None)
 
     p_gam = sub.add_parser("gamma", help="estimate the interior fraction by simulation")
-    _add_topology_flags(p_gam)
+    p_gam.set_defaults(run=_cmd_gamma)
+    _add_flags(p_gam, _TOPOLOGY_KEYS)
     p_gam.add_argument("--alpha", type=float, required=True)
     p_gam.add_argument("--q", type=float, default=1.0)
     p_gam.add_argument("--f", type=float, default=0.0)
@@ -282,6 +274,7 @@ def build_parser() -> _Parser:
     p_gam.add_argument("--out")
 
     p_bnd = sub.add_parser("bounds", help="explicit error bounds for given parameters")
+    p_bnd.set_defaults(run=_cmd_bounds)
     p_bnd.add_argument("--gamma", type=float, required=True)
     p_bnd.add_argument("--q", type=float, required=True)
     p_bnd.add_argument("--alpha", type=float, required=True)
@@ -292,50 +285,24 @@ def build_parser() -> _Parser:
     for name, helptext in (("sweep", "run a Monte-Carlo error-rate sweep"),
                            ("threshold-sweep", "error rates across decision thresholds")):
         p_sw = sub.add_parser(name, help=helptext)
+        p_sw.set_defaults(run=_cmd_sweep)
         p_sw.add_argument("--config", help="flat key=value experiment file; "
                           "flags given with it override its keys")
-        _add_topology_flags(p_sw)
-        p_sw.add_argument("--alpha", type=float)
-        p_sw.add_argument("--q", type=float)
-        p_sw.add_argument("--f", type=float)
-        p_sw.add_argument("--num-seeds", type=int)
-        p_sw.add_argument("--alpha-exp", type=float)
-        p_sw.add_argument("--q-exp", type=float)
-        p_sw.add_argument("--f-exp", type=float)
-        p_sw.add_argument("--detector", choices=["nn", "ball", "auto"])
-        p_sw.add_argument("--k", type=int)
-        p_sw.add_argument("--l", type=int)
-        p_sw.add_argument("--s", type=int)
-        if name == "sweep":  # threshold-sweep takes its thresholds from --t-values
-            p_sw.add_argument("--t", type=float)
-        p_sw.add_argument("--sweep", help="swept variable name")
-        p_sw.add_argument("--values", help="comma-separated sweep values")
-        p_sw.add_argument("--trials", type=int)
-        p_sw.add_argument("--noise-prob", type=float)
-        p_sw.add_argument("--noise-d", type=int, help="noise magnitude (default 1)")
+        # every experiment key but seed (last, below); threshold-sweep takes
+        # its thresholds from --t-values
+        _add_flags(p_sw, [key for key, row in harness.KEYS.items() if row.part is not None
+                          and key != "seed" and (name == "sweep" or key != "t")])
         p_sw.add_argument("--out")
         if name == "threshold-sweep":
             p_sw.add_argument("--t-values", required=True,
                               help="comma-separated decision thresholds")
 
-    sub.add_parser("describe", help="print every behavioral default")
+    sub.add_parser("describe", help="print every behavioral default").set_defaults(
+        run=_cmd_describe)
 
     for name in ("generate", "simulate", "gamma", "sweep", "threshold-sweep"):  # they draw
-        sub.choices[name].add_argument("--seed", type=int, default=None,
-                                       help="master RNG seed (default: $HOTSPOT_SEED or 0)")
+        _add_flags(sub.choices[name], ["seed"])
     return parser
-
-
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "simulate": _cmd_simulate,
-    "detect": _cmd_detect,
-    "gamma": _cmd_gamma,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-    "threshold-sweep": _cmd_threshold_sweep,
-    "describe": _cmd_describe,
-}
 
 
 def main(argv=None) -> int:
@@ -345,7 +312,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

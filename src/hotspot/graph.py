@@ -463,7 +463,7 @@ class DistanceNoise:
     pair with true distance > magnitude is shifted by +-magnitude with
     probability flip_prob (sign equiprobable)."""
 
-    flip_prob: float
+    flip_prob: float = 0.0
     magnitude: int = 1
 
     def __post_init__(self):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 from . import calibration
 from .detector import AUTO_DENSITY_CUTOFF, DetectorConfig, classify, prescribe
@@ -31,12 +32,76 @@ SWEEP_CSV_HEADER = ("sweep_value,trials,type1,type2,mean_error,"
 CI_TRIALS = 200
 GAMMA_CALIBRATION_TRIALS = 50
 
-# the fields each kind reads, besides kind and giant: required, then optional
-_REQUIRED_FIELDS = {"er": ("n",), "powerlaw": ("n",), "grid": ("side",),
-                    "tree": ("degree", "depth"), "file": ("path",)}
-_OPTIONAL_FIELDS = {"er": ("p",), "powerlaw": ("exponent",), "grid": ("dim",),
-                    "tree": (), "file": ("compact",)}
-_FIXED_KINDS = ("grid", "tree", "file")
+_TOPOLOGY_KINDS = ("er", "grid", "tree", "powerlaw", "file")
+FIXED_KINDS = ("grid", "tree", "file")  # built once per spec; er and powerlaw draw per trial
+_DENSE, _SMALL = ("dense", "auto"), ("small", "auto")
+
+
+# A key-table row: the cast of the key's text (bool: 1/0/true/false/yes/no;
+# tuple: sweep values), the ExperimentSpec part and field it sets ("": the spec;
+# None: a detect-only flag), the topology kinds or detector kinds and regimes
+# that read it (empty: all), its sweep name, help, needed by its kinds, choices
+Key = namedtuple("Key", "cast part field reads sweep help required choices",
+                 defaults=(None, (), None, None, False, None))
+
+
+# Every experiment key, in the order of the sweep flags. alpha, q and f set a
+# sweep's scenario, which every path reads; of detect's paths only a dense
+# or auto prescription reads them.
+KEYS = {
+    "topology": Key(str, "topology", "kind", help="graph family", choices=_TOPOLOGY_KINDS),
+    "n": Key(int, "topology", "n", ("er", "powerlaw"), "n", "node count (er, powerlaw)", True),
+    "p": Key(float, "topology", "p", ("er",), "p", "edge probability (er; default 2/n)"),
+    "dim": Key(int, "topology", "dim", ("grid",), help="grid dimension (default 2)"),
+    "side": Key(int, "topology", "side", ("grid",), "side", "grid side length", True),
+    "degree": Key(int, "topology", "degree", ("tree",), None, "tree branching factor", True),
+    "depth": Key(int, "topology", "depth", ("tree",), None, "tree depth", True),
+    "exponent": Key(float, "topology", "exponent", ("powerlaw",), "exponent", "default 2.5"),
+    "path": Key(str, "topology", "path", ("file",), None, "edge-list file", True),
+    "compact": Key(bool, "topology", "compact", ("file",), None, "remap file ids to 0..n-1"),
+    "giant": Key(bool, "topology", "giant", help="restrict to the largest connected component"),
+    "alpha": Key(float, "scenario", "alpha", _DENSE, "alpha"),
+    "q": Key(float, "scenario", "q", _DENSE, "q"),
+    "f": Key(float, "scenario", "f", _DENSE, "f"),
+    "num_seeds": Key(int, "scenario", "num_seeds", (), "num_seeds"),
+    "alpha_exp": Key(float, "scenario", "alpha_exp"),
+    "q_exp": Key(float, "scenario", "q_exp"),
+    "f_exp": Key(float, "scenario", "f_exp"),
+    "detector": Key(str, "detector", "mode", choices=("nn", "ball", "auto")),
+    "mode": Key(str, None, None, ("nn", "ball"), help="default nn", choices=("nn", "ball")),
+    "k": Key(int, "detector", "k_or_l", ("nn",), "k"),
+    "l": Key(int, "detector", "k_or_l", ("ball",), "l"),
+    "s": Key(int, "detector", "s", ("nn", "ball"), "s"),
+    "t": Key(float, "detector", "t", ("nn", "ball"), "t", "default 0"),
+    "sweep": Key(str, "", "sweep_name", help="swept variable name"),
+    "values": Key(tuple, "", "sweep_values", help="comma-separated sweep values"),
+    "trials": Key(int, "", "trials_per_point"),
+    "noise_prob": Key(float, "noise", "flip_prob", (), "flip_prob"),
+    "noise_d": Key(int, "noise", "magnitude", (), "noise_d", "noise magnitude (default 1)"),
+    "seed": Key(int, "", "master_seed", help="master RNG seed (default: $HOTSPOT_SEED or 0)"),
+    # detect's prescription flags, which no experiment takes (detect declares them)
+    **{key: Key(None, None, None, _DENSE) for key in ("family", "log_base", "gamma",
+                                                      "gamma_profile", "gamma_fallback")},
+    **{key: Key(None, None, None, _SMALL) for key in ("beta", "rho", "mu")},
+}
+_SWEPT = {row.sweep: key for key, row in KEYS.items() if row.sweep}  # sweep name -> key
+
+
+def _is_set(value) -> bool:
+    return value is not None and value is not False  # 0 and 0.0 are set
+
+
+def unread_keys(path: str, given: dict, parts=("detector",)) -> list[str]:
+    """The keys of the ``parts`` rows set in ``given`` that ``path`` (a
+    topology kind, a detector kind or a regime) does not read, in table order."""
+    return [key for key, row in KEYS.items() if row.part in parts and row.reads
+            and path not in row.reads and _is_set(given.get(key))]
+
+
+def part_fields(given: dict, part: str) -> dict:
+    """The fields of ``part`` that the keys set in ``given`` fill in."""
+    return {KEYS[key].field: value for key, value in given.items()
+            if key in KEYS and KEYS[key].part == part and _is_set(value)}
 
 
 @dataclass(frozen=True)
@@ -55,7 +120,7 @@ class TopologySpec:
     a new spec (``dataclasses.replace`` included) builds, or reads, afresh.
     """
 
-    kind: str  # er | grid | tree | powerlaw | file
+    kind: str = "er"  # er | grid | tree | powerlaw | file
     n: int | None = None
     p: float | None = None
     dim: int | None = None
@@ -69,12 +134,13 @@ class TopologySpec:
     _graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED_FIELDS:
+        if self.kind not in _TOPOLOGY_KINDS:
             raise ValueError(f"unknown topology kind {self.kind!r}")
-        missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
+        missing = [key for key, row in KEYS.items() if row.required and self.kind in row.reads
+                   and getattr(self, row.field) is None]
         if missing:
             raise ValueError(f"topology {self.kind} needs {' and '.join(missing)}")
-        unused = [f.name for f in unread_fields(self.kind) if getattr(self, f.name) != f.default]
+        unused = unread_keys(self.kind, vars(self), ("topology",))
         if unused:
             raise ValueError(f"topology {self.kind} does not use {' or '.join(unused)}")
         # a random kind is built anew in every trial: its generator's checks
@@ -109,38 +175,17 @@ class TopologySpec:
             else:
                 pairs = _power_law_pairs(self.n, self._exponent(), seed)
             g = _giant_of_pairs(*pairs)[0] if self.giant else Graph._from_pairs(*pairs)
-        if self.kind in _FIXED_KINDS:
+        if self.kind in FIXED_KINDS:
             object.__setattr__(self, "_graph", g)
         return g
-
-
-def unread_fields(kind: str) -> list:
-    """The TopologySpec fields, as dataclass fields, that ``kind`` does not read."""
-    reads = ("kind", "giant", *_REQUIRED_FIELDS[kind], *_OPTIONAL_FIELDS[kind])
-    return [f for f in fields(TopologySpec) if f.init and f.name not in reads]
-
-
-# the keys each detector path reads: a fixed nn or ball detector, a dense or
-# small prescription, or auto, which may take either regime
-_DENSE, _SMALL = ("alpha", "q", "f", "family", "log_base", "gamma", "gamma_profile",
-                  "gamma_fallback"), ("beta", "rho", "mu")
-_DETECTOR_KEYS = {"nn": ("k", "s", "t"), "ball": ("l", "s", "t"), "dense": _DENSE,
-                  "small": _SMALL, "auto": _DENSE + _SMALL}
-SWEEP_DETECTOR_KEYS = ("k", "l", "s", "t")  # a sweep's alpha, q and f are its scenario's
-DETECT_KEYS = SWEEP_DETECTOR_KEYS + _DENSE + _SMALL
-
-
-def unread_detector_keys(kind: str, given: dict, keys) -> list[str]:
-    """The keys among ``keys`` set in ``given`` that the ``kind`` path does not read."""
-    reads = _DETECTOR_KEYS[kind]
-    return [key for key in keys if key not in reads and given.get(key) is not None]
 
 
 def fixed_detector(kind: str, k: int | None, l: int | None, s: int | None,
                    t: float | None) -> DetectorConfig:
     """The "nn" or "ball" detector of a sweep or of detect; a size or
-    threshold left None takes its default: k = 1, l = 2, t = 0."""
-    t = 0.0 if t is None else t
+    threshold left None takes its default: k = 1, l = 2, t = 0. That t is the
+    int 0, so a t sweep run at the default has the sweep value (and seed token) 0."""
+    t = 0 if t is None else t
     if kind == "nn":
         return DetectorConfig.nn(k=1 if k is None else k, t=t, s=s)
     if kind == "ball":
@@ -157,9 +202,9 @@ class ScenarioRule:
     of n**0.3 nodes.
     """
 
-    alpha: float
-    q: float
-    f: float
+    alpha: float = 0.1
+    q: float = 1.0
+    f: float = 0.0
     num_seeds: int = 1
     alpha_exp: float = 0.0
     q_exp: float = 0.0
@@ -200,14 +245,7 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be nonempty")
         if isinstance(self.detector, str) and self.detector != "auto":
             raise ValueError("detector must be a DetectorConfig or 'auto'")
-        if self.sweep_name not in _SWEEPS:
-            raise ValueError(f"unknown sweep variable {self.sweep_name!r}")
-        part, _, cast = _SWEEPS[self.sweep_name]
-        kind = "auto" if isinstance(self.detector, str) else self.detector.mode
-        if part == "detector" and self.sweep_name not in _DETECTOR_KEYS[kind]:
-            raise ValueError("cannot sweep a detector field with detector='auto'"
-                             if kind == "auto" else
-                             f"cannot sweep {self.sweep_name} with a {kind} detector")
+        cast = KEYS[_swept(self.sweep_name, self.detector)].cast
         for value in self.sweep_values:  # kept as given: seed tokens and CSV labels
             try:
                 ok = cast(value) == value
@@ -222,6 +260,17 @@ class ExperimentSpec:
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
+def _swept(name: str, detector) -> str:
+    """The key swept as ``name``: a detector field only if ``detector`` reads it."""
+    if name not in _SWEPT:
+        raise ValueError(f"unknown sweep variable {name!r}")
+    kind, row = "auto" if isinstance(detector, str) else detector.mode, KEYS[_SWEPT[name]]
+    if row.part == "detector" and kind not in row.reads:
+        raise ValueError("cannot sweep a detector field with detector='auto'" if kind == "auto"
+                         else f"cannot sweep {name} with a {kind} detector")
+    return _SWEPT[name]
+
+
 def cast_value(label: str, text: str, cast):
     """``cast(text)`` for cast int or float; on failure a ValueError
     "<label>: expected an integer" (or "a number")."""
@@ -231,31 +280,17 @@ def cast_value(label: str, text: str, cast):
         raise ValueError(f"{label}: expected {_EXPECTED[cast]}") from None
 
 
-# sweep name -> (part of the experiment, field of that part, cast of the value)
-_SWEEPS = {
-    "n": ("topology", "n", int), "p": ("topology", "p", float),
-    "side": ("topology", "side", int), "exponent": ("topology", "exponent", float),
-    "alpha": ("scenario", "alpha", float), "q": ("scenario", "q", float),
-    "f": ("scenario", "f", float), "num_seeds": ("scenario", "num_seeds", int),
-    "flip_prob": ("noise", "flip_prob", float), "noise_d": ("noise", "magnitude", int),
-    "k": ("detector", "k_or_l", int), "l": ("detector", "k_or_l", int),
-    "s": ("detector", "s", int), "t": ("detector", "t", float),
-}
-
-
 def _prepare_point(spec: ExperimentSpec, value):
     """(spec, gamma): the spec with the swept field set to ``value``, and a
     fixed kind's graph built now, so a graph that cannot be built fails the
     point once, before any trial. gamma is None unless detector="auto": then
     gamma(K), K = 1..ceil(ln N), on the graph of the sweep-point seed, so
     every trial sees the same calibration whatever ran before it."""
-    part, name, cast = _SWEEPS[spec.sweep_name]
-    base = getattr(spec, part)
-    if base is None:  # a noise field swept without a base noise
-        base = DistanceNoise(flip_prob=0.0)
-    point = replace(spec, **{part: replace(base, **{name: cast(value)})})
+    row = KEYS[_SWEPT[spec.sweep_name]]
+    base = getattr(spec, row.part) or DistanceNoise()  # a noise field swept with no base noise
+    point = replace(spec, **{row.part: replace(base, **{row.field: row.cast(value)})})
     auto = isinstance(point.detector, str)
-    if auto or point.topology.kind in _FIXED_KINDS:
+    if auto or point.topology.kind in FIXED_KINDS:
         graph = point.topology.build(
             derive_seed(spec.master_seed, spec.sweep_name, value, "graph"))
     if not auto:
@@ -409,15 +444,13 @@ def threshold_sweep(spec: ExperimentSpec, t_values) -> SweepResult:
 
 
 def _parse_scalar(text: str):
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """``text`` as an int, else as a float, else as it is, stripped."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text.strip()
 
 
 def read_mapping(path) -> dict[str, str]:
@@ -439,57 +472,56 @@ def read_mapping(path) -> dict[str, str]:
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
+def _cast(key: str, text: str, cast):
+    """``text`` cast as the KEYS row of ``key`` says; a bad value raises ValueError naming it."""
+    if cast is bool:
+        text = text.lower()
+        if text not in _TRUE + _FALSE:
+            raise ValueError(f"{key}={text!r}: expected one of {', '.join(_TRUE + _FALSE)}")
+        return text in _TRUE
+    if cast is tuple:  # each value kept as written: seed tokens and CSV labels
+        return tuple(_parse_scalar(v) for v in text.split(",") if v.strip())
+    return text if cast is str else cast_value(f"{key}={text!r}", text, cast)
+
+
 def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
-    """Build an ExperimentSpec from key=value strings. An unknown key or a
-    boolean outside 1/0/true/false/yes/no raises ValueError naming the key."""
-    raw = dict(raw)
-
-    def get(key, cast, default=None):
-        if key not in raw:
-            return default
-        val = raw.pop(key)
-        return cast_value(f"{key}={val!r}", val, cast)
-
-    def flag(key):
-        val = raw.pop(key, "false").lower()
-        if val not in _TRUE + _FALSE:
-            raise ValueError(f"{key}={val!r}: expected one of {', '.join(_TRUE + _FALSE)}")
-        return val in _TRUE
-
-    sweep_name = raw.pop("sweep", "t")
-    # a t sweep with no values runs at the given t
-    values = raw.pop("values", raw.get("t", "0") if sweep_name == "t" else "0")
-    sweep_values = tuple(_parse_scalar(v) for v in values.split(",") if v.strip())
-    if _SWEEPS.get(sweep_name, ("",))[0] == "topology" and sweep_values:
+    """Build an ExperimentSpec from key=value strings, each cast as its KEYS
+    row says; an unknown key or a bad value raises ValueError naming the key.
+    The default sweep is t (alpha with detector=auto). A sweep given no values
+    runs once at the swept key's value, else its default; p and exponent,
+    which have none, are refused by name."""
+    unknown = sorted(key for key in raw if key not in KEYS or KEYS[key].part is None)
+    given = {key: _cast(key, text, KEYS[key].cast) for key, text in raw.items()
+             if key not in unknown}
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    kind = given.setdefault("detector", "nn")
+    name = given.setdefault("sweep", "alpha" if kind == "auto" else "t")
+    unused = unread_keys(kind, given) if kind in KEYS["detector"].choices else []
+    if unused:  # fixed_detector names an unknown kind
+        raise ValueError(f"detector {kind} does not use {' or '.join(unused)}")
+    values, swept = given.get("values"), _SWEPT.get(name)
+    if values and swept and KEYS[swept].part == "topology":
         # a swept graph field needs no fixed value: every point sets its own
-        raw.setdefault(sweep_name, str(sweep_values[0]))
-    topology = dict(
-        kind=raw.pop("topology", "er"),
-        n=get("n", int), p=get("p", float), dim=get("dim", int),
-        side=get("side", int), degree=get("degree", int), depth=get("depth", int),
-        exponent=get("exponent", float), path=raw.pop("path", None),
-        compact=flag("compact"), giant=flag("giant"))
-    scenario = ScenarioRule(
-        alpha=get("alpha", float, 0.1), q=get("q", float, 1.0),
-        f=get("f", float, 0.0), num_seeds=get("num_seeds", int, 1),
-        alpha_exp=get("alpha_exp", float, 0.0), q_exp=get("q_exp", float, 0.0),
-        f_exp=get("f_exp", float, 0.0))
-    det_kind = raw.pop("detector", "nn")
-    unused = (unread_detector_keys(det_kind, raw, SWEEP_DETECTOR_KEYS)
-              if det_kind in ("nn", "ball", "auto") else [])  # fixed_detector names any other
-    k, l, s, t = get("k", int), get("l", int), get("s", int), get("t", float)
-    noisy = "noise_d" in raw or "noise_prob" in raw
-    magnitude, flip_prob = get("noise_d", int, 1), get("noise_prob", float, 0.0)
-    trials, seed = get("trials", int, CI_TRIALS), get("seed", int, 0)
-    if raw:
-        raise ValueError(f"unknown config key(s): {', '.join(sorted(raw))}")
-    if unused:
-        raise ValueError(f"detector {det_kind} does not use {' or '.join(unused)}")
-    detector = "auto" if det_kind == "auto" else fixed_detector(det_kind, k, l, s, t)
-    return ExperimentSpec(
-        topology=TopologySpec(**topology), scenario=scenario, detector=detector,
-        sweep_name=sweep_name, sweep_values=sweep_values, trials_per_point=trials,
-        master_seed=seed, noise=DistanceNoise(flip_prob, magnitude) if noisy else None)
+        given.setdefault(swept, _cast(swept, str(values[0]), KEYS[swept].cast))
+    noise = part_fields(given, "noise")
+    parts = dict(
+        topology=TopologySpec(**part_fields(given, "topology")),
+        scenario=ScenarioRule(**part_fields(given, "scenario")),
+        # the positional k, l, s and t, in table order
+        detector="auto" if kind == "auto" else fixed_detector(kind, *(
+            given.get(key) for key, row in KEYS.items() if row.part == "detector" and row.reads)),
+        noise=DistanceNoise(**noise) if noise else None)
+    spec = part_fields(given, "")
+    if values is None:
+        key = _swept(name, parts["detector"])
+        row = KEYS[key]
+        value = (_parse_scalar(raw[key]) if key in raw
+                 else getattr(parts[row.part] or DistanceNoise(), row.field))
+        if value is None:
+            raise ValueError(f"sweep {name} needs values or a given {key}")
+        spec["sweep_values"] = (value,)
+    return ExperimentSpec(**parts, **spec)
 
 
 def describe_defaults() -> str:

@@ -10,7 +10,7 @@ import pytest
 import hotspot
 from hotspot import calibration, harness, scenario
 from hotspot.calibration import GammaProfile
-from hotspot.cli import _NOT_CONFIG_KEYS, build_parser, main
+from hotspot.cli import build_parser, main
 from hotspot.graph import Graph, gen_erdos_renyi, gen_grid, gen_power_law, save_edge_list
 from hotspot.harness import SWEEP_CSV_HEADER, read_mapping, spec_from_mapping
 from hotspot.scenario import ReportSnapshot
@@ -628,16 +628,6 @@ def test_fixed_and_auto_sweeps_report_one_infeasible_null_message(capsys):
     assert auto == "error: sweep point q=1: " + message
 
 
-@pytest.mark.parametrize("argv", [["sweep"], ["threshold-sweep", "--t-values", "0"]])
-def test_every_sweep_flag_is_a_config_key(argv):
-    # _spec_from_args passes each such flag to spec_from_mapping as its key
-    keys = set(vars(build_parser().parse_args(argv))) - set(_NOT_CONFIG_KEYS)
-    for key in sorted(keys):
-        with pytest.raises(ValueError) as caught:
-            spec_from_mapping({key: "1", "bogus": "1"})
-        assert str(caught.value) == "unknown config key(s): bogus", key
-
-
 @pytest.mark.parametrize("mode", ["nn", "ball"])
 def test_detect_rejects_s_zero(tmp_path, capsys, mode):
     graph_path = write_path_graph(tmp_path, 6)
@@ -879,13 +869,15 @@ def test_power_law_exponent_zero_is_rejected_not_defaulted(tmp_path, monkeypatch
 
 def test_generated_er_giant_is_the_built_graphs_giant(tmp_path, capsys):
     # each generated kind's giant is cut from its sampled pairs, and must
-    # equal the giant of the graph those pairs build
-    for flags, built in [(["er", "--n", "3000"], gen_erdos_renyi(3000, 2 / 3000, 4)),
-                         (["powerlaw", "--n", "3000"], gen_power_law(3000, 2.5, 4)),
-                         (["grid", "--side", "9"], gen_grid(2, 9))]:
+    # equal the giant of the graph those pairs build (a grid draws nothing,
+    # so it takes no --seed)
+    for flags, built in [
+            (["er", "--n", "3000", "--seed", "4"], gen_erdos_renyi(3000, 2 / 3000, 4)),
+            (["powerlaw", "--n", "3000", "--seed", "4"], gen_power_law(3000, 2.5, 4)),
+            (["grid", "--side", "9"], gen_grid(2, 9))]:
         out = tmp_path / f"{flags[0]}_giant.txt"
         code, _, err = run(capsys, "generate", "--topology", *flags, "--giant",
-                           "--seed", "4", "--out", str(out))
+                           "--out", str(out))
         assert code == 0, err
         want = tmp_path / "want.txt"
         save_edge_list(built.largest_component()[0], want)
@@ -1111,3 +1103,232 @@ def test_detector_auto_drops_the_configs_s_and_t_and_refuses_them_as_its_own(tmp
     cfg.write_text(cfg.read_text().replace("detector=nn\nk=3\n", "detector=auto\n"))
     code, out, err = run(capsys, "sweep", "--config", str(cfg))
     assert (code, out, err) == (1, "", "error: detector auto does not use s or t\n")
+
+
+def test_a_sweep_with_no_values_runs_at_the_swept_keys_value_or_default(capsys):
+    # a q sweep with no values used to run at q = 0, where nothing reports
+    base = ["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2", "--q", "0.6",
+            "--trials", "1"]
+    given = run(capsys, *base, "--sweep", "q")
+    assert given[0] == 0 and given[1].splitlines()[1].startswith("0.6,1,")
+    assert given == run(capsys, *base, "--sweep", "q", "--values", "0.6")
+    # an unset key runs at its default: k = 1 (it ran at k = 0 and failed)
+    assert run(capsys, *base, "--sweep", "k") == run(capsys, *base, "--sweep", "k",
+                                                     "--values", "1")
+    # p's default is 2/n, not one number, so a p sweep needs values or a p
+    code, out, err = run(capsys, "sweep", "--topology", "er", "--n", "50", "--sweep", "p",
+                         "--trials", "1")
+    assert (code, out, err) == (1, "", "error: sweep p needs values or a given p\n")
+
+
+def test_an_auto_sweep_with_no_sweep_key_runs_one_point_at_its_alpha(capsys):
+    # the default sweep was t, which auto does not read, so this exited 1 with
+    # "cannot sweep a detector field with detector='auto'"
+    base = ["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2", "--q", "0.6",
+            "--detector", "auto", "--trials", "1"]
+    code, out, err = run(capsys, *base)
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("0.2,1,")
+    assert (code, out, err) == run(capsys, *base, "--sweep", "alpha", "--values", "0.2")
+
+
+@pytest.mark.parametrize("kind", [["grid", "--side", "5"],
+                                  ["tree", "--degree", "2", "--depth", "3"]], ids=["grid", "tree"])
+def test_generate_refuses_a_seed_for_a_graph_that_draws_nothing(tmp_path, capsys, kind):
+    # --seed 4 and --seed 9 used to write the same file
+    out_path = tmp_path / "g.txt"
+    code, out, err = run(capsys, "generate", "--topology", *kind, "--seed", "4",
+                         "--out", str(out_path))
+    assert (code, out, err) == (1, "", f"error: --topology {kind[0]} does not use --seed\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--q", "--f"])
+def test_simulate_null_p_refuses_the_matched_null_flags(tmp_path, capsys, flag):
+    # with --null-p the snapshot used to be the same with or without these
+    code, out, err = run(capsys, "simulate", "--graph", write_path_graph(tmp_path, 10),
+                         "--scenario", "null", "--null-p", "0.05", flag, "0.3")
+    assert (code, out, err) == (
+        1, "", f"error: --scenario null with --null-p does not use {flag}\n")
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["gamma", "--alpha", "0.1"]])
+def test_a_graph_command_without_a_graph_source_exits_one(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: need --graph FILE or --topology FAMILY\n")
+
+
+@pytest.mark.parametrize("topology", [[], ["--topology", "file"]], ids=["none", "file"])
+def test_generate_without_a_generated_topology_exits_one(tmp_path, capsys, topology):
+    code, out, err = run(capsys, "generate", *topology, "--out", str(tmp_path / "g.txt"))
+    assert (code, out, err) == (1, "", "error: generate needs --topology er|grid|tree|powerlaw\n")
+
+
+def test_gamma_fallback_without_alpha_exits_one(tmp_path, capsys):
+    snap = tmp_path / "snap.txt"
+    snap.write_text("truth=epidemic n=10\n2\n3\n4\n")
+    code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 10),
+                         "--snapshot", str(snap), "--regime", "dense", "--q", "0.3",
+                         "--gamma-fallback")
+    assert (code, out, err) == (1, "", "error: --gamma-fallback needs --alpha\n")
+
+
+def test_a_noise_sweep_with_no_noise_key_runs_on_a_zero_base_noise(capsys):
+    # the swept point sets flip_prob on DistanceNoise(), as --noise-prob 0 would
+    base = ["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2", "--q", "0.6",
+            "--k", "3", "--s", "2", "--t", "2", "--trials", "2", "--sweep", "flip_prob",
+            "--values", "0,0.3"]
+    bare = run(capsys, *base)
+    assert bare[0] == 0 and bare == run(capsys, *base, "--noise-prob", "0")
+
+
+def test_a_sweep_value_that_is_no_number_names_the_sweep(capsys):
+    code, out, err = run(capsys, "sweep", "--topology", "grid", "--side", "8",
+                         "--sweep", "q", "--values", "abc", "--trials", "1")
+    assert (code, out, err) == (1, "", "error: sweep q: value 'abc' is not a number\n")
+
+
+# -- every option a command takes is read or refused -------------------------------
+#
+# For each command and each row of harness.KEYS the command takes as a flag
+# (--graph is the row path), one run with the flag at a non-default value
+# must exit 1 naming it, or change some output byte. GAPS is a graph file
+# with a gap in its ids (10..19) and two components, where --compact and
+# --giant can matter; OUT is an output file in the working directory.
+
+_SOURCES = {"er": ["--topology", "er", "--n", "60"], "grid": ["--topology", "grid", "--side", "8"],
+            "tree": ["--topology", "tree", "--degree", "2", "--depth", "4"],
+            "file": ["--graph", "GAPS"]}
+_SCENARIO = ["--alpha", "0.2", "--q", "0.6"]
+_RUNS = {"generate": ["--out", "OUT"], "simulate": _SCENARIO,
+         "gamma": ["--alpha", "0.2", "--trials", "3"],
+         "sweep": [*_SCENARIO, "--t", "2", "--trials", "3"],
+         "threshold-sweep": [*_SCENARIO, "--trials", "3", "--sweep", "q", "--t-values", "1,3"]}
+_DETECT_GRID = ["detect", "--graph", "GRID", "--snapshot", "SNAP"]
+_DETECT_DENSE = [*_DETECT_GRID, "--regime", "dense", "--q", "0.3", "--alpha", "0.2", "--f", "8",
+                 "--gamma", "0.4"]
+_BOUNDS = ["bounds", "--gamma", "0.5", "--q", "0.3", "--alpha", "0.2", "--k", "3",
+           "--n-reporting", "100"]
+# ROADMAP item 11: gamma(K) depends on the infection alone, yet gamma takes
+# --q and --f, which perfbench's calibrate_gamma CLI check passes
+_EXEMPT = {("gamma", "q"), ("gamma", "f")}
+
+
+def _hole_cases():
+    cases = []
+    for command, run_flags in _RUNS.items():
+        def add(key, source, flags, extra=(), run_flags=run_flags, tag=None):
+            cases.append((f"{command}-{key}-{tag or source}", command, key,
+                          [command, *_SOURCES[source], *run_flags, *extra], flags))
+        spare = "er" if command == "generate" else "file"  # generate writes no file graph
+        add("topology", "er", ["--topology", "powerlaw"])
+        add("n", "er", ["--n", "80"])
+        add("p", "er", ["--p", "0.1"])
+        add("dim", "grid", ["--dim", "1"])
+        add("side", "grid", ["--side", "9"])
+        add("degree", "tree", ["--degree", "3"])
+        add("depth", "tree", ["--depth", "3"])
+        add("exponent", "er", ["--exponent", "3"])
+        add("compact", spare, ["--compact"])
+        add("giant", spare, ["--giant"])
+        for source in ("er", "grid", "tree"):
+            add("seed", source, ["--seed", "5"])
+        if command == "generate":
+            continue
+        add("path", "grid", ["--graph", "GAPS"])
+        for key, value in (("alpha", "0.3"), ("q", "0.8"), ("f", "1.5")):
+            if (command, key) not in _EXEMPT:
+                add(key, "grid", [f"--{key}", value])
+        if command == "simulate":
+            for key in ("alpha", "q", "f"):
+                add(key, "grid", [f"--{key}", "0.3"],
+                    run_flags=["--scenario", "null", "--null-p", "0.05"], tag="null_p")
+        if command == "gamma":
+            add("trials", "grid", ["--trials", "4"])
+        if command in ("sweep", "threshold-sweep"):
+            for key, flags in (("num_seeds", ["--num-seeds", "2"]),
+                               ("alpha_exp", ["--alpha-exp", "-0.1"]),
+                               ("q_exp", ["--q-exp", "-0.1"]),
+                               ("detector", ["--detector", "ball"]), ("k", ["--k", "3"]),
+                               ("l", ["--l", "3"]), ("s", ["--s", "2"]),
+                               ("sweep", ["--sweep", "alpha"]), ("values", ["--values", "0.8"]),
+                               ("trials", ["--trials", "4"]),
+                               ("noise_prob", ["--noise-prob", "0.3"])):
+                add(key, "grid", flags)
+            add("f_exp", "grid", ["--f-exp", "0.2"], ["--f", "0.5"])  # f = 0 scales to 0
+            add("noise_d", "grid", ["--noise-d", "2"], ["--noise-prob", "0.3"])
+        if command == "sweep":
+            add("t", "grid", ["--t", "5"])
+    for key, flags in (("mode", ["--mode", "ball"]), ("k", ["--k", "3"]), ("l", ["--l", "3"]),
+                       ("s", ["--s", "2"]), ("t", ["--t", "5"]), ("q", ["--q", "0.5"]),
+                       ("alpha", ["--alpha", "0.5"]), ("f", ["--f", "1"]),
+                       ("beta", ["--beta", "0.5"]), ("rho", ["--rho", "0.5"]),
+                       ("mu", ["--mu", "0.5"])):
+        cases.append((f"detect-{key}-fixed", "detect", key, _DETECT_GRID, flags))
+    for key, flags in (("gamma", ["--gamma", "0.5"]), ("gamma_profile", ["--gamma-profile", "P"]),
+                       ("gamma_fallback", ["--gamma-fallback"]),
+                       ("family", ["--family", "grid"]), ("log_base", ["--log-base", "2"]),
+                       ("q", ["--q", "0.5"]), ("alpha", ["--alpha", "0.3"]), ("f", ["--f", "2"]),
+                       ("beta", ["--beta", "0.5"])):
+        cases.append((f"detect-{key}-dense", "detect", key, _DETECT_DENSE, flags))
+    gaps = ["detect", "--graph", "GAPS", "--snapshot", "GAPS_SNAP"]
+    cases += [("detect-compact-gaps", "detect", "compact", gaps, ["--compact"]),
+              ("detect-path-gaps", "detect", "path", gaps, ["--graph", "GRID"])]
+    for key, flags in (("gamma", ["--gamma", "0.6"]), ("q", ["--q", "0.4"]),
+                       ("alpha", ["--alpha", "0.3"]), ("f", ["--f", "1"]), ("k", ["--k", "2"])):
+        cases.append((f"bounds-{key}", "bounds", key, _BOUNDS, flags))
+    return cases
+
+
+_HOLE_CASES = _hole_cases()
+
+
+def _taken_keys(command) -> set:
+    """The key-table rows ``command`` takes as flags."""
+    subparsers = next(action for action in build_parser()._actions if action.choices)
+    flags = [flag for action in subparsers.choices[command]._actions
+             for flag in action.option_strings if flag.startswith("--")]
+    return {"path" if flag == "--graph" else flag[2:].replace("-", "_")
+            for flag in flags} & set(harness.KEYS)
+
+
+@pytest.mark.parametrize("command", [*_RUNS, "detect", "bounds", "describe"])
+def test_every_option_a_command_takes_has_a_hole_case(command):
+    covered = {key for _, cmd, key, *_ in _HOLE_CASES if cmd == command}
+    assert covered | {key for cmd, key in _EXEMPT if cmd == command} == _taken_keys(command)
+
+
+def _hole_inputs(tmp_path) -> dict[str, str]:
+    grid = gen_grid(2, 12)
+    save_edge_list(grid, tmp_path / "grid.txt")
+    snap, _ = scenario.make_epidemic_snapshot(grid, scenario.ScenarioParams(0.2, 0.6, 0.5), 5)
+    # a 2x5 grid on ids 0..9 and a path on ids 20..25: ids 10..19 are isolated
+    rows = ([(i, i + 1) for i in range(9) if i != 4] + [(i, i + 5) for i in range(5)]
+            + [(i, i + 1) for i in range(20, 25)])
+    texts = {"gaps.txt": "".join(f"{u} {v}\n" for u, v in rows),
+             "gaps_snap.txt": "truth=epidemic n=26\n1\n2\n3\n11\n12\n13\n",
+             "snap.txt": snap.to_text()}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {"GRID": "grid.txt", "SNAP": "snap.txt", "GAPS": "gaps.txt",
+            "GAPS_SNAP": "gaps_snap.txt"}
+
+
+def _outcome(capsys, argv):
+    Path("OUT").unlink(missing_ok=True)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, Path("OUT").read_bytes() if Path("OUT").exists() else b""
+
+
+@pytest.mark.parametrize("command, key, base, flags", [case[1:] for case in _HOLE_CASES],
+                         ids=[case[0] for case in _HOLE_CASES])
+def test_an_option_at_a_non_default_value_is_read_or_refused(tmp_path, monkeypatch, capsys,
+                                                             command, key, base, flags):
+    monkeypatch.chdir(tmp_path)
+    files = _hole_inputs(tmp_path)
+    before = _outcome(capsys, [files.get(arg, arg) for arg in base])
+    assert before[0] in (0, 2), before[2]
+    after = _outcome(capsys, [files.get(arg, arg) for arg in (*base, *flags)])
+    error = after[2].splitlines()[-1] if after[0] == 1 else ""
+    named = flags[0] in error or re.search(rf"\b{key}\b", error)
+    assert named if after[0] == 1 else after != before, (after[0], error)

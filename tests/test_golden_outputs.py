@@ -330,6 +330,69 @@ CLI = {
                                       "--t-values", "0,5,10"],
         "a388246e7338d425d64d7a474517178d804a258ac8d06ab84dceaaa062c98999",
         EMPTY, 0),
+    # the rows below were computed before the experiment keys moved into one
+    # table (harness.KEYS): each shipped config at two trials and one value
+    "error_decay_sweep": (["sweep", "--config", "ERROR_DECAY", "--values", "300",
+                           "--trials", "2"],
+        "4aed23510d98d67c4d086689e0cadcedd9de10b89e4ac298f180b6b2f31f738c",
+        EMPTY, 0),
+    "seed_robustness_sweep": (["sweep", "--config", "SEED_ROBUSTNESS", "--n", "500",
+                               "--values", "2", "--trials", "2"],
+        "c5eae81c66b2534955f6d43fd7e933d34a942d9e477975e8ca3492c5a0ef5aab",
+        EMPTY, 0),
+    "noise_robustness_sweep": (["sweep", "--config", "NOISE_ROBUSTNESS", "--n", "400",
+                                "--values", "0.1", "--trials", "2"],
+        "7bbfaefca35ca304c99042b2fe94445904b7a2575e8dce4c2fd1bdc1b4b72afe",
+        EMPTY, 0),
+    # a shipped config whose detector, topology or graph a flag replaces
+    "separability_detector_nn": (["sweep", "--config", "SEPARABILITY", "--n", "400",
+                                  "--detector", "nn", "--k", "3", "--values", "2",
+                                  "--trials", "2"],
+        "5e3b7ec2b76bafbcb5b0d76df6acf37f5218b7d1d7815196b4f7c279361e187e",
+        EMPTY, 0),
+    "separability_topology_grid": (["sweep", "--config", "SEPARABILITY", "--topology", "grid",
+                                    "--side", "8", "--values", "1", "--trials", "2"],
+        "3b2c3f82d01d787232c06518d4655671a01c49c42b8bf06bc1290315127642a0",
+        EMPTY, 0),
+    "separability_graph": (["sweep", "--config", "SEPARABILITY", "--graph", "GRAPH",
+                            "--values", "1", "--trials", "2"],
+        "314c4993e70178cbb7420ba72ff93945ba8386b2c5ee8ddf78a8a8f115f8c2c8",
+        EMPTY, 0),
+    "simulate_epidemic": (["simulate", "--graph", "GRAPH", "--alpha", "0.2", "--q", "0.6",
+                           "--f", "0.5", "--seed", "3"],
+        "714f8d912cd6759c5a225689857e6217a276992e5577da4711e4bb5939d42856",
+        EMPTY, 0),
+    "simulate_null": (["simulate", "--graph", "GRAPH", "--scenario", "null", "--alpha", "0.2",
+                       "--q", "0.6", "--f", "0.5", "--seed", "3"],
+        "fded844d18e6272d8c6b268292e20f533b9499e3eea1320ebb0231eb21583718",
+        EMPTY, 0),
+    "simulate_null_defaults": (["simulate", "--topology", "grid", "--side", "8",
+                                "--scenario", "null"],
+        "12fbdaab0c3cf354c26d2e343db1b7edcb3faabf5aaf84413a40f61ed6b97fdb",
+        EMPTY, 0),
+    "simulate_null_p": (["simulate", "--topology", "grid", "--side", "8", "--scenario", "null",
+                         "--null-p", "0.3", "--seed", "2"],
+        "dce04c1a67c5f9f531695e9f8faf4c173b552a51fe24ba83cdfe4b68664b18ec",
+        EMPTY, 0),
+    # OUT is a file in the working directory; its bytes follow stdout's
+    "generate_grid": (["generate", "--topology", "grid", "--side", "8", "--out", "OUT"],
+        "ba20ce744ab5c5498bcdc6c0da21cae54e6dcbad0939c640c4e06a18806b371d",
+        "93e9c95c2bbc00f8b72491329c010fd93734a3d11acee0b38c3f2d688bfb3613", 0),
+    "gamma_k_list": (["gamma", "--graph", "GRAPH", "--alpha", "0.2", "--k-list", "1,2",
+                      "--trials", "3"],
+        "83952c884e90fac97e7163f981734c6763090bb428209da16988765e5a23c951",
+        EMPTY, 0),
+    # usage lines: argparse prints the command's flags in the order they were added
+    "usage_generate": (["generate", "--n", "x"], EMPTY,
+        "29c6ca5e8f2317dc556d9558e6a8eac172742e7c102da48d6470e6530800bcc2", 1),
+    "usage_simulate": (["simulate", "--n", "x"], EMPTY,
+        "f29be81fbc8cdfdaa487aaa1baebfc2a3cb8dd9b3abe00bf4f04e12b101a3852", 1),
+    "usage_gamma": (["gamma", "--n", "x"], EMPTY,
+        "f3e97659550b144d6a070d3989c98456c06336814e0e27ab7c58982ca2ca4f9d", 1),
+    "usage_sweep": (["sweep", "--n", "x"], EMPTY,
+        "3e1d3d1dc94ed1891fda0889501267d794dde653a380e1d014bf633098383653", 1),
+    "usage_threshold_sweep": (["threshold-sweep", "--n", "x"], EMPTY,
+        "28a7787cecea3295c51cdff0eb4f95e5d51da383348a35527b0f831a32aad52b", 1),
 }
 
 
@@ -350,14 +413,18 @@ def cli_inputs(tmp) -> dict[str, str]:
         (tmp / name).write_text(text)
     experiments = Path(__file__).resolve().parent.parent / "experiments"
     return {"GRAPH": str(tmp / "grid.txt"), **{name: str(tmp / name) for name in texts},
-            "SEPARABILITY": str(experiments / "separability.cfg")}
+            **{name.upper(): str(experiments / f"{name}.cfg") for name in (
+                "separability", "error_decay", "seed_robustness", "noise_robustness")}}
 
 
 @pytest.mark.parametrize("name", sorted(CLI))
 def test_cli_transcript_bytes(name, tmp_path, capsys, monkeypatch):
     argv, out_digest, err_digest, code = CLI[name]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    monkeypatch.chdir(tmp_path)
     files = cli_inputs(tmp_path)
     got = main([files.get(arg, arg) for arg in argv])
     out, err = capsys.readouterr()
+    if "OUT" in argv:
+        out += (tmp_path / "OUT").read_text()
     assert (text_digest(out), text_digest(err), got) == (out_digest, err_digest, code)

@@ -63,8 +63,6 @@ def reporting_probabilities(q: float, alpha: float, f: float) -> ReportingProbab
         raise ValueError("alpha must be in (0, 1)")
     if not 0.0 <= f < math.inf:
         raise ValueError("f must be >= 0 and finite")
-    if q * alpha >= 1.0:
-        raise ValueError("q*alpha must be < 1")
     p = (f + 1.0) * q * alpha
     if p > 1.0:
         raise ValueError(

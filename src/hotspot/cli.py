@@ -197,7 +197,10 @@ def _spec_from_args(args) -> "harness.ExperimentSpec":
     if args.graph:
         raw.update(topology="file", path=args.graph)
     raw.setdefault("seed", str(_seed(args)))
-    return harness.spec_from_mapping(raw)
+    spec = harness.spec_from_mapping(raw)
+    if args.command == "threshold-sweep" and spec.sweep_name == "t" and "values" in raw:
+        raise ValueError("threshold-sweep takes its thresholds from --t-values, not a t sweep")
+    return spec
 
 
 def _cmd_sweep(args) -> int:

@@ -405,10 +405,7 @@ class Graph:
         """
         u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
         keep = np.flatnonzero(u < self._indices)
-        return _giant_of_pairs(self.n, u[keep], self._indices[keep])
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.num_edges})"
+        return _giant_of_pairs([self.n, u[keep], self._indices[keep]])
 
 
 def _pair_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -441,10 +438,13 @@ def _pair_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _giant_of_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Graph, np.ndarray]:
-    """:meth:`Graph.largest_component`'s (giant, old_ids) of the graph on the
-    pairs (u[i], v[i]), cut from the pairs without building that graph: the
-    pairs inside the giant, renumbered, go to one :meth:`Graph._from_pairs`."""
+def _giant_of_pairs(pairs: list) -> tuple[Graph, np.ndarray]:
+    """:meth:`Graph.largest_component`'s (giant, old_ids) of the graph on the pairs
+    (u[i], v[i]) of ``pairs`` = [n, u, v], cut from the pairs without building that graph:
+    the pairs inside the giant, renumbered, go to one :meth:`Graph._from_pairs`. The cut
+    empties ``pairs`` to free u and v once renumbered: the caller must hold them nowhere else."""
+    n, u, v = pairs
+    pairs.clear()
     labels = _pair_labels(n, u, v)
     inside = labels == np.argmax(np.bincount(labels, minlength=1))
     remap = np.cumsum(inside, out=labels)  # in the labels' array:

@@ -174,7 +174,8 @@ class TopologySpec:
                 pairs = _tree_pairs(self.degree, self.depth)
             else:
                 pairs = _power_law_pairs(self.n, self._exponent(), seed)
-            g = _giant_of_pairs(*pairs)[0] if self.giant else Graph._from_pairs(*pairs)
+            pairs = list(pairs)  # the giant cut empties it, so that it alone holds u and v
+            g = _giant_of_pairs(pairs)[0] if self.giant else Graph._from_pairs(*pairs)
         if self.kind in FIXED_KINDS:
             object.__setattr__(self, "_graph", g)
         return g

@@ -193,9 +193,7 @@ def _exp_clocks(rng):
 
 
 def _sample_outside(n: int, count: int, excluded: np.ndarray, rng) -> np.ndarray:
-    """count distinct uniform draws from {0..n-1} minus the distinct ids ``excluded``."""
-    if count > n - excluded.size:
-        raise ValueError("not enough nodes outside the excluded set")
+    """count <= n - excluded.size distinct uniform draws from {0..n-1} minus ``excluded``."""
     taken = np.zeros(n, dtype=bool)
     taken[excluded] = True
     if n <= 100_000 or count > (n - excluded.size) // 2:

@@ -649,6 +649,40 @@ def test_list_flag_errors_name_the_flag_and_item(capsys, argv, error):
     assert code == 1 and out == "" and err == f"error: {error}\n"
 
 
+_DENSE_G = ["detect", "--graph", "g.txt", "--snapshot", "s.txt", "--regime", "dense",
+            "--alpha", "0.2"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bounds", "--gamma", "0.5", "--q", "0.3", "--alpha", "0.2", "--k", "3",
+      "--n-reporting", "-1"], "n_reporting must be >= 0"),
+    (["simulate", "--topology", "grid", "--side", "6", "--scenario", "null", "--null-p", "1.5"],
+     "p must be in [0, 1]"),
+    (["generate", "--topology", "tree", "--degree", "1", "--depth", "2"], "degree must be >= 2"),
+    (["generate", "--topology", "tree", "--degree", "2", "--depth", "0"], "depth must be >= 1"),
+    (["generate", "--topology", "tree", "--degree", "2", "--depth", "40"],
+     "tree of 2199023255551 nodes exceeds supported size"),
+    (["generate", "--topology", "grid", "--side", "100000"],
+     "grid of 10000000000 nodes exceeds supported size"),
+    (["generate", "--topology", "er", "--n", "100", "--p", "1.5"], "p must be in [0, 1]"),
+    ([*_DENSE_G, "--q", "0.3", "--gamma", "0.5", "--log-base", "1"],
+     "log base must exceed 1 and be finite"),
+    ([*_DENSE_G, "--q", "1.5", "--gamma", "0.5"], "q must be in [0, 1]"),
+    ([*_DENSE_G, "--q", "0.3", "--gamma-profile", "P.csv"], "P.csv: empty gamma profile"),
+], ids=["bounds-n-reporting", "simulate-null-p", "tree-degree", "tree-depth", "tree-size",
+        "grid-size", "er-p", "detect-log-base", "detect-q", "detect-empty-profile"])
+def test_each_input_check_exits_one_with_its_message(tmp_path, monkeypatch, capsys, argv,
+                                                     error):
+    # refusals of outside input that no other test reached; generate writes no file
+    monkeypatch.chdir(tmp_path)
+    save_edge_list(gen_grid(2, 12), "g.txt")
+    Path("s.txt").write_text("truth=uniform n=144\n3\n40\n")
+    Path("P.csv").write_text("K,gamma,stderr,trials,topology\n")
+    out_flag = ["--out", "OUT"] if argv[0] == "generate" else []
+    assert run(capsys, *argv, *out_flag) == (1, "", f"error: {error}\n")
+    assert not Path("OUT").exists()
+
+
 def test_detect_id_beyond_int64_exits_one_without_traceback(tmp_path):
     (tmp_path / "g.txt").write_text("0 1\n1 9223372036854775808\n")
     (tmp_path / "s.txt").write_text("truth=uniform n=2\n1\n")
@@ -1087,6 +1121,23 @@ def test_threshold_sweep_drops_the_configs_t(tmp_path, capsys):
     cfg.write_text(body + "t=5\n")
     assert run(capsys, "threshold-sweep", "--config", str(cfg), "--t-values", "0,3") == (
         0, plain, "")
+
+
+@pytest.mark.parametrize("flags, keys", [
+    (["--values", "5"], ""),
+    (["--sweep", "t", "--values", "1,3"], ""),
+    ([], "values=5\n"),
+    ([], "sweep=t\nvalues=5\n"),
+], ids=["flag", "flag-sweep-t", "config", "config-sweep-t"])
+def test_threshold_sweep_refuses_values_for_a_t_sweep(tmp_path, capsys, flags, keys):
+    # every row re-thresholds at a --t-values entry, so a swept t only
+    # reseeded the trials: --values 5 and --values 7 printed different rows
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology=grid\nside=8\nalpha=0.2\nq=0.6\ntrials=3\n" + keys)
+    code, out, err = run(capsys, "threshold-sweep", "--config", str(cfg), *flags,
+                         "--t-values", "1,3")
+    assert (code, out) == (1, "")
+    assert err == "error: threshold-sweep takes its thresholds from --t-values, not a t sweep\n"
 
 
 def test_detector_auto_drops_the_configs_s_and_t_and_refuses_them_as_its_own(tmp_path, capsys):

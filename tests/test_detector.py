@@ -279,6 +279,13 @@ def test_prescribe_one_rule_for_every_caller():
         prescribe(1000, 100, "medium")
 
 
+@pytest.mark.parametrize("graph_n", [0, 1])
+def test_prescribe_refuses_to_derive_beta_on_a_graph_of_one_node(graph_n):
+    # beta = 1 - log max(|R|, 2) / log N has no value below N = 2
+    with pytest.raises(ValueError, match="deriving beta needs a graph of at least 2 nodes"):
+        prescribe(graph_n, graph_n, "small")
+
+
 def test_select_small_examples():
     assert select_params_small(0.6).k_or_l == 1
     assert select_params_small(0.25).k_or_l == 3

@@ -101,12 +101,12 @@ def ids_digest(old_ids) -> str:
 
 
 def test_er_giant_pairs_old_ids_bytes():
-    _, old_ids = _giant_of_pairs(*_erdos_renyi_pairs(20_000, 2 / 20_000, 3))
+    _, old_ids = _giant_of_pairs([*_erdos_renyi_pairs(20_000, 2 / 20_000, 3)])
     assert ids_digest(old_ids) == "d60e2d2af0d08b49e16ac124afec2193590639ff24cc88671c75aa831e2802d1"
 
 
 def test_powerlaw_giant_old_ids_bytes():
-    _, old_ids = _giant_of_pairs(*_power_law_pairs(8000, 2.5, 4))
+    _, old_ids = _giant_of_pairs([*_power_law_pairs(8000, 2.5, 4)])
     assert ids_digest(old_ids) == "24655642b2071b0d7e9753ef98d950a00ce04349dfbdea3b29200fef0400ad1f"
 
 

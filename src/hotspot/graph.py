@@ -35,21 +35,19 @@ MAX_NODES = 100_000_000
 NN = "nn"
 BALL = "ball"
 
-# centers in the first batch of Graph.neighborhoods, and nodes per chunk of
-# a NearestTable build
+# nodes per chunk of a NearestTable build
 _BLOCK = 512
 
-# (center, node) pairs a batch of Graph.neighborhoods aims to expand over
-# all its levels: enough work to spread the fixed cost of its numpy calls
-# (53 per plain nn level past depth 1, 27 at depth 1, and 15 to place the
-# pairs at the end; a plain hotspot test places none but counts hits, 64
-# per nn level and 35 at depth 1; a NoisyView nn level past its noise
-# magnitude takes about 95, 40 more to perceive and settle, and its hotspot
-# test about 105), while a batch's arrays stay near this many pairs. On an
-# 8000-node ER giant a level holds about 1k pairs, so call overhead
-# dominates: 2**16 with a first batch of 512, in place of 2**14 and 256, ran
-# a noisy nn K = 6 query of 822 centers in 2 batches instead of 3, at 0.95 of
-# the time, a ball of radius 3 at 0.83 and a NearestTable(g, 9) build at 0.78
+# (center, node) pairs a batch of Graph.neighborhoods aims to expand over all
+# its levels, a sixteenth of them the row entries its first batch reads at the
+# mean degree: enough work to spread the fixed cost of its numpy calls (53 per
+# plain nn level past depth 1, 27 at depth 1, 15 to place the pairs; a plain
+# hotspot test counts hits in place of placing, 64 per nn level and 35 at depth
+# 1; a NoisyView nn level past its noise magnitude about 95, its hotspot test
+# about 105), while a batch's arrays stay near this many pairs. On an 8000-node
+# ER giant a level holds about 1k pairs, so call overhead dominates: there the
+# first batch holds about 1,700 centers, so a sweep's 900 reporters run as one
+# batch and pay each level's calls once
 _PAIRS = 1 << 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -113,8 +111,8 @@ def _centers_of(centers, n: int) -> np.ndarray:
 def _max_batch(n: int) -> int:
     """The most centers one batch of Graph.neighborhoods may hold on a graph
     of n nodes: it keeps the batch's largest codes, the BFS level's
-    (owner * n + node) << 1, below 2**63."""
-    return (2**63 - 1) // max(2 * n, 1)
+    (owner << b | node) << 1 with b = n.bit_length(), below 2**63."""
+    return 1 << (62 - n.bit_length())
 
 
 class Graph:
@@ -154,24 +152,25 @@ class Graph:
         """The graph on the pairs (u[i], v[i]) of two int64 arrays, given in
         either direction; repeats and self-loops are dropped. Every graph is
         built here, from a generator's sampled pairs or those a giant's cut
-        keeps: one sort of the keys u*n + v orders each row. Both directions'
-        keys fill one array, made, sorted and cut to ``indices`` in place,
-        its rows counted into ``indptr`` a chunk at a time: beside the pairs,
-        which are only read, a step holds the CSR and a chunk, or two key
-        arrays while repeats are dropped. The CSR is read-only."""
+        keeps: one sort of the keys u << b | v, b = n.bit_length(), orders each row.
+        Both directions' keys fill one array, made, sorted and cut to ``indices`` in
+        place, its rows counted into ``indptr`` a chunk at a time: beside the pairs,
+        which are only read, a step holds the CSR and a chunk, or two key arrays
+        while repeats are dropped. The CSR is read-only."""
         if not (keep := u != v).all():
             u, v = u[keep], v[keep]
+        b = int(n).bit_length()
         keys = np.concatenate([u, v])
-        keys *= n
-        keys[:u.size] += v
-        keys[u.size:] += u
+        keys <<= b
+        keys[:u.size] |= v
+        keys[u.size:] |= u
         keys = sorted_unique(keys)
         indptr = np.zeros(n + 1, dtype=np.int64)
         for at in range(0, keys.size, _PAIRS):  # sorted, a chunk's rows are one run
-            rows = keys[at:at + _PAIRS] // n
+            rows = keys[at:at + _PAIRS] >> b
             indptr[rows[0] + 1:rows[-1] + 2] += np.bincount(rows - rows[0])
         np.cumsum(indptr, out=indptr)
-        keys %= n  # each key's column
+        keys &= (1 << b) - 1  # each key's column
         g = object.__new__(cls)
         g._n, g._indptr, g._indices = int(n), indptr, keys
         indptr.flags.writeable = keys.flags.writeable = False
@@ -192,7 +191,7 @@ class Graph:
 
     # -- neighborhood queries ----------------------------------------------
 
-    # one-center forms of neighborhoods, kept (with NoisyView's) only because
+    # one-center forms of neighborhoods, NoisyView's too, kept only because
     # perfbench/tracing.py wraps them by name, as tests/test_bench_contract.py pins
     def nn_members(self, i: int, k: int) -> list[int]:
         return self.neighborhoods(np.array([i]), k, NN)[1].tolist()
@@ -211,16 +210,17 @@ class Graph:
         within ``size`` hops. The center is never a member.
 
         Centers go in batches sized by the work they cause: the first holds
-        _BLOCK centers, and each later one as many as expand about _PAIRS
-        pairs at the previous batch's rate per center (at least 1, at most
-        _max_batch). Each batch runs one level-synchronous BFS over (center,
-        node) pairs. Depth 1 is read from the centers' CSR rows, sorted,
-        distinct and free of the centers, so a rank there is a place in a
-        row: a plain nn center reads its row's first ``size`` entries only,
-        and one with ``size`` neighbors is settled by them. A deeper level
-        expands the current shell, and one sort of tagged codes keeps the
-        distinct candidates in neither the previous nor the current shell:
-        in an undirected graph those are exactly the unvisited pairs.
+        those that read about _PAIRS >> 4 row entries at the mean degree, each
+        later one those that expand about _PAIRS pairs at the previous batch's
+        rate per center (each at least 1, at most _max_batch). Each batch runs
+        one level-synchronous BFS over (center, node) pairs, keyed owner << b |
+        node with b = n.bit_length(). Depth 1 is read from the centers' CSR
+        rows, sorted, distinct and free of the centers, so a rank there is a
+        place in a row: a plain nn center reads its row's first ``size``
+        entries only, and one with ``size`` neighbors is settled by them. A
+        deeper level expands the current shell, and one sort of tagged codes
+        keeps the distinct candidates in neither the previous nor the current
+        shell: in an undirected graph those are exactly the unvisited pairs.
 
         Each level is ranked as the BFS finds it. A level is in (center,
         node) order and all of it lies at one hop distance, so a pair's rank
@@ -241,6 +241,9 @@ class Graph:
         open (size less its members found) fall short of ``s``. No member is
         placed."""
         return self._scan(centers, size, mode, None, s)
+
+    def _first_batch(self) -> int:  # centers reading _PAIRS >> 4 entries at the mean degree
+        return (_PAIRS >> 4) * self.n // max(self._indices.size, 1)
 
     def _scan(self, centers, size: int, mode: str, noisy: NoisyView | None,
               s: int | None = None):
@@ -265,7 +268,7 @@ class Graph:
             reports[centers] = True
         cap = _max_batch(self.n)
         parts = [(_EMPTY, _EMPTY, _EMPTY) if s is None else (_EMPTY.astype(bool),)]
-        lo, block = 0, min(_BLOCK, cap)
+        lo, block = 0, min(max(self._first_batch(), 1), cap)
         while lo < centers.size:
             *part, expanded = self._neighborhood_block(
                 centers[lo:lo + block], size, nearest, noisy, reports, s)
@@ -278,7 +281,8 @@ class Graph:
         return arrays if s is None else arrays[0]
 
     def _neighborhood_block(self, centers, size, nearest, noisy, reports=None, s=None):
-        n, indptr, indices = self.n, self._indptr, self._indices
+        b, indptr, indices = self.n.bit_length(), self._indptr, self._indices
+        mask = (1 << b) - 1  # a pair's key is owner << b | node: its node is key & mask
         slack = 0 if noisy is None else noisy._noise.magnitude
         counting = reports is not None  # a hotspot test: hits per level, decided centers drop
         # depth 1 is a prefix of each center's row, ranked by place (a ball
@@ -293,8 +297,8 @@ class Graph:
         owner = np.arange(centers.size, dtype=np.int64).repeat(found)
         rank = np.arange(expanded) - (ends - found).repeat(found)
         nodes = indices[start.repeat(found) + rank]
-        shell = owner * n + nodes  # keys owner*n + node
-        prev = np.arange(centers.size, dtype=np.int64) * n + centers
+        shell = owner << b | nodes
+        prev = np.arange(centers.size, dtype=np.int64) << b | centers
         keys, tags = [shell], [rank]  # per level: the ranked pairs' keys and ranks
         pending = _EMPTY  # a noisy view's pairs found but not yet settled
 
@@ -319,24 +323,25 @@ class Graph:
         while (shell.size or pending.size) and (nearest or depth < size + slack):
             if shell.size:
                 depth += 1
-                nodes = shell % n
+                nodes = shell & mask
                 start = indptr[nodes]
                 deg = indptr[nodes + 1] - start
                 ends = deg.cumsum()
                 expanded += int(ends[-1])
-                gather = (start - ends + deg).repeat(deg) + np.arange(ends[-1])
-                new = (shell - nodes).repeat(deg) + indices[gather]
+                new = indices[(start - ends + deg).repeat(deg) + np.arange(ends[-1])]
+                new |= (shell - nodes).repeat(deg)
                 # codes key << 1 (shell pairs) and key << 1 | 1 (candidates):
                 # once sorted, a candidate is new if its predecessor's key differs
-                code = np.concatenate([prev, shell, new]) << 1
+                code = np.concatenate([prev, shell, new])
+                code <<= 1
                 code[prev.size + shell.size:] |= 1
                 code.sort()
-                keep = (code & 1).astype(bool)
+                keep = np.bitwise_and(code, 1, out=np.empty(code.size, bool), casting="unsafe")
                 keep[1:] &= np.diff(code) > 1
                 # flatnonzero and a gather: numpy's boolean indexing copies
                 # run by run, several times slower on masks of short runs
                 new = code[np.flatnonzero(keep)] >> 1
-                owner = new // n
+                owner = new >> b
             else:  # the shell is spent: jump to the level where the next pending pair settles
                 depth = int(pending_dist.min()) + slack
                 new = owner = _EMPTY
@@ -345,7 +350,7 @@ class Graph:
             if noisy is not None:
                 # unfound nodes lie beyond depth hops, so are perceived beyond
                 # depth - slack: the pending pairs perceived at depth - slack settle
-                dist, fresh = noisy._perceive(observed, owner, new - owner * n, depth), new
+                dist, fresh = noisy._perceive(observed, owner, new & mask, depth), new
                 if not nearest:  # a ball holds only pairs it may rank: all settle by size + slack
                     near = np.flatnonzero(dist <= size)
                     dist, fresh = dist[near], new[near]
@@ -353,7 +358,7 @@ class Graph:
                 pending_dist = np.concatenate([pending_dist, dist])
                 settled = pending_dist <= depth - slack
                 level = np.sort(pending[settled])
-                at = level // n
+                at = level >> b
                 left = np.flatnonzero(~settled)
                 pending, pending_dist = pending[left], pending_dist[left]
             # a level is in (center, node) order, all at one distance: a
@@ -368,7 +373,7 @@ class Graph:
                 np.minimum(found, size, out=found)
             if counting:
                 ranked = at[keep]
-                hits += np.bincount(ranked[np.flatnonzero(reports[level[keep] - ranked * n])],
+                hits += np.bincount(ranked[np.flatnonzero(reports[level[keep] & mask])],
                                     minlength=centers.size)
             else:
                 keys.append(level[keep])
@@ -378,18 +383,17 @@ class Graph:
                 # a decided center stays decided: its pairs leave both shells
                 active = undecided()
                 shell = new[np.flatnonzero(active[owner])]
-                prev = prev[np.flatnonzero(active[prev // n])]
+                prev = prev[np.flatnonzero(active[prev >> b])]
                 if noisy is not None:
-                    left = np.flatnonzero(active[pending // n])
+                    left = np.flatnonzero(active[pending >> b])
                     pending, pending_dist = pending[left], pending_dist[left]
         if counting:
             return hits >= s, expanded
         # no sort: each pair goes to its center's offset plus its rank
         key, tag = np.concatenate(keys), np.concatenate(tags)
-        owner = key // n
-        at = (found.cumsum() - found)[owner] + tag
+        at = (found.cumsum() - found)[key >> b] + tag
         member, rank = np.empty_like(key), np.empty_like(tag)
-        member[at], rank[at] = key - owner * n, tag
+        member[at], rank[at] = key & mask, tag
         owner = np.arange(centers.size, dtype=np.int64).repeat(found)
         return owner, member, rank, expanded
 
@@ -492,6 +496,7 @@ class NoisyView:
         self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)  # keys by its low 64 bits
 
     n = property(lambda self: self._g.n)
+    nn_members, ball_members = Graph.nn_members, Graph.ball_members  # via its neighborhoods
 
     def _observers(self, centers: np.ndarray) -> np.ndarray:
         """The observer half of each center's pair keys, hashed once per batch."""
@@ -519,12 +524,6 @@ class NoisyView:
     def hotspots(self, centers: np.ndarray, size: int, mode: str, s: int) -> np.ndarray:
         """Graph.hotspots by perceived distance, counted as the members settle."""
         return self._g._scan(centers, size, mode, self, s)
-
-    def ball_members(self, i: int, l: int) -> list[int]:
-        return self.neighborhoods(np.array([i]), l, BALL)[1].tolist()
-
-    def nn_members(self, i: int, k: int) -> list[int]:
-        return self.neighborhoods(np.array([i]), k, NN)[1].tolist()
 
 
 class NearestTable:
@@ -746,6 +745,7 @@ def _erdos_renyi_pairs(n: int, p: float, rng_seed: int) -> tuple[int, np.ndarray
         # one draw per cell; the cells above the diagonal are the pairs
         return n, *divmod(np.flatnonzero(np.triu(rng.random((n, n)) < p, 1)), n)
     m = int(rng.binomial(total_pairs, p))
+    b = int(n).bit_length()
     keys = np.empty(0, dtype=np.int64)
     while keys.size < m:
         draw = max(16, int((m - keys.size) * 1.3))
@@ -753,14 +753,14 @@ def _erdos_renyi_pairs(n: int, p: float, rng_seed: int) -> tuple[int, np.ndarray
         hi = rng.integers(0, n, size=draw, dtype=np.int64)
         hi, lo = np.maximum(lo, hi), np.minimum(lo, hi, out=lo)  # three draws' arrays at most
         keep = lo < hi
-        lo *= n
-        lo += hi
-        del hi  # the keys lo*n + hi, built in lo
+        lo <<= b
+        lo |= hi
+        del hi  # the keys lo << b | hi, built in lo
         keys = sorted_unique(np.concatenate([keys, lo[keep]]))
         del lo  # rng.choice holds two copies of the keys: free the draws first
     if keys.size > m:
         keys = rng.choice(keys, size=m, replace=False)
-    return n, keys // n, np.remainder(keys, n, out=keys)  # the rows first, then in place
+    return n, keys >> b, np.bitwise_and(keys, (1 << b) - 1, out=keys)  # rows, then in place
 
 
 def gen_grid(dim: int, side: int) -> Graph:

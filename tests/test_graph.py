@@ -501,6 +501,17 @@ def test_erdos_renyi_mean_edge_count():
     assert abs(np.mean(counts) - expected) < 3 * sigma_mean
 
 
+@pytest.mark.parametrize("n", [2047, 2048, 2049, 4095, 4096, 4097])
+def test_erdos_renyi_sampled_keys_decode_at_power_of_two_node_counts(n):
+    # above 2000 nodes the sampler keys each pair lo << b | hi, b = n.bit_length():
+    # it decodes to the binomial draw's count of distinct pairs lo < hi < n
+    p = 3 / n
+    _, u, v = _erdos_renyi_pairs(n, p, 5)
+    assert u.size == np.random.default_rng(5).binomial(n * (n - 1) // 2, p)
+    assert ((0 <= u) & (u < v) & (v < n)).all()
+    assert np.unique(u * n + v).size == u.size
+
+
 def test_erdos_renyi_dense_path_matches_probability():
     # n <= 2000 takes the dense Bernoulli-matrix path
     g = gen_erdos_renyi(400, 0.05, 7)

@@ -301,7 +301,7 @@ def test_noisy_view_matches_full_sort_oracle(monkeypatch, flip_prob, magnitude):
     for pairs in (1, 2**40):
         for block in (1, 3, 512):
             monkeypatch.setattr(graph, "_PAIRS", pairs)
-            monkeypatch.setattr(graph, "_BLOCK", block)
+            monkeypatch.setattr(Graph, "_first_batch", lambda self: block)
             for k in (1, 2, 5, 9, 40):
                 owner, member, rank = view.neighborhoods(centers, k, "nn")
                 counts = [min(k, len(ranking)) for ranking in rankings]

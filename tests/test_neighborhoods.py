@@ -15,8 +15,8 @@ from hotspot.graph import (_BLOCK, MAX_NODES, Graph, NearestTable, _max_batch,
                            gen_erdos_renyi, gen_grid, gen_power_law)
 from hotspot.harness import DistanceNoise, NoisyView
 
-from oracles import (ball_oracle, components_oracle, interior_fraction_oracle, nn_oracle,
-                     noisy_ranking_oracle, random_graph)
+from oracles import (ball_oracle, components_oracle, csr_oracle, interior_fraction_oracle,
+                     nn_oracle, noisy_ranking_oracle, random_graph)
 
 
 @st.composite
@@ -151,7 +151,7 @@ _ROW_GRAPHS = {
 def test_first_level_read_from_rows_matches_oracles(monkeypatch, name, pairs, block):
     g = _ROW_GRAPHS[name]
     monkeypatch.setattr(graph, "_PAIRS", pairs)
-    monkeypatch.setattr(graph, "_BLOCK", block)
+    monkeypatch.setattr(Graph, "_first_batch", lambda self: block)
     centers = np.arange(g.n)
     for k in (1, 2, 5, 6, 7, 40):
         assert per_center(*g.neighborhoods(centers, k, "nn"), g.n) == [
@@ -194,7 +194,7 @@ _EARLY_VERDICTS = {
 def test_early_verdicts_match_oracles(monkeypatch, case, pairs, block):
     g = _ROW_GRAPHS["star-path-isolated"]
     monkeypatch.setattr(graph, "_PAIRS", pairs)
-    monkeypatch.setattr(graph, "_BLOCK", block)
+    monkeypatch.setattr(Graph, "_first_batch", lambda self: block)
     reporting, mode, size, s = _EARLY_VERDICTS[case]
     members = nn_oracle if mode == "nn" else ball_oracle
     want = _hotspot_oracle(lambda i: members(g, i, size), reporting, s)
@@ -258,7 +258,7 @@ def test_noisy_settle_order_matches_oracles(monkeypatch):
         magnitude = (1, 2, 3)[trial % 3]
         flip_prob = (0.2, 0.5, 1.0)[trial // 3 % 3]
         batch = (1, 3, 512)[trial // 9 % 3]  # every batch holds this many centers
-        monkeypatch.setattr(graph, "_BLOCK", batch)
+        monkeypatch.setattr(Graph, "_first_batch", lambda self, batch=batch: batch)
         monkeypatch.setattr(graph, "_max_batch", lambda n, batch=batch: batch)
         small, large = (random_graph(int(rng.integers(lo, hi)), p, rng)
                         for lo, hi, p in ((2, 7, 0.6), (4, 13, 0.25)))
@@ -343,7 +343,7 @@ def test_batch_layout_does_not_change_output(monkeypatch, pairs, block):
     centers = np.sort(np.random.default_rng(2).choice(g.n, 750, replace=False))
     want = _layout_queries(g, centers)
     monkeypatch.setattr(graph, "_PAIRS", pairs)
-    monkeypatch.setattr(graph, "_BLOCK", block)
+    monkeypatch.setattr(Graph, "_first_batch", lambda self: block)
     for w, h in zip(want, _layout_queries(g, centers)):
         for a, b in zip(w, h):
             assert b.dtype == a.dtype and np.array_equal(b, a)
@@ -368,7 +368,7 @@ def test_plain_assembly_matches_the_perceived_sort(monkeypatch, name, block, pai
     if name == "er-giant":
         centers = np.sort(np.random.default_rng(4).choice(g.n, 300, replace=False))
     monkeypatch.setattr(graph, "_PAIRS", pairs)
-    monkeypatch.setattr(graph, "_BLOCK", block)
+    monkeypatch.setattr(Graph, "_first_batch", lambda self: block)
     for magnitude in (1, 3):
         view = NoisyView(g, DistanceNoise(0.0, magnitude), seed=7)
         for size, mode in [(k, "nn") for k in (1, 2, 6, 40)] + [(l, "ball") for l in range(4)]:
@@ -384,7 +384,7 @@ def test_observers_are_hashed_once_per_batch(monkeypatch, block, pairs):
     centers = np.sort(np.random.default_rng(2).choice(g.n, 200, replace=False))
     view = NoisyView(g, DistanceNoise(flip_prob=0.3, magnitude=2), seed=3)
     monkeypatch.setattr(graph, "_PAIRS", pairs)
-    monkeypatch.setattr(graph, "_BLOCK", block)
+    monkeypatch.setattr(Graph, "_first_batch", lambda self: block)
     calls = []
     block_of, observers_of = Graph._neighborhood_block, NoisyView._observers
     monkeypatch.setattr(Graph, "_neighborhood_block", lambda self, batch, *args: (
@@ -397,6 +397,7 @@ def test_observers_are_hashed_once_per_batch(monkeypatch, block, pairs):
         batches = [batch for what, batch in calls if what == "batch"]
         assert calls == [(what, batch) for batch in batches for what in ("batch", "hash")]
         assert sum(batches, []) == centers.tolist()
+        assert len(batches[0]) == min(block, centers.size)  # the forced first batch
         if block == 1 and pairs == 1:
             assert len(batches) == centers.size
     calls.clear()
@@ -414,8 +415,83 @@ def test_batch_cap_holds_for_any_noise_magnitude():
         for w, h in zip(g.neighborhoods(centers, size, mode),
                         view.neighborhoods(centers, size, mode)):
             assert np.array_equal(h, w)
-    cap = _max_batch(MAX_NODES)
-    assert cap >= 1 and cap * 2 * MAX_NODES < 2**63
+    for n in (1, 2, 3, 1023, 1024, 1025, 2**20 - 1, 2**20, 10**6, 2**26, MAX_NODES):
+        # the largest code, of the last center and the last node, fits in int64,
+        # and the cap is at most half of the largest batch that would fit
+        cap, b = _max_batch(n), n.bit_length()
+        assert cap >= 1 and ((cap - 1) << b | (n - 1)) << 1 < 2**63
+        assert 4 * cap * n >= 2**63
+
+
+def _edge_graph(shape, n):
+    """The path 0..n-1, the star with hub 0, or a G(n, 3/n) sample."""
+    if shape == "path":
+        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    if shape == "star":
+        return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    return gen_erdos_renyi(n, min(1.0, 3 / n), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025])
+@pytest.mark.parametrize("shape", ["path", "star", "random"])
+def test_pair_keys_at_power_of_two_node_counts(shape, n):
+    # pairs are keyed owner << b | node with b = n.bit_length(): at n = 2**j - 1,
+    # 2**j and 2**j + 1 the last node id fills its field, or starts a new bit
+    g = _edge_graph(shape, n)
+    # the CSR again from both directions of every edge and a self-loop, backwards
+    u = np.repeat(np.arange(n), g.degrees())
+    pairs = np.concatenate([np.column_stack([u, g._indices]), [[n - 1, n - 1]]])
+    indptr, indices, _, _ = csr_oracle(n, pairs)
+    for built in (Graph._from_pairs(n, pairs[::-1, 0].copy(), pairs[::-1, 1].copy()),
+                  Graph.from_edges(n, pairs)):
+        assert np.array_equal(built._indptr, indptr) and np.array_equal(built._indices, indices)
+    rng = np.random.default_rng(n)
+    centers = np.union1d(rng.choice(n, min(n, 30), replace=False), [0, n - 1])
+    reporting = np.union1d(centers[rng.random(centers.size) < 0.5], [n - 1])
+    view = NoisyView(g, DistanceNoise(0.5, 1), seed=n)
+    hops = {i: nn_oracle(g, i, n) for i in centers.tolist()}
+    perceived = {i: noisy_ranking_oracle(g, i, n, 0.5, 1) for i in centers.tolist()}
+    for q, mode, members in (
+            (g, "nn", lambda i, size: hops[i][:size]),
+            (g, "ball", lambda i, size: ball_oracle(g, i, size)),
+            (view, "nn", lambda i, size: [v for _, v in perceived[i][:size]]),
+            (view, "ball", lambda i, size: [v for d, v in perceived[i] if d <= size])):
+        for size in ((1, 3, 8) if mode == "nn" else (0, 1, 3)):
+            assert per_center(*q.neighborhoods(centers, size, mode), centers.size) == [
+                members(i, size) for i in centers.tolist()], (q, mode, size)
+            for s in (1, 2):
+                assert q.hotspots(reporting, size, mode, s).tolist() == _hotspot_oracle(
+                    lambda i: members(i, size), reporting.tolist(), s), (q, mode, size, s)
+
+
+def _batch_sizes(monkeypatch):
+    """The centers of each batch the kernel runs from now on."""
+    sizes, block_of = [], Graph._neighborhood_block
+    monkeypatch.setattr(Graph, "_neighborhood_block", lambda self, batch, *args: (
+        sizes.append(batch.size) or block_of(self, batch, *args)))
+    return sizes
+
+
+def test_a_sweep_snapshot_runs_as_one_batch(monkeypatch):
+    # the sweeps' 8000-node ER giant, mean degree about 2.4: a first batch reads
+    # about _PAIRS >> 4 row entries, about 1,700 centers, so 900 reporters are one
+    g = gen_erdos_renyi(8000, 2 / 8000, 1).largest_component()[0]
+    centers = np.sort(np.random.default_rng(3).choice(g.n, 900, replace=False))
+    view = NoisyView(g, DistanceNoise(0.2, 2), seed=4)
+    sizes = _batch_sizes(monkeypatch)
+    for q in (g, view):
+        q.neighborhoods(centers, 6, "nn")
+        q.hotspots(centers, 6, "nn", 3)
+        q.hotspots(centers, 3, "ball", 2)
+    assert sizes == [900] * 6
+
+
+def test_a_dense_graph_gets_a_smaller_first_batch(monkeypatch):
+    g = gen_erdos_renyi(2000, 0.05, 2)  # mean degree about 100
+    sizes = _batch_sizes(monkeypatch)
+    g.neighborhoods(np.arange(g.n), 3, "nn")
+    assert sizes[0] == (graph._PAIRS >> 4) * g.n // (2 * g.num_edges) < 512
+    assert sum(sizes) == g.n
 
 
 def test_kernel_validation():

@@ -45,17 +45,18 @@ def _seed(args) -> int:
     return harness.cast_value(f"HOTSPOT_SEED={seed!r}", seed, int)
 
 
-def _add_flags(p: argparse.ArgumentParser, keys) -> None:
-    """A flag for each key-table row named in ``keys``, in table order: --graph
-    for the key path, else --<key>; --topology and --graph come first and
-    exclude each other."""
+def _add_flags(p, keys, required=False) -> None:
+    """A flag on ``p`` (a parser or group) for each key-table row in ``keys``, in order:
+    --graph for path, else --<key>; --topology and --graph come first, exclusive. The one
+    row-named flag made by hand is gamma --trials: 200 realizations, not trials_per_point."""
     source = p.add_mutually_exclusive_group() if "topology" in keys else p
     for key in sorted(keys, key=lambda key: key not in ("topology", "path")):
         row = harness.KEYS[key]
         flag = "--graph" if key == "path" else "--" + key.replace("_", "-")
         takes = (dict(action="store_true") if row.cast is bool else
                  dict(type=row.cast if row.cast in (int, float) else None, choices=row.choices))
-        (source if key in ("topology", "path") else p).add_argument(flag, help=row.help, **takes)
+        (source if key in ("topology", "path") else p).add_argument(
+            flag, help=row.help, required=required, **takes)
 
 
 _TOPOLOGY_KEYS = [key for key, row in harness.KEYS.items() if row.part == "topology"]
@@ -68,6 +69,12 @@ def _load_graph(args):
         raise ValueError("need --graph FILE or --topology FAMILY")
     given = {**vars(args), "topology": "file" if path else args.topology, "path": path}
     return harness.TopologySpec(**harness.part_fields(given, "topology")).build(_seed(args))
+
+
+def _scenario_rule(args) -> dict:
+    """alpha, q and f: an unset --alpha, --q or --f takes a sweep scenario's default."""
+    rule = {**vars(harness.ScenarioRule()), **harness.part_fields(vars(args), "scenario")}
+    return {key: rule[key] for key in ("alpha", "q", "f")}
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -96,16 +103,12 @@ def _cmd_simulate(args) -> int:
     for name in ("alpha", "q", "f") if args.null_p is not None else ():
         if getattr(args, name) is not None:  # a given null probability is not matched
             raise ValueError(f"--scenario null with --null-p does not use --{name}")
-    g = _load_graph(args)
-    # an unset --alpha, --q or --f takes a sweep scenario's default
-    rule = {**vars(harness.ScenarioRule()), **harness.part_fields(vars(args), "scenario")}
+    g, rule = _load_graph(args), _scenario_rule(args)
     if args.scenario == "epidemic":
-        params = ScenarioParams(alpha=rule["alpha"], q=rule["q"], f=rule["f"],
-                                num_seeds=1 if args.seeds is None else args.seeds)
+        params = ScenarioParams(**rule, num_seeds=1 if args.seeds is None else args.seeds)
         snap, _ = make_epidemic_snapshot(g, params, _seed(args))
     else:
-        p = (args.null_p if args.null_p is not None else
-             calibration.reporting_probabilities(rule["q"], rule["alpha"], rule["f"]).p)
+        p = calibration.reporting_probabilities(**rule).p if args.null_p is None else args.null_p
         snap = generate_uniform_null(g, p, _seed(args))
     _write_text(snap.to_text(), args.out)
     return 0
@@ -158,7 +161,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_gamma(args) -> int:
     g = _load_graph(args)
-    params = ScenarioParams(alpha=args.alpha, q=args.q, f=args.f, num_seeds=args.seeds)
+    params = ScenarioParams(**_scenario_rule(args), num_seeds=args.seeds)
     if args.k_list:
         k_values = [harness.cast_value(f"--k-list item {item!r}", item, int)
                     for item in args.k_list.split(",")]
@@ -171,7 +174,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    bounds = calibration.error_bounds(args.gamma, args.q, args.alpha, args.f,
+    bounds = calibration.error_bounds(args.gamma, args.q, args.alpha, args.f or 0.0,
                                       args.k, args.n_reporting)
     print("e1_bound,e2_bound,P,P_in")
     print(f"{bounds.e1_bound:.10g},{bounds.e2_bound:.10g},"
@@ -243,33 +246,20 @@ def build_parser() -> _Parser:
 
     p_det = sub.add_parser("detect", help="classify a snapshot (exit 0 uniform, 2 epidemic)")
     p_det.set_defaults(run=_cmd_detect)
-    p_det.add_argument("--graph", required=True)
+    _add_flags(p_det, ["path"], required=True)
     p_det.add_argument("--snapshot", required=True)
     _add_flags(p_det, ["compact", "mode", "k", "l", "s", "t"])
     p_det.add_argument("--header", action="store_true", help="print the CSV header line")
-    p_det.add_argument("--regime", choices=["dense", "small", "auto"],
-                       help="derive K and T from calibration instead of --k/--t")
-    p_det.add_argument("--q", type=float)
-    p_det.add_argument("--alpha", type=float)
-    p_det.add_argument("--f", type=float, help="default 0")
-    p_det.add_argument("--beta", type=float,
-                       help="small-regime exponent (default: 1 - log max(|R|,2)/log N)")
-    p_det.add_argument("--rho", type=float)
-    p_det.add_argument("--mu", type=float)
-    gamma = p_det.add_mutually_exclusive_group()
-    gamma.add_argument("--gamma", type=float, help="explicit interior fraction")
-    gamma.add_argument("--gamma-profile", help="gamma profile CSV from the gamma command")
-    gamma.add_argument("--gamma-fallback", action="store_true", default=None,
-                       help="use the 1/|S| lower bound for gamma")
-    gamma.add_argument("--family", choices=["grid", "tree"], help="grid: 1; tree: 1/K, K <= 64")
-    p_det.add_argument("--log-base", type=float, default=None)
+    _add_flags(p_det, ["regime", "q", "alpha", "f", "beta", "rho", "mu"])
+    _add_flags(p_det.add_mutually_exclusive_group(),  # the gamma sources
+               ["gamma", "gamma_profile", "gamma_fallback", "family"])
+    _add_flags(p_det, ["log_base"])
 
     p_gam = sub.add_parser("gamma", help="estimate the interior fraction by simulation")
     p_gam.set_defaults(run=_cmd_gamma)
     _add_flags(p_gam, _TOPOLOGY_KEYS)
-    p_gam.add_argument("--alpha", type=float, required=True)
-    p_gam.add_argument("--q", type=float, default=1.0)
-    p_gam.add_argument("--f", type=float, default=0.0)
+    _add_flags(p_gam, ["alpha"], required=True)
+    _add_flags(p_gam, ["q", "f"])
     p_gam.add_argument("--seeds", type=int, default=1)
     p_gam.add_argument("--k-list", help="comma-separated K values (default 1..ceil(ln n))")
     p_gam.add_argument("--trials", type=int, default=200)
@@ -278,11 +268,9 @@ def build_parser() -> _Parser:
 
     p_bnd = sub.add_parser("bounds", help="explicit error bounds for given parameters")
     p_bnd.set_defaults(run=_cmd_bounds)
-    p_bnd.add_argument("--gamma", type=float, required=True)
-    p_bnd.add_argument("--q", type=float, required=True)
-    p_bnd.add_argument("--alpha", type=float, required=True)
-    p_bnd.add_argument("--f", type=float, default=0.0)
-    p_bnd.add_argument("--k", type=int, required=True)
+    _add_flags(p_bnd, ["gamma", "q", "alpha"], required=True)
+    _add_flags(p_bnd, ["f"])
+    _add_flags(p_bnd, ["k"], required=True)
     p_bnd.add_argument("--n-reporting", type=int, required=True)
 
     for name, helptext in (("sweep", "run a Monte-Carlo error-rate sweep"),

@@ -409,7 +409,9 @@ class Graph:
         """
         u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
         keep = np.flatnonzero(u < self._indices)
-        return _giant_of_pairs([self.n, u[keep], self._indices[keep]])
+        pairs = [self.n, u[keep], self._indices[keep]]
+        del u, keep  # the cut frees the pairs it is handed: hold no rows beside them
+        return _giant_of_pairs(pairs)
 
 
 def _pair_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -45,9 +45,9 @@ Key = namedtuple("Key", "cast part field reads sweep help required choices",
                  defaults=(None, (), None, None, False, None))
 
 
-# Every experiment key, in the order of the sweep flags. alpha, q and f set a
-# sweep's scenario, which every path reads; of detect's paths only a dense
-# or auto prescription reads them.
+# Every experiment key, in sweep-flag order, then detect's regime and prescription
+# flags (part None, as mode). alpha, q and f set a sweep's scenario, which every
+# path reads; of detect's paths only a dense or auto prescription reads them.
 KEYS = {
     "topology": Key(str, "topology", "kind", help="graph family", choices=_TOPOLOGY_KINDS),
     "n": Key(int, "topology", "n", ("er", "powerlaw"), "n", "node count (er, powerlaw)", True),
@@ -62,7 +62,7 @@ KEYS = {
     "giant": Key(bool, "topology", "giant", help="restrict to the largest connected component"),
     "alpha": Key(float, "scenario", "alpha", _DENSE, "alpha"),
     "q": Key(float, "scenario", "q", _DENSE, "q"),
-    "f": Key(float, "scenario", "f", _DENSE, "f"),
+    "f": Key(float, "scenario", "f", _DENSE, "f", "default 0"),
     "num_seeds": Key(int, "scenario", "num_seeds", (), "num_seeds"),
     "alpha_exp": Key(float, "scenario", "alpha_exp"),
     "q_exp": Key(float, "scenario", "q_exp"),
@@ -79,10 +79,17 @@ KEYS = {
     "noise_prob": Key(float, "noise", "flip_prob", (), "flip_prob"),
     "noise_d": Key(int, "noise", "magnitude", (), "noise_d", "noise magnitude (default 1)"),
     "seed": Key(int, "", "master_seed", help="master RNG seed (default: $HOTSPOT_SEED or 0)"),
-    # detect's prescription flags, which no experiment takes (detect declares them)
-    **{key: Key(None, None, None, _DENSE) for key in ("family", "log_base", "gamma",
-                                                      "gamma_profile", "gamma_fallback")},
-    **{key: Key(None, None, None, _SMALL) for key in ("beta", "rho", "mu")},
+    "regime": Key(str, None, help="derive K and T from calibration instead of --k/--t",
+                  choices=("dense", "small", "auto")),
+    "family": Key(str, None, reads=_DENSE, help="grid: 1; tree: 1/K, K <= 64",
+                  choices=("grid", "tree")),
+    "log_base": Key(float, None, reads=_DENSE),
+    "gamma": Key(float, None, reads=_DENSE, help="explicit interior fraction"),
+    "gamma_profile": Key(str, None, reads=_DENSE, help="gamma profile CSV from the gamma command"),
+    "gamma_fallback": Key(bool, None, reads=_DENSE, help="use the 1/|S| lower bound for gamma"),
+    "beta": Key(float, None, reads=_SMALL,
+                help="small-regime exponent (default: 1 - log max(|R|,2)/log N)"),
+    **{key: Key(float, None, reads=_SMALL) for key in ("rho", "mu")},
 }
 _SWEPT = {row.sweep: key for key, row in KEYS.items() if row.sweep}  # sweep name -> key
 
@@ -498,6 +505,8 @@ def spec_from_mapping(raw: dict[str, str]) -> ExperimentSpec:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     kind = given.setdefault("detector", "nn")
     name = given.setdefault("sweep", "alpha" if kind == "auto" else "t")
+    if "noise_d" in given and "noise_prob" not in given and name != "flip_prob":
+        raise ValueError("noise_d needs noise_prob or a flip_prob sweep")
     unused = unread_keys(kind, given) if kind in KEYS["detector"].choices else []
     if unused:  # fixed_detector names an unknown kind
         raise ValueError(f"detector {kind} does not use {' or '.join(unused)}")

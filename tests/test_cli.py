@@ -669,8 +669,12 @@ _DENSE_G = ["detect", "--graph", "g.txt", "--snapshot", "s.txt", "--regime", "de
      "log base must exceed 1 and be finite"),
     ([*_DENSE_G, "--q", "1.5", "--gamma", "0.5"], "q must be in [0, 1]"),
     ([*_DENSE_G, "--q", "0.3", "--gamma-profile", "P.csv"], "P.csv: empty gamma profile"),
+    # no trial reads a magnitude with no flip probability: it used to run as if unset
+    (["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2", "--q", "0.6", "--trials",
+      "3", "--noise-d", "3"], "noise_d needs noise_prob or a flip_prob sweep"),
 ], ids=["bounds-n-reporting", "simulate-null-p", "tree-degree", "tree-depth", "tree-size",
-        "grid-size", "er-p", "detect-log-base", "detect-q", "detect-empty-profile"])
+        "grid-size", "er-p", "detect-log-base", "detect-q", "detect-empty-profile",
+        "sweep-noise-d"])
 def test_each_input_check_exits_one_with_its_message(tmp_path, monkeypatch, capsys, argv,
                                                      error):
     # refusals of outside input that no other test reached; generate writes no file
@@ -1315,6 +1319,7 @@ def _hole_cases():
                        ("beta", ["--beta", "0.5"]), ("rho", ["--rho", "0.5"]),
                        ("mu", ["--mu", "0.5"])):
         cases.append((f"detect-{key}-fixed", "detect", key, _DETECT_GRID, flags))
+    cases.append(("detect-regime-fixed", "detect", "regime", _DETECT_GRID, ["--regime", "small"]))
     for key, flags in (("gamma", ["--gamma", "0.5"]), ("gamma_profile", ["--gamma-profile", "P"]),
                        ("gamma_fallback", ["--gamma-fallback"]),
                        ("family", ["--family", "grid"]), ("log_base", ["--log-base", "2"]),
@@ -1346,6 +1351,21 @@ def _taken_keys(command) -> set:
 def test_every_option_a_command_takes_has_a_hole_case(command):
     covered = {key for _, cmd, key, *_ in _HOLE_CASES if cmd == command}
     assert covered | {key for cmd, key in _EXEMPT if cmd == command} == _taken_keys(command)
+
+
+def test_a_flag_named_after_a_key_takes_its_help_and_choices_from_the_row():
+    # such flags come from their harness.KEYS row, with no default of their
+    # own; gamma's --trials alone is declared by hand: its 200 realizations
+    # are the command's default, not a sweep's trials_per_point
+    subparsers = next(action for action in build_parser()._actions if action.choices)
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            key = "path" if action.dest == "graph" else action.dest
+            if key in harness.KEYS and (command, key) != ("gamma", "trials"):
+                row = harness.KEYS[key]
+                assert (action.help, action.choices, action.default) == (
+                    row.help, row.choices, False if row.cast is bool else None), (command, key)
+    assert subparsers.choices["gamma"]._option_string_actions["--trials"].default == 200
 
 
 def _hole_inputs(tmp_path) -> dict[str, str]:

@@ -393,6 +393,15 @@ CLI = {
         "3e1d3d1dc94ed1891fda0889501267d794dde653a380e1d014bf633098383653", 1),
     "usage_threshold_sweep": (["threshold-sweep", "--n", "x"], EMPTY,
         "28a7787cecea3295c51cdff0eb4f95e5d51da383348a35527b0f831a32aad52b", 1),
+    # the three below were computed while detect's prescription flags and the
+    # gamma and bounds scalars were declared by hand, not from harness.KEYS;
+    # describe takes no flag, so its help shows its usage line
+    "usage_detect": (["detect", "--n", "x"], EMPTY,
+        "2dcbab52808f50215288f72c7aafb2b435edb79d634ec50612e6b54ba4322078", 1),
+    "usage_bounds": (["bounds", "--n", "x"], EMPTY,
+        "e75caeeca9d7f548454643c465682b49f6266c61442f592e71204f2ced8fea50", 1),
+    "usage_describe": (["describe", "-h"],
+        "f51cc03c75f34bb6381e5c53a429d6cffb80449f53ce1e8af6aad36696772033", EMPTY, 0),
 }
 
 
@@ -428,3 +437,67 @@ def test_cli_transcript_bytes(name, tmp_path, capsys, monkeypatch):
     if "OUT" in argv:
         out += (tmp_path / "OUT").read_text()
     assert (text_digest(out), text_digest(err), got) == (out_digest, err_digest, code)
+
+
+# Every CLI example of README.md, in its order, run in one working directory
+# (each reads the files the ones before it wrote), with graphs of 300 nodes
+# and at most 5 trials; a written --out file's bytes follow stdout's. Computed
+# while detect's prescription flags and the gamma and bounds scalars were
+# declared by hand, not from harness.KEYS.
+_ER_DETECT = ["detect", "--graph", "er.txt", "--snapshot", "snap.txt"]
+_README_SCENARIO = ["--q", "0.22", "--alpha", "0.13", "--f", "1"]
+README_EXAMPLES = [
+    (["generate", "--topology", "er", "--n", "300", "--seed", "1", "--out", "er.txt"],
+     "381a8bfebed6453db87ddb46ca3f1f91c91bd00c44e650a65b00bbd2274fa308",
+     "d938efb5e8a1d295ef650b601e3cf1bb03100773326d48e7a4fa1db32bf24b99", 0),
+    (["simulate", "--graph", "er.txt", "--alpha", "0.13", "--q", "0.22", "--f", "1",
+      "--seed", "2", "--out", "snap.txt"],
+     "25c93449cf5e6d54cbddcd5cc05dab671f28c77503cda1610a6f1355379685f0", EMPTY, 0),
+    ([*_ER_DETECT, "--mode", "ball", "--l", "3", "--s", "3", "--t", "60"],
+     "c1a8fa971d7b4cf6865d08057ed9aff7b604447dde88b8d4c380b9310f83986a", EMPTY, 0),
+    (["gamma", "--graph", "er.txt", "--alpha", "0.13", "--q", "0.22", "--f", "1",
+      "--trials", "5", "--out", "gamma.csv"],
+     "dbec8b2acdd26c7654514831493f8841e98926a29fa6a7f796fe337b3ea81550", EMPTY, 0),
+    ([*_ER_DETECT, "--regime", "dense", *_README_SCENARIO, "--gamma-profile", "gamma.csv"],
+     "b2ea24cda3206057bae50d2a04b3b01cb84810ef70be2530e006e503e9978931",
+     "6bba87ad139b5ece399458f8d87566c91b4dc20e15f91434d5df3022bd679daa", 0),
+    ([*_ER_DETECT, "--regime", "small", "--beta", "0.6"],
+     "9b7610ff01431b715e4f51a5b1be029f85224e636e64dc3be042916a92dbc446",
+     "6419da3b4c7bfe09608485d16eee7b907dcc7e72ac2aca970aa0160d0f60980e", 0),
+    ([*_ER_DETECT, "--regime", "auto", *_README_SCENARIO, "--gamma-profile", "gamma.csv"],
+     "b2ea24cda3206057bae50d2a04b3b01cb84810ef70be2530e006e503e9978931",
+     "5f4b08d5a2ff5d79693b64f96cf4a4ec15eaee1703c485f28a3cca8005a8c245", 0),
+    (["sweep", "--topology", "er", "--n", "300", "--giant", "--alpha", "0.2", "--q", "0.3",
+      "--f", "1", "--detector", "ball", "--l", "2", "--s", "2", "--t", "30", "--sweep", "q",
+      "--values", "0.2,0.3,0.4", "--trials", "5", "--seed", "7", "--out", "sweep.csv"],
+     "f6dcd03c0766fdbae1d781e3f7add418bfeed93b95455676e100c350e1058ce2", EMPTY, 0),
+    (["threshold-sweep", "--config", "SEPARABILITY", "--n", "300", "--values", "2",
+      "--trials", "5", "--t-values", "100,130,160"],
+     "564289f216679b2a516996f7680da77db2f233434e4ebb96fe7d1672646a3722", EMPTY, 0),
+    (["bounds", "--gamma", "0.76", "--q", "0.22", "--alpha", "0.13", "--f", "1", "--k", "1",
+      "--n-reporting", "460"],
+     "64a11a0e8f4073737a94878b6cd84b6da1550f50426a4cf636c59af666fdf945", EMPTY, 0),
+    (["sweep", "--config", "ERROR_DECAY", "--values", "300", "--trials", "5"],
+     "63796b4dfe7ecc2923e1198a5b1b6989050d59b5fe780acc5acd03ef22828188", EMPTY, 0),
+    (["sweep", "--config", "SEED_ROBUSTNESS", "--n", "300", "--values", "1,5", "--trials", "5"],
+     "94829de4a1d0bc6c90356a836c396bf815c1b0dd4dae75eedd803f087468afe4", EMPTY, 0),
+    (["sweep", "--config", "SEPARABILITY", "--n", "300", "--values", "1,2", "--trials", "5"],
+     "e766e44700ea8e7b7044bdb436a66da446596404ffda2b2f1355e8a1d97c07e9", EMPTY, 0),
+    (["sweep", "--config", "NOISE_ROBUSTNESS", "--n", "300", "--trials", "5",
+      "--out", "noise_d1.csv"],
+     "c7b6016d054c7bfa09b7296f0155a6871e9cc49258189b1117d2f5ac7c6092b8", EMPTY, 0),
+    (["sweep", "--config", "NOISE_ROBUSTNESS", "--n", "300", "--trials", "5",
+      "--noise-d", "2", "--out", "noise_d2.csv"],
+     "324532159eee9462643215b225ed65cf3d076f5cbf7cd800154a6f3d537f7d0a", EMPTY, 0),
+]
+
+
+def test_readme_example_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = cli_inputs(tmp_path)
+    for argv, out_digest, err_digest, code in README_EXAMPLES:
+        got = main([files.get(arg, arg) for arg in argv])
+        out, err = capsys.readouterr()
+        if "--out" in argv:
+            out += Path(argv[argv.index("--out") + 1]).read_text()
+        assert (text_digest(out), text_digest(err), got) == (out_digest, err_digest, code), argv

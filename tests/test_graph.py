@@ -872,6 +872,15 @@ def test_er_giant_build_and_read_peak_memory_stays_near_the_csr(tmp_path):
     assert parse_peak <= 1.3 * csr
 
 
+def test_largest_component_peak_memory_stays_near_the_giants_csr():
+    # the CSR rows u (2m entries) and the u < v index (m) were held through
+    # the whole cut, a peak of 3.42x the giant's CSR; freed before it, 2.32x
+    n = 200_000
+    g = gen_erdos_renyi(n, 2 / n, 5)
+    (giant, _), peak = traced_peak(g.largest_component)
+    assert peak <= 2.5 * (giant._indptr.nbytes + giant._indices.nbytes)
+
+
 @pytest.mark.parametrize("nodes, message", [
     ([3, 1.5], "node id 1.5 is not an integer"),
     (np.array([-math.inf]), "node id -inf is not an integer"),

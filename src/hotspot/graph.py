@@ -1,17 +1,15 @@
 """Immutable undirected graphs with hop-distance neighborhood queries.
 
-Adjacency is stored in compressed sparse row form (one flat index array
-plus per-node offsets), which keeps million-node graphs cheap and makes
-every query read-only, so a Graph can be shared freely across threads.
+Adjacency is in compressed sparse row form (one flat index array plus
+per-node offsets): million-node graphs stay cheap, and every query is
+read-only, so a Graph can be shared freely across threads.
 
 Neighborhood order is canonical throughout the package: nondecreasing hop
-distance, ascending node id inside each distance shell. The k-nearest-
-neighbor set of any size is then a prefix of that order, which is what the
-detector and calibration code rely on when they scan a node's surroundings
-outward until some event (a reporter, an uninfected node) occurs. They
-scan all their nodes at once through :meth:`Graph.neighborhoods`, or
-:meth:`Graph.hotspots` for the detector's test, two answers of the one
-neighborhood implementation in the package.
+distance, ascending node id inside each distance shell, so a k-nearest set
+of any size is a prefix of it. The detector and calibration code scan all
+their nodes at once through :meth:`Graph.neighborhoods`, or
+:meth:`Graph.hotspots` for the detector's test, two answers of the
+package's one neighborhood scan.
 """
 
 from __future__ import annotations
@@ -38,16 +36,12 @@ BALL = "ball"
 # nodes per chunk of a NearestTable build
 _BLOCK = 512
 
-# (center, node) pairs a batch of Graph.neighborhoods aims to expand over all
-# its levels, a sixteenth of them the row entries its first batch reads at the
-# mean degree: enough work to spread the fixed cost of its numpy calls (53 per
-# plain nn level past depth 1, 27 at depth 1, 15 to place the pairs; a plain
-# hotspot test counts hits in place of placing, 64 per nn level and 35 at depth
-# 1; a NoisyView nn level past its noise magnitude about 95, its hotspot test
-# about 105), while a batch's arrays stay near this many pairs. On an 8000-node
-# ER giant a level holds about 1k pairs, so call overhead dominates: there the
-# first batch holds about 1,700 centers, so a sweep's 900 reporters run as one
-# batch and pay each level's calls once
+# (center, node) pairs a batch of Graph.neighborhoods aims to expand over its
+# levels, and row entries a chunk of the hotspot test's depth-1 pass reads; a
+# first batch reads a sixteenth of them at the mean degree. That spreads a BFS
+# level's fixed numpy calls (27 to 64 plain, about 100 noisy) while a batch's
+# arrays stay near this size: on an 8000-node ER giant (1k pairs a level) a first
+# batch holds about 1,700 centers, so a sweep's 900 reporters run as one batch
 _PAIRS = 1 << 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -191,8 +185,8 @@ class Graph:
 
     # -- neighborhood queries ----------------------------------------------
 
-    # one-center forms of neighborhoods, NoisyView's too, kept only because
-    # perfbench/tracing.py wraps them by name, as tests/test_bench_contract.py pins
+    # one-center forms of neighborhoods, NoisyView's too, kept as the names that
+    # perfbench/tracing.py wraps (tests/test_bench_contract.py pins them)
     def nn_members(self, i: int, k: int) -> list[int]:
         return self.neighborhoods(np.array([i]), k, NN)[1].tolist()
 
@@ -209,37 +203,29 @@ class Graph:
         mode "nn" keeps the first ``size`` of them, mode "ball" every one
         within ``size`` hops. The center is never a member.
 
-        Centers go in batches sized by the work they cause: the first holds
-        those that read about _PAIRS >> 4 row entries at the mean degree, each
-        later one those that expand about _PAIRS pairs at the previous batch's
-        rate per center (each at least 1, at most _max_batch). Each batch runs
-        one level-synchronous BFS over (center, node) pairs, keyed owner << b |
-        node with b = n.bit_length(). Depth 1 is read from the centers' CSR
-        rows, sorted, distinct and free of the centers, so a rank there is a
-        place in a row: a plain nn center reads its row's first ``size``
-        entries only, and one with ``size`` neighbors is settled by them. A
-        deeper level expands the current shell, and one sort of tagged codes
-        keeps the distinct candidates in neither the previous nor the current
-        shell: in an undirected graph those are exactly the unvisited pairs.
-
-        Each level is ranked as the BFS finds it. A level is in (center,
-        node) order and all of it lies at one hop distance, so a pair's rank
-        is its center's members from earlier levels plus its place in the
-        center's run of the level; an nn level keeps the ranks below
-        ``size``. At the end every pair is placed by scatter at its center's
-        offset plus its rank, with no sort. A NoisyView ranks by perceived
-        distance the same way, one perceived distance per level (see
-        _scan).
+        Centers go in batches: the first reads about _PAIRS >> 4 row entries at
+        the mean degree, each later one expands about _PAIRS pairs at the last
+        one's rate per center (at least 1, at most _max_batch). A batch runs one
+        level-synchronous BFS over (center, node) pairs keyed owner << b | node,
+        b = n.bit_length(). Depth 1 is a prefix of each center's sorted CSR row,
+        its ranks places in the row (a plain nn center reads ``size`` entries).
+        A deeper level expands the shell, and one sort of tagged codes keeps the
+        candidates in neither the previous nor the current shell: in an
+        undirected graph, the unvisited pairs. A level lies at one distance in
+        (center, node) order, so a pair's rank is its center's earlier members
+        plus its place in the center's run (nn keeps ranks below ``size``), and
+        each pair is placed at its center's offset plus its rank, with no sort.
+        A NoisyView ranks by perceived distance alike. The hotspot test reads
+        depth 1 alone first where that decides most centers (see _scan).
         """
         return self._scan(centers, size, mode, None)
 
     def hotspots(self, centers: np.ndarray, size: int, mode: str, s: int) -> np.ndarray:
         """Whether at least ``s`` members of each center's neighborhoods(centers,
-        size, mode) are centers too, as a boolean array. The BFS counts these
-        hits as it ranks each level and drops a center once its verdict is
-        fixed: at ``s`` hits, or for nn once its hits plus its ranks still
-        open (size less its members found) fall short of ``s``. No member is
-        placed."""
+        size, mode) are centers too, as a boolean array; no member is placed. A
+        center is decided at ``s`` hits, or for nn once its hits plus its ranks
+        still open fall short of ``s``, and then leaves the BFS. Depth 1 alone
+        decides most centers of a plain nn test if s <= size <= the mean degree."""
         return self._scan(centers, size, mode, None, s)
 
     def _first_batch(self) -> int:  # centers reading _PAIRS >> 4 entries at the mean degree
@@ -248,36 +234,50 @@ class Graph:
     def _scan(self, centers, size: int, mode: str, noisy: NoisyView | None,
               s: int | None = None):
         """neighborhoods by hop distance, or by ``noisy``'s perceived one, at
-        most the noise magnitude (the slack) from the hop distance. Once
-        level D is found, every node not found is perceived beyond D - slack,
-        and a member perceived at p is found by level p + slack: so the pairs
-        perceived at D - slack settle at level D, and are ranked there like a
-        plain level. A ball explores ``size + slack`` hops; once the shell is
-        empty the BFS jumps to the level where its next pending pair
-        settles. With ``s``, the hotspot test of each center in place of its
-        members."""
+        most the noise magnitude (the slack) from it: a node not found by level
+        D is perceived beyond D - slack, and a member perceived at p is found by
+        level p + slack, so the pairs perceived at D - slack settle at level D,
+        ranked like a plain level. A ball explores ``size + slack`` hops; once
+        the shell is empty the BFS jumps to where its next pending pair settles.
+        With ``s``, each center's hotspot test. A plain nn one with s <= size <=
+        the mean degree (an O(1) test) first reads each row's first min(deg,
+        size) entries, its first members, rank by rank, _PAIRS // size centers
+        at a time: s hits fire a center, too few ranks left kill it, and only
+        the rest go to the BFS, the reports mask still holding every center."""
         if mode not in (NN, BALL):
             raise ValueError(f"unknown neighborhood mode {mode!r}")
         nearest = mode == NN
         if size < (1 if nearest else 0):
             raise ValueError("k must be >= 1" if nearest else "radius must be >= 0")
         centers = _centers_of(centers, self.n)
-        reports = None
+        reports, fired, todo = None, None, slice(None)  # todo: the centers the BFS decides
         if s is not None:  # the centers, as a node mask over every batch
             reports = np.zeros(self.n, dtype=bool)
             reports[centers] = True
-        cap = _max_batch(self.n)
+            if noisy is None and nearest and s <= size <= self._indices.size // max(self.n, 1):
+                fired, todo = np.zeros(centers.size, dtype=bool), np.zeros(centers.size, dtype=bool)
+                step = max(_PAIRS // size, 1)  # a chunk reads at most _PAIRS entries
+                for lo in range(0, centers.size, step):
+                    start = self._indptr[centers[lo:lo + step]]
+                    found = np.minimum(self._indptr[centers[lo:lo + step] + 1] - start, size)
+                    hits = sum(reports[self._indices.take(start + j, mode="clip")] & (j < found)
+                               for j in range(size))  # each row's entry j, where it has one
+                    fired[lo:lo + step] = hits >= s
+                    todo[lo:lo + step] = (hits < s) & (hits + size - found >= s)
+        queue, cap = centers[todo], _max_batch(self.n)
         parts = [(_EMPTY, _EMPTY, _EMPTY) if s is None else (_EMPTY.astype(bool),)]
         lo, block = 0, min(max(self._first_batch(), 1), cap)
-        while lo < centers.size:
+        while lo < queue.size:
             *part, expanded = self._neighborhood_block(
-                centers[lo:lo + block], size, nearest, noisy, reports, s)
+                queue[lo:lo + block], size, nearest, noisy, reports, s)
             if s is None:
                 part[0] += lo  # owners count from the batch's first center
             parts.append(part)
             lo += block
             block = min(max(_PAIRS * block // max(expanded, 1), 1), cap)
         arrays = tuple(np.concatenate(column) for column in zip(*parts))
+        if fired is not None:  # the BFS verdicts join the depth-1 pass verdicts
+            fired[todo], arrays = arrays[0], (fired,)
         return arrays if s is None else arrays[0]
 
     def _neighborhood_block(self, centers, size, nearest, noisy, reports=None, s=None):
@@ -544,10 +544,8 @@ class NearestTable:
         if k_max < 1:
             raise ValueError("k must be >= 1")
         self._n, self._k_max = view.n, int(k_max)
-        # one query per _BLOCK nodes, not one over every node: the owner and
-        # rank arrays a single query returns for every node would triple the
-        # table's size while it is built (it raised calibrate_gamma's peak
-        # RSS from 39.7 to 42.8-43.1 MB)
+        # one query per _BLOCK nodes: one over every node returns owner and rank arrays
+        # that triple the table while built (calibrate_gamma's peak RSS 39.7 -> 43 MB)
         members, counts = [_EMPTY], [_EMPTY]
         for lo in range(0, self.n, _BLOCK):
             centers = np.arange(lo, min(lo + _BLOCK, self.n), dtype=np.int64)

@@ -253,6 +253,8 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be nonempty")
         if isinstance(self.detector, str) and self.detector != "auto":
             raise ValueError("detector must be a DetectorConfig or 'auto'")
+        if self.sweep_name == "noise_d" and self.noise is None:  # no trial would read it
+            raise ValueError("noise_d needs noise_prob or a flip_prob sweep")
         cast = KEYS[_swept(self.sweep_name, self.detector)].cast
         for value in self.sweep_values:  # kept as given: seed tokens and CSV labels
             try:

@@ -672,9 +672,13 @@ _DENSE_G = ["detect", "--graph", "g.txt", "--snapshot", "s.txt", "--regime", "de
     # no trial reads a magnitude with no flip probability: it used to run as if unset
     (["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2", "--q", "0.6", "--trials",
       "3", "--noise-d", "3"], "noise_d needs noise_prob or a flip_prob sweep"),
+    # nor does a noise_d sweep with no flip probability: it used to exit 0
+    (["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2", "--q", "0.6", "--trials",
+      "3", "--sweep", "noise_d", "--values", "1,5"],
+     "noise_d needs noise_prob or a flip_prob sweep"),
 ], ids=["bounds-n-reporting", "simulate-null-p", "tree-degree", "tree-depth", "tree-size",
         "grid-size", "er-p", "detect-log-base", "detect-q", "detect-empty-profile",
-        "sweep-noise-d"])
+        "sweep-noise-d", "sweep-over-noise-d"])
 def test_each_input_check_exits_one_with_its_message(tmp_path, monkeypatch, capsys, argv,
                                                      error):
     # refusals of outside input that no other test reached; generate writes no file

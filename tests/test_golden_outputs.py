@@ -402,6 +402,44 @@ CLI = {
         "e75caeeca9d7f548454643c465682b49f6266c61442f592e71204f2ced8fea50", 1),
     "usage_describe": (["describe", "-h"],
         "f51cc03c75f34bb6381e5c53a429d6cffb80449f53ce1e8af6aad36696772033", EMPTY, 0),
+    # README's refusal examples, computed before the hotspot test settled
+    # reporters on their CSR rows ahead of the BFS
+    "refuse_sweep_n_on_grid": (["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2",
+                                "--q", "0.6", "--sweep", "n", "--values", "10,20"], EMPTY,
+        "464de9ec8ba7911a85c332ec54569f6295471bef4c86ba36585e000550802a6a", 1),
+    "refuse_compact_on_er": (["sweep", "--topology", "er", "--n", "300", "--compact",
+                              "--alpha", "0.2", "--q", "0.6"], EMPTY,
+        "0f649067ddc82baaececd70d5f68dd119d96e12d50ac6b0385411280106032ad", 1),
+    "refuse_ball_detector_k": (["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2",
+                                "--q", "0.6", "--detector", "ball", "--k", "7"], EMPTY,
+        "33d2f4f8ede7056d8b5ae8c8a3477dc21d9b16cab78b2e5d6dfd42d0f8d41d68", 1),
+    "refuse_detect_ball_k": ([*_DETECT, "--mode", "ball", "--k", "7"], EMPTY,
+        "b4f832a17d664ed2b16d8a7a6520980b7c563f1c754e12e159c0985253e1d503", 1),
+    "refuse_detect_small_gamma": ([*_DETECT, "--regime", "small", "--gamma", "0.5"], EMPTY,
+        "92306c8f7fed161d2b03f2d4025441cc261fa021adbd8adb2938256c1543be3d", 1),
+    "refuse_threshold_sweep_t_values": (["threshold-sweep", "--config", "CFG", "--values", "1,2",
+                                         "--t-values", "0,1"], EMPTY,
+        "14400ffc019fe01dcf401070cdf03ff5211499316e29f594dfeec371d66927fd", 1),
+    # the refusal comes before the write: g.txt is never opened
+    "refuse_generate_grid_seed": (["generate", "--topology", "grid", "--side", "8", "--seed",
+                                   "1", "--out", "g.txt"], EMPTY,
+        "4d33065ef6606f074b5792d26bd946f9c7bfcd92a4a1c97da6f786ebbfbf6cb0", 1),
+    "refuse_simulate_null_p_q": (["simulate", "--topology", "grid", "--side", "8", "--scenario",
+                                  "null", "--null-p", "0.1", "--q", "0.3"], EMPTY,
+        "b0c16037296118f699827d0347f203e13710ab7df29bf991c194a774960cb42f", 1),
+    "refuse_two_gamma_sources": ([*_DETECT, "--regime", "dense", *_DENSE, "--gamma", "0.4",
+                                  "--gamma-profile", "PROFILE"], EMPTY,
+        "5000f40b56b39618e00ea37de6d8fce4360b96009f94d642cc288b18cba63070", 1),
+    "refuse_null_above_one": (["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.6",
+                               "--q", "0.9", "--f", "1"], EMPTY,
+        "57ab648182088fe93e487deb996d2f2913f90bfd3e705b529fc7ebacaab84beb", 1),
+    # computed after the fix: a noise_d sweep with no base noise, which no
+    # trial read, exited 0 (stdout digest
+    # 799cce453c17da4a481dc638e836e8964a154568cc011df8a1356998d7b8ef5b)
+    "refuse_noise_d_sweep": (["sweep", "--topology", "grid", "--side", "8", "--alpha", "0.2",
+                              "--q", "0.6", "--trials", "3", "--sweep", "noise_d",
+                              "--values", "1,5"], EMPTY,
+        "f58a115aff340e6a1b90bb9a271190e235db888e7156501eefed703d08e3350c", 1),
 }
 
 

@@ -404,6 +404,18 @@ def test_noise_d_alone_sets_the_noise_magnitude():
         spec_from_mapping({**raw, "noise_d": "0"})
 
 
+def test_a_noise_d_sweep_without_base_noise_is_refused():
+    # no trial read the swept magnitude of a zero-probability DistanceNoise():
+    # the rows differed only through their seed tokens
+    with pytest.raises(ValueError, match="^noise_d needs noise_prob or a flip_prob sweep$"):
+        small_spec(sweep_name="noise_d", sweep_values=(1, 5))
+    with pytest.raises(ValueError, match="^noise_d needs noise_prob or a flip_prob sweep$"):
+        spec_from_mapping({"topology": "grid", "side": "5", "sweep": "noise_d"})
+    spec = small_spec(sweep_name="noise_d", sweep_values=(1, 5), trials_per_point=2,
+                      noise=DistanceNoise(flip_prob=0.3))
+    assert [row.sweep_value for row in run_sweep(spec).rows] == [1, 5]
+
+
 @pytest.mark.parametrize("raw, key", [
     ({"n": "100", "trails": "50"}, "trails"),
     ({"n": "100", "giant": "ture"}, "giant"),

@@ -486,6 +486,69 @@ def test_a_sweep_snapshot_runs_as_one_batch(monkeypatch):
     assert sizes == [900] * 6
 
 
+# graphs with K at most the mean degree for some K: the depth-1 pass runs
+_DEPTH_ONE_GRAPHS = {**_ROW_GRAPHS,  # mean degrees 1.4 and 2.3
+                     "er-giant": gen_erdos_renyi(150, 5 / 150, 2).largest_component()[0]}
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 2**16])
+@pytest.mark.parametrize("name", list(_DEPTH_ONE_GRAPHS))
+def test_depth_one_pass_matches_oracles(monkeypatch, name, pairs):
+    # a chunk of the pass holds max(_PAIRS // K, 1) centers: one, a few, all
+    monkeypatch.setattr(graph, "_PAIRS", pairs)
+    g = _DEPTH_ONE_GRAPHS[name]
+    rng = np.random.default_rng(len(name) + pairs)
+    for k in range(1, g._indices.size // g.n + 1):
+        for density in (0.2, 0.5, 0.9):
+            reporting = np.flatnonzero(rng.random(g.n) < density)
+            for s in range(1, k + 1):
+                want = _hotspot_oracle(lambda i: nn_oracle(g, i, k), reporting.tolist(), s)
+                assert g.hotspots(reporting, k, "nn", s).tolist() == want, (k, density, s)
+                verdict = classify(g, reporting, DetectorConfig.nn(k=k, s=s, t=0),
+                                   keep_indicators=True)
+                assert verdict.per_node == dict(zip(reporting.tolist(), want))
+
+
+def _bfs_batches(monkeypatch):
+    """The centers of each batch the BFS runs from now on."""
+    batches, block_of = [], Graph._neighborhood_block
+    monkeypatch.setattr(Graph, "_neighborhood_block", lambda self, batch, *args: (
+        batches.append(batch.copy()) or block_of(self, batch, *args)))
+    return batches
+
+
+def test_the_bfs_gets_only_the_centers_depth_one_leaves_open(monkeypatch):
+    # mean degree about 2.4, K = 2, s = 2: a center with two entries is
+    # decided by them, as is one whose only neighbor is silent; only a
+    # degree-1 center with a reporting neighbor needs depth 2
+    g = gen_erdos_renyi(8000, 2 / 8000, 1).largest_component()[0]
+    centers = np.sort(np.random.default_rng(5).choice(g.n, 3000, replace=False))
+    reports = np.zeros(g.n, dtype=bool)
+    reports[centers] = True
+    want = g._neighborhood_block(centers, 2, True, None, reports, 2)[0]  # the BFS alone
+    deg = g.degrees()[centers]
+    open_ = centers[(deg == 1) & reports[g._indices[g._indptr[centers]]]]
+    assert 0 < open_.size < 3000 // 5
+    batches = _bfs_batches(monkeypatch)
+    assert np.array_equal(g.hotspots(centers, 2, "nn", 2), want)
+    assert len(batches) == 1 and np.array_equal(batches[0], open_)
+
+
+def test_tests_outside_the_gate_reach_the_bfs_whole(monkeypatch):
+    # K = 6 above the mean degree of 2.4, and s = 3 above K = 2: no depth-1
+    # pass, so the BFS gets every center
+    g = gen_erdos_renyi(8000, 2 / 8000, 1).largest_component()[0]
+    centers = np.sort(np.random.default_rng(6).choice(g.n, 900, replace=False))
+    reports = np.zeros(g.n, dtype=bool)
+    reports[centers] = True
+    cases = [(6, 3), (2, 3)]
+    want = [g._neighborhood_block(centers, size, True, None, reports, s)[0] for size, s in cases]
+    batches = _bfs_batches(monkeypatch)
+    for (size, s), fired in zip(cases, want):
+        assert np.array_equal(g.hotspots(centers, size, "nn", s), fired)
+        assert np.array_equal(batches.pop(), centers) and not batches
+
+
 def test_a_dense_graph_gets_a_smaller_first_batch(monkeypatch):
     g = gen_erdos_renyi(2000, 0.05, 2)  # mean degree about 100
     sizes = _batch_sizes(monkeypatch)

@@ -140,7 +140,7 @@ def _cmd_detect(args) -> int:
     unused = sorted(harness.unread_keys(kind, vars(args), ("detector", "scenario", None)),
                     key=lambda key: not set(harness.KEYS[key].reads) <= {"nn", "ball"})
     if unused:
-        raise ValueError(f"{'--regime' if prescribed else '--mode ' + kind} "
+        raise ValueError(f"{'--regime' if prescribed else '--mode'} {kind} "
                          f"does not use --{unused[0].replace('_', '-')}")
     g = load_edge_list(args.graph, compact=args.compact)
     snap = ReportSnapshot.load(args.snapshot)

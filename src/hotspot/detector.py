@@ -71,7 +71,6 @@ class Verdict:
     mode: str
     k_or_l: int
     per_node: dict[int, bool] | None = None
-    note: str = ""
 
     def csv_row(self, truth: str | None = None) -> str:
         return (f"{truth or ''},{self.label},{self.hotspot_count},"
@@ -93,8 +92,7 @@ def classify(view, reporting, cfg: DetectorConfig,
     per_node = dict(zip(centers.tolist(), fired.tolist())) if keep_indicators else None
     label = EPIDEMIC if count > cfg.t else UNIFORM
     return Verdict(label=label, hotspot_count=count, threshold=cfg.t,
-                   mode=cfg.mode, k_or_l=cfg.k_or_l, per_node=per_node,
-                   note=cfg.note)
+                   mode=cfg.mode, k_or_l=cfg.k_or_l, per_node=per_node)
 
 
 # -- parameter selection -------------------------------------------------------

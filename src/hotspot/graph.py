@@ -203,20 +203,20 @@ class Graph:
         mode "nn" keeps the first ``size`` of them, mode "ball" every one
         within ``size`` hops. The center is never a member.
 
-        Centers go in batches: the first reads about _PAIRS >> 4 row entries at
-        the mean degree, each later one expands about _PAIRS pairs at the last
-        one's rate per center (at least 1, at most _max_batch). A batch runs one
+        Centers go in batches: the first reads about _PAIRS >> 4 row entries at the
+        mean degree, each later one expands about _PAIRS pairs at the last one's
+        rate per center (at least 1, at most _max_batch). A batch runs one
         level-synchronous BFS over (center, node) pairs keyed owner << b | node,
         b = n.bit_length(). Depth 1 is a prefix of each center's sorted CSR row,
-        its ranks places in the row (a plain nn center reads ``size`` entries).
-        A deeper level expands the shell, and one sort of tagged codes keeps the
-        candidates in neither the previous nor the current shell: in an
-        undirected graph, the unvisited pairs. A level lies at one distance in
-        (center, node) order, so a pair's rank is its center's earlier members
-        plus its place in the center's run (nn keeps ranks below ``size``), and
-        each pair is placed at its center's offset plus its rank, with no sort.
-        A NoisyView ranks by perceived distance alike. The hotspot test reads
-        depth 1 alone first where that decides most centers (see _scan).
+        ranked by place (a plain nn center reads ``size`` entries), then recorded,
+        counted and filtered by the tail of every deeper level. A deeper level
+        expands the shell; one sort of tagged codes keeps the candidates in neither
+        shell: in an undirected graph, the unvisited pairs. A level lies at one
+        distance in (center, node) order, so a pair's rank is its center's earlier
+        members plus its place in its run (nn keeps ranks below ``size``), and each
+        pair is placed at its center's offset plus its rank, with no sort. A
+        NoisyView ranks by perceived distance alike. The hotspot test reads depth 1
+        alone first where that decides most centers (see _scan).
         """
         return self._scan(centers, size, mode, None)
 
@@ -296,31 +296,40 @@ class Graph:
         expanded = int(ends[-1])
         owner = np.arange(centers.size, dtype=np.int64).repeat(found)
         rank = np.arange(expanded) - (ends - found).repeat(found)
-        nodes = indices[start.repeat(found) + rank]
-        shell = owner << b | nodes
-        prev = np.arange(centers.size, dtype=np.int64) << b | centers
-        keys, tags = [shell], [rank]  # per level: the ranked pairs' keys and ranks
+        new = owner << b | indices[start.repeat(found) + rank]
+        shell = np.arange(centers.size, dtype=np.int64) << b | centers  # depth 0
+        level, at, keep = new, owner, slice(None)  # a level's pairs, centers and kept ranks
+        keys, tags, hits = [], [], np.zeros(centers.size, dtype=np.int64)
         pending = _EMPTY  # a noisy view's pairs found but not yet settled
-
-        def undecided():  # nn: short of ``size`` members; counting: not yet fired or dead
-            if not counting:
-                return found < size
-            return (hits < s) & (hits + size - found >= s) if nearest else hits < s
-
         if noisy is not None:
             observed = noisy._observers(centers)  # hashed once per batch
             # depth 1 is perceived as it is (1 <= slack): it settles at 1 + slack
-            pending, pending_dist = shell, np.ones(expanded, dtype=np.int64)
-            keys, tags = [_EMPTY], [_EMPTY]
-            found, hits = np.zeros((2, centers.size), dtype=np.int64)
-        elif nearest or counting:  # a decided center leaves both shells
-            if counting:
-                hits = np.bincount(owner[np.flatnonzero(reports[nodes])],
-                                   minlength=centers.size)
-            active = undecided()
-            shell, prev = shell[np.flatnonzero(active[owner])], prev[np.flatnonzero(active)]
+            pending, pending_dist = new, np.ones(expanded, dtype=np.int64)
+            level = at = rank = _EMPTY
+            found = np.zeros_like(deg)
         depth = 1
-        while (shell.size or pending.size) and (nearest or depth < size + slack):
+        while True:
+            if counting:
+                ranked = at[keep]
+                hits += np.bincount(ranked[np.flatnonzero(reports[level[keep] & mask])],
+                                    minlength=centers.size)
+            else:
+                keys.append(level[keep])
+                tags.append(rank[keep])
+            prev, shell = shell, new
+            # a decided center stays decided: its pairs leave both shells (a
+            # level that ranks no pair decides no center)
+            if level.size and (nearest or counting):
+                # undecided: nn short of ``size`` members; counting not yet fired or dead
+                active = (found < size if not counting else
+                          (hits < s) & (hits + size - found >= s) if nearest else hits < s)
+                shell = new[np.flatnonzero(active[owner])]
+                prev = prev[np.flatnonzero(active[prev >> b])]
+                if noisy is not None:
+                    left = np.flatnonzero(active[pending >> b])
+                    pending, pending_dist = pending[left], pending_dist[left]
+            if not (shell.size or pending.size) or not nearest and depth >= size + slack:
+                break
             if shell.size:
                 depth += 1
                 nodes = shell & mask
@@ -345,7 +354,6 @@ class Graph:
             else:  # the shell is spent: jump to the level where the next pending pair settles
                 depth = int(pending_dist.min()) + slack
                 new = owner = _EMPTY
-            # the pairs this level ranks, all at one distance, and their centers
             level, at = new, owner
             if noisy is not None:
                 # unfound nodes lie beyond depth hops, so are perceived beyond
@@ -371,22 +379,6 @@ class Graph:
             if nearest:  # the cut at size falls inside this level only
                 keep = np.flatnonzero(rank < size)
                 np.minimum(found, size, out=found)
-            if counting:
-                ranked = at[keep]
-                hits += np.bincount(ranked[np.flatnonzero(reports[level[keep] & mask])],
-                                    minlength=centers.size)
-            else:
-                keys.append(level[keep])
-                tags.append(rank[keep])
-            prev, shell = shell, new
-            if nearest or counting:
-                # a decided center stays decided: its pairs leave both shells
-                active = undecided()
-                shell = new[np.flatnonzero(active[owner])]
-                prev = prev[np.flatnonzero(active[prev >> b])]
-                if noisy is not None:
-                    left = np.flatnonzero(active[pending >> b])
-                    pending, pending_dist = pending[left], pending_dist[left]
         if counting:
             return hits >= s, expanded
         # no sort: each pair goes to its center's offset plus its rank

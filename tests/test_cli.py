@@ -989,12 +989,15 @@ def test_detector_flag_drops_the_config_size_its_kind_does_not_read(tmp_path, ca
     (["--mode", "ball", "--k", "7"], "--mode ball does not use --k"),
     (["--l", "2"], "--mode nn does not use --l"),
     (["--regime", "dense", "--q", "0.5", "--alpha", "0.1", "--gamma", "0.5", "--k", "2"],
-     "--regime does not use --k"),
+     "--regime dense does not use --k"),
+    # a gamma source alone implies the auto regime
+    (["--gamma", "0.5", "--k", "3"], "--regime auto does not use --k"),
     # --mode, --s and --t used to be dropped under a prescription
-    (["--regime", "small", "--mode", "ball"], "--regime does not use --mode"),
-    (["--gamma", "0.5", "--s", "9"], "--regime does not use --s"),
-    (["--regime", "auto", "--t", "99"], "--regime does not use --t"),
-], ids=["ball-k", "nn-l", "regime-k", "regime-mode", "regime-s", "regime-t"])
+    (["--regime", "small", "--mode", "ball"], "--regime small does not use --mode"),
+    (["--gamma", "0.5", "--s", "9"], "--regime auto does not use --s"),
+    (["--regime", "auto", "--t", "99"], "--regime auto does not use --t"),
+], ids=["ball-k", "nn-l", "regime-k", "implied-auto-k", "regime-mode", "regime-s",
+        "regime-t"])
 def test_detect_refuses_a_size_its_mode_does_not_read(tmp_path, capsys, flags, error):
     snap = tmp_path / "snap.txt"
     snap.write_text("truth=epidemic n=6\n1\n2\n3\n")
@@ -1017,7 +1020,7 @@ def test_fixed_detect_refuses_a_prescription_flag(tmp_path, capsys, flags, mode)
     size = ["--k", "2"] if mode == "nn" else ["--mode", "ball", "--l", "2"]
     code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 6),
                          "--snapshot", str(snap), *size, "--s", "2", "--t", "3", *flags)
-    error = (f"--regime does not use {size[0]}" if flags[0] == "--family"
+    error = (f"--regime auto does not use {size[0]}" if flags[0] == "--family"
              else f"--mode {mode} does not use {flags[0]}")
     assert (code, out, err) == (1, "", f"error: {error}\n")
 
@@ -1052,7 +1055,7 @@ def test_detect_refuses_a_flag_its_regime_does_not_read(tmp_path, capsys, regime
     dense = ["--q", "0.5", "--alpha", "0.1", "--gamma", "0.5"] if regime == "dense" else []
     code, out, err = run(capsys, "detect", "--graph", write_path_graph(tmp_path, 6),
                          "--snapshot", str(snap), "--regime", regime, *dense, *flags)
-    assert (code, out, err) == (1, "", f"error: --regime does not use {flags[0]}\n")
+    assert (code, out, err) == (1, "", f"error: --regime {regime} does not use {flags[0]}\n")
 
 
 @pytest.mark.parametrize("prescription", [

@@ -415,8 +415,13 @@ CLI = {
         "33d2f4f8ede7056d8b5ae8c8a3477dc21d9b16cab78b2e5d6dfd42d0f8d41d68", 1),
     "refuse_detect_ball_k": ([*_DETECT, "--mode", "ball", "--k", "7"], EMPTY,
         "b4f832a17d664ed2b16d8a7a6520980b7c563f1c754e12e159c0985253e1d503", 1),
+    # the refusal names the regime; it read "error: --regime does not use
+    # --gamma", digest 92306c8f7fed161d2b03f2d4025441cc261fa021adbd8adb2938256c1543be3d
     "refuse_detect_small_gamma": ([*_DETECT, "--regime", "small", "--gamma", "0.5"], EMPTY,
-        "92306c8f7fed161d2b03f2d4025441cc261fa021adbd8adb2938256c1543be3d", 1),
+        "e705d93a5e19fd0d6323c140ba0fb0e75b20f0a7471fcb4747dda721ca0f4368", 1),
+    # a gamma source alone implies the auto regime
+    "refuse_detect_implied_auto_k": ([*_DETECT, "--gamma", "0.5", "--k", "3"], EMPTY,
+        "9159a346e73be30caa0ea966f5d4d4b65c82cbf4c71147d07de993a9bd372b7a", 1),
     "refuse_threshold_sweep_t_values": (["threshold-sweep", "--config", "CFG", "--values", "1,2",
                                          "--t-values", "0,1"], EMPTY,
         "14400ffc019fe01dcf401070cdf03ff5211499316e29f594dfeec371d66927fd", 1),

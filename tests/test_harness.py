@@ -138,13 +138,16 @@ def test_auto_detector_runs():
 
 
 _AUTO_TRIALS = """
+from hotspot import harness
 from hotspot.harness import ExperimentSpec, ScenarioRule, TopologySpec, run_trial
+configs, prescribe = [], harness.prescribe  # the prescribed configs, their notes naming the branch
+harness.prescribe = lambda *args, **kw: configs.append(prescribe(*args, **kw)) or configs[-1]
 spec = ExperimentSpec(topology=TopologySpec(kind="er", n=400, giant=True),
                       scenario=ScenarioRule(alpha=0.2, q=0.6, f=0.5), detector="auto",
                       sweep_name="q", sweep_values=(0.6,), master_seed=7)
 for label, trial in {runs!r}:
     verdict, _ = run_trial(spec, 0.6, label, trial)
-print(verdict.hotspot_count, repr(verdict.threshold), verdict.k_or_l, verdict.note)
+print(verdict.hotspot_count, repr(verdict.threshold), verdict.k_or_l, configs[-1].note)
 """
 
 

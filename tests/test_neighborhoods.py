@@ -106,11 +106,20 @@ def test_centers_settling_at_different_depths_share_a_batch():
 
 
 def test_batch_of_isolated_centers():
+    # no center reads a row: depth 1 ranks nothing, plain or perceived, and
+    # the counting and noisy BFS stop there with nothing expanded
     g = Graph.from_edges(6, [(4, 5)])
     centers = np.arange(4)
+    reports = np.isin(np.arange(g.n), centers)
+    noisy = NoisyView(g, DistanceNoise(0.5, 1), seed=3)
     for size, mode in ((1, "nn"), (3, "nn"), (0, "ball"), (2, "ball")):
-        assert all(a.size == 0 for a in g.neighborhoods(centers, size, mode))
-        assert g._neighborhood_block(centers, size, mode == "nn", None)[3] == 0
+        for view, perceived in ((g, None), (noisy, noisy)):
+            assert all(a.size == 0 for a in view.neighborhoods(centers, size, mode))
+            assert not view.hotspots(centers, size, mode, 1).any()
+            assert g._neighborhood_block(centers, size, mode == "nn", perceived)[3] == 0
+            fired, expanded = g._neighborhood_block(centers, size, mode == "nn", perceived,
+                                                    reports, 1)
+            assert fired.tolist() == [False] * 4 and expanded == 0
 
 
 @pytest.mark.parametrize("shape, centers, size, mode, expanded", [
